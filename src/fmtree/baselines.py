@@ -6,9 +6,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
-from .data import Dataset, Project, effort_vector, feature_matrix
+from .data import FEATURE_NAMES, Dataset, Project, effort_vector, feature_matrix
 from .fmt import EFFORT_FLOOR_PH
 
 MLR_PREDICTORS = ("ln_size", "productivity", "complexity")
@@ -44,19 +43,40 @@ class TreeboostConfig:
             raise ValueError(f"max_depth must be at least 1, got {self.max_depth}")
 
 
-@dataclass
-class BoostNode:
-    """Constant-leaf regression tree node for boosting stages."""
+@dataclass(eq=False)
+class StageTree:
+    """One boosting stage as parallel node arrays, the layout of scikit-learn's Tree.
 
-    value: float = 0.0
-    feature: int | None = None
-    threshold: float | None = None
-    left: "BoostNode | None" = None
-    right: "BoostNode | None" = None
+    Node 0 is the root.  An internal node i sends a row to left[i] when
+    row[feature[i]] <= threshold[i] and to right[i] otherwise.  A leaf has
+    feature == left == right == -1 and predicts value[i].
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("feature", "left", "right"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.intp))
+        for name in ("threshold", "value"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+
+    def apply(self, x: np.ndarray, node: np.ndarray) -> np.ndarray:
+        """Walk the rows of x from start nodes to leaves.
+
+        `node` has shape (n,) or (k, n): one start node per row, or k of them.
+        """
+        rows = np.arange(len(x))
+        while True:
+            feature = self.feature[node]
+            inner = feature >= 0
+            if not inner.any():
+                return node
+            go_left = x[rows, np.where(inner, feature, 0)] <= self.threshold[node]
+            node = np.where(inner, np.where(go_left, self.left[node], self.right[node]), node)
 
 
 @dataclass
@@ -65,7 +85,7 @@ class TreeboostModel:
 
     f0: float
     shrinkage: float
-    trees: list[BoostNode] = field(default_factory=list)
+    trees: list[StageTree] = field(default_factory=list)
     loss_trace: list[float] = field(default_factory=list)
 
 
@@ -79,64 +99,119 @@ def huber_loss(targets: np.ndarray, predictions: np.ndarray, delta: float) -> fl
     return float(np.mean(out))
 
 
+def _quantile(values: np.ndarray, q: float) -> float:
+    """np.quantile(values, q) with the default linear method, bit for bit.
+
+    Sorts instead of partitioning and repeats numpy's own interpolation
+    (`_lerp`), which is much cheaper than np.quantile on small arrays.
+    """
+    ordered = np.sort(values)
+    index = (len(ordered) - 1) * q
+    low = math.floor(index)
+    high = min(low + 1, len(ordered) - 1)
+    t = index - low
+    a, b = float(ordered[low]), float(ordered[high])
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
 def _stage_leaf_value(diff: np.ndarray, delta: float) -> float:
-    """Huber location step: median plus a clipped mean offset around it."""
-    med = float(np.median(diff))
+    """Huber location step: median plus a clipped mean offset around it.
+
+    Equal, bit for bit, to np.median and np.mean, which cost several times
+    more on the few rows of a leaf.
+    """
+    ordered = np.sort(diff)
+    mid = len(ordered) // 2
+    med = float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0)
     centered = diff - med
-    return med + float(np.mean(np.sign(centered) * np.minimum(np.abs(centered), delta)))
+    clipped = np.sign(centered) * np.minimum(np.abs(centered), delta)
+    return med + float(np.add.reduce(clipped) / len(clipped))
+
+
+def _best_split(
+    order: np.ndarray,
+    sorted_x: np.ndarray,
+    sorted_residuals: np.ndarray,
+    residuals: np.ndarray,
+    rows: np.ndarray,
+) -> tuple[int, float] | None:
+    """Least-squares split of the node holding `rows`, or None.
+
+    `order` holds the stable argsort of each feature over all rows (one row
+    of `order` per feature); `sorted_x` and `sorted_residuals` are the
+    feature values and residuals in that order.  Masked to the node, `order`
+    equals the node's own stable argsort.  All features are scanned in one
+    pass; ties go to the lowest feature, then the lowest threshold.
+    """
+    n = len(rows)
+    node_residuals = residuals[rows]
+    if n < 2 or node_residuals.max() == node_residuals.min():
+        return None
+    # np.add.reduce sums in np.sum's order, so these equal np.sum and np.mean.
+    parent_sse = float(np.add.reduce(node_residuals**2)) - n * float(
+        np.add.reduce(node_residuals) / n
+    ) ** 2
+    member = np.zeros(len(residuals), dtype=bool)
+    member[rows] = True
+    in_node = member[order]
+    vs = sorted_x[in_node].reshape(-1, n)
+    rs = sorted_residuals[in_node].reshape(-1, n)
+    cum = rs.cumsum(axis=1)
+    cum2 = (rs * rs).cumsum(axis=1)
+    total, total2 = cum[:, -1:], cum2[:, -1:]
+    left, left2 = cum[:, :-1], cum2[:, :-1]
+    nl = np.arange(1, n, dtype=float)
+    nr = n - nl
+    sse = (left2 - left**2 / nl) + ((total2 - left2) - (total - left) ** 2 / nr)
+    gain = parent_sse - sse
+    gain[vs[:, 1:] == vs[:, :-1]] = -np.inf
+    cut = gain.argmax(axis=1)
+    best = gain[np.arange(len(cut)), cut]
+    usable = np.isfinite(best) & (best > 0.0)
+    if not usable.any():
+        return None
+    feature = int(np.where(usable, best, -np.inf).argmax())
+    j = cut[feature]
+    return feature, float((vs[feature, j] + vs[feature, j + 1]) / 2.0)
 
 
 def _grow_stage_tree(
-    x: np.ndarray, residuals: np.ndarray, depth_left: int
-) -> BoostNode:
-    node = BoostNode()
-    n = len(residuals)
-    if depth_left == 0 or n < 2 or float(np.ptp(residuals)) == 0.0:
+    xs: np.ndarray, pseudo: np.ndarray, diff: np.ndarray, delta: float, max_depth: int
+) -> StageTree:
+    """Grow one stage depth first: splits fit the pseudo-residuals, and each
+    leaf takes the Huber location step of its rows' raw residuals `diff`."""
+    order = np.argsort(xs, axis=0, kind="stable").T
+    sorted_x = np.take_along_axis(xs.T, order, axis=1)
+    sorted_pseudo = pseudo[order]
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    value: list[float] = []
+
+    def grow(rows: np.ndarray, depth_left: int) -> int:
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        split = None
+        if depth_left > 0:
+            split = _best_split(order, sorted_x, sorted_pseudo, pseudo, rows)
+        if split is None:
+            if len(rows):
+                value[node] = _stage_leaf_value(diff[rows], delta)
+            return node
+        feature[node], threshold[node] = split
+        go_left = xs[rows, feature[node]] <= threshold[node]
+        left[node] = grow(rows[go_left], depth_left - 1)
+        right[node] = grow(rows[~go_left], depth_left - 1)
         return node
-    best: tuple[float, int, float] | None = None
-    parent_sse = float(np.sum(residuals**2)) - n * float(np.mean(residuals)) ** 2
-    for f in range(x.shape[1]):
-        values = x[:, f]
-        order = np.argsort(values, kind="stable")
-        vs = values[order]
-        rs = residuals[order]
-        cum = np.cumsum(rs)
-        cum2 = np.cumsum(rs * rs)
-        total, total2 = cum[-1], cum2[-1]
-        cuts = np.arange(1, n)
-        nl = cuts.astype(float)
-        nr = n - nl
-        sse = (cum2[cuts - 1] - cum[cuts - 1] ** 2 / nl) + (
-            (total2 - cum2[cuts - 1]) - (total - cum[cuts - 1]) ** 2 / nr
-        )
-        gain = parent_sse - sse
-        gain[vs[cuts] == vs[cuts - 1]] = -np.inf
-        j = int(np.argmax(gain))
-        if not np.isfinite(gain[j]) or gain[j] <= 0.0:
-            continue
-        if best is None or gain[j] > best[0]:
-            best = (float(gain[j]), f, float((vs[cuts[j] - 1] + vs[cuts[j]]) / 2.0))
-    if best is None:
-        return node
-    _, node.feature, node.threshold = best
-    mask = x[:, node.feature] <= node.threshold
-    node.left = _grow_stage_tree(x[mask], residuals[mask], depth_left - 1)
-    node.right = _grow_stage_tree(x[~mask], residuals[~mask], depth_left - 1)
-    return node
 
-
-def _leaf_of(node: BoostNode, row: np.ndarray) -> BoostNode:
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node
-
-
-def _apply_stage(node: BoostNode, x: np.ndarray) -> np.ndarray:
-    return np.array([_leaf_of(node, row).value for row in x])
-
-
-def _leaf_ids(node: BoostNode, x: np.ndarray) -> list[BoostNode]:
-    return [_leaf_of(node, row) for row in x]
+    grow(np.arange(len(pseudo)), max_depth)
+    return StageTree(feature, threshold, left, right, value)
 
 
 def fit_treeboost(train: Dataset, config: TreeboostConfig = TreeboostConfig()) -> TreeboostModel:
@@ -159,13 +234,14 @@ def fit_treeboost(train: Dataset, config: TreeboostConfig = TreeboostConfig()) -
     if float(np.ptp(y)) == 0.0:
         return model
     current = np.full(len(y), f0)
+    root = np.zeros(len(y), dtype=np.intp)
     rng = np.random.default_rng(config.seed)
     for _ in range(config.n_trees):
         diff = y - current
         abs_diff = np.abs(diff)
         if float(abs_diff.max()) == 0.0:
             break
-        delta = float(np.quantile(abs_diff, config.huber_quantile))
+        delta = _quantile(abs_diff, config.huber_quantile)
         pseudo = np.where(abs_diff <= delta, diff, delta * np.sign(diff))
         keep = np.arange(len(y))
         trim = int(config.influence_trimming * len(y))
@@ -175,53 +251,107 @@ def fit_treeboost(train: Dataset, config: TreeboostConfig = TreeboostConfig()) -
         size = max(1, int(config.stochastic_fraction * len(keep)))
         sub = rng.choice(keep, size=size, replace=False)
         sub.sort()
-        tree = _grow_stage_tree(x[sub], pseudo[sub], config.max_depth)
-        leaves = _leaf_ids(tree, x[sub])
-        regions: dict[int, list[int]] = {}
-        for i, leaf in enumerate(leaves):
-            regions.setdefault(id(leaf), []).append(i)
-        for rows in regions.values():
-            leaves[rows[0]].value = _stage_leaf_value(diff[sub][rows], delta)
+        tree = _grow_stage_tree(x[sub], pseudo[sub], diff[sub], delta, config.max_depth)
         model.trees.append(tree)
-        current = current + config.shrinkage * _apply_stage(tree, x)
-        post_delta = float(np.quantile(np.abs(y - current), config.huber_quantile))
+        current = current + config.shrinkage * tree.value[tree.apply(x, root)]
+        post_delta = _quantile(np.abs(y - current), config.huber_quantile)
         model.loss_trace.append(huber_loss(y, current, post_delta))
     return model
 
 
-def predict_treeboost(model: TreeboostModel, project: Project) -> float:
-    row = np.asarray(project.features(), dtype=float)
-    total = model.f0 + model.shrinkage * sum(
-        _leaf_of(tree, row).value for tree in model.trees
+def _forest(trees: list[StageTree]) -> tuple[StageTree, np.ndarray]:
+    """All stages joined into one StageTree, and the index of each stage's root."""
+    sizes = [len(t.feature) for t in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    shift = np.repeat(roots, sizes)
+
+    def joined(name: str) -> np.ndarray:
+        return np.concatenate([getattr(t, name) for t in trees])
+
+    def links(name: str) -> np.ndarray:
+        child = joined(name)
+        return np.where(child >= 0, child + shift, -1)
+
+    forest = StageTree(
+        joined("feature"), joined("threshold"), links("left"), links("right"), joined("value")
     )
-    return max(float(total), EFFORT_FLOOR_PH)
+    return forest, roots
+
+
+def _predict_rows(model: TreeboostModel, x: np.ndarray) -> np.ndarray:
+    """Predict every row of x; the stages are added one at a time, in tree order."""
+    total = np.zeros(len(x))
+    if model.trees:
+        forest, roots = _forest(model.trees)
+        leaves = forest.apply(x, np.broadcast_to(roots[:, None], (len(roots), len(x))))
+        for stage_values in forest.value[leaves]:
+            total += stage_values
+    return np.maximum(model.f0 + model.shrinkage * total, EFFORT_FLOOR_PH)
+
+
+def predict_treeboost(model: TreeboostModel, project: Project) -> float:
+    return float(_predict_rows(model, np.array([project.features()], dtype=float))[0])
 
 
 def predict_treeboost_dataset(model: TreeboostModel, dataset: Dataset) -> np.ndarray:
-    return np.array([predict_treeboost(model, p) for p in dataset])
+    return _predict_rows(model, feature_matrix(dataset))
 
 
-def _boost_node_to_json(node: BoostNode) -> dict:
-    if node.is_leaf:
-        return {"value": node.value}
+def _stage_to_json(tree: StageTree, node: int = 0) -> dict:
+    if tree.feature[node] < 0:
+        return {"value": float(tree.value[node])}
     return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _boost_node_to_json(node.left),
-        "right": _boost_node_to_json(node.right),
+        "feature": int(tree.feature[node]),
+        "threshold": float(tree.threshold[node]),
+        "left": _stage_to_json(tree, int(tree.left[node])),
+        "right": _stage_to_json(tree, int(tree.right[node])),
     }
 
 
-def _boost_node_from_json(doc: dict) -> BoostNode:
-    if "feature" not in doc:
-        return BoostNode(value=float(doc["value"]))
-    return BoostNode(
-        0.0,
-        int(doc["feature"]),
-        float(doc["threshold"]),
-        _boost_node_from_json(doc["left"]),
-        _boost_node_from_json(doc["right"]),
-    )
+def _finite_number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return float(value)
+
+
+def _stage_from_json(doc, where: str) -> StageTree:
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    value: list[float] = []
+
+    def add(node, path: str) -> int:
+        if not isinstance(node, dict):
+            raise ValueError(f"{path} must be a JSON object, got {node!r}")
+        index = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        if set(node) == {"value"}:
+            value[index] = _finite_number(node["value"], f"{path}.value")
+            return index
+        if set(node) != {"feature", "threshold", "left", "right"}:
+            raise ValueError(
+                f"{path} must hold either 'value' or 'feature', 'threshold', 'left' "
+                f"and 'right', got keys {sorted(node)}"
+            )
+        f = node["feature"]
+        d = len(FEATURE_NAMES)
+        if isinstance(f, bool) or not isinstance(f, int) or not 0 <= f < d:
+            raise ValueError(f"{path}.feature must be an integer in [0, {d}), got {f!r}")
+        feature[index] = f
+        threshold[index] = _finite_number(node["threshold"], f"{path}.threshold")
+        left[index] = add(node["left"], f"{path}.left")
+        right[index] = add(node["right"], f"{path}.right")
+        return index
+
+    add(doc, where)
+    return StageTree(feature, threshold, left, right, value)
 
 
 def treeboost_to_json(model: TreeboostModel) -> dict:
@@ -229,17 +359,21 @@ def treeboost_to_json(model: TreeboostModel) -> dict:
         "kind": "treeboost",
         "f0": model.f0,
         "shrinkage": model.shrinkage,
-        "trees": [_boost_node_to_json(t) for t in model.trees],
+        "trees": [_stage_to_json(t) for t in model.trees],
     }
 
 
 def treeboost_from_json(doc: dict) -> TreeboostModel:
+    """Rebuild a model from treeboost_to_json output; ValueError on any malformed part."""
     if doc.get("kind") != "treeboost":
         raise ValueError(f"expected model kind 'treeboost', got {doc.get('kind')!r}")
+    trees = doc.get("trees")
+    if not isinstance(trees, list):
+        raise ValueError(f"treeboost 'trees' must be a list, got {trees!r}")
     return TreeboostModel(
-        float(doc["f0"]),
-        float(doc["shrinkage"]),
-        [_boost_node_from_json(t) for t in doc["trees"]],
+        _finite_number(doc.get("f0"), "treeboost f0"),
+        _finite_number(doc.get("shrinkage"), "treeboost shrinkage"),
+        [_stage_from_json(t, f"trees[{i}]") for i, t in enumerate(trees)],
     )
 
 
@@ -255,6 +389,52 @@ class MlrModel:
     vif: dict[str, float]
     t_stats: dict[str, float]
     p_values: dict[str, float]
+
+
+def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta I_x(a, b); y = 1 - x is passed to keep its digits.
+
+    Lentz's evaluation of the continued fraction (Numerical Recipes 6.4), on
+    I_x(a, b) itself or on 1 - I_y(b, a), whichever converges quickly.
+    """
+    if x == 0.0:
+        return 0.0
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _incomplete_beta(b, a, y, x)
+    tiny = 1e-300
+
+    def guard(v: float) -> float:
+        return v if abs(v) > tiny else tiny
+
+    c = 1.0
+    d = 1.0 / guard(1.0 - (a + b) * x / (a + 1.0))
+    fraction = d
+    for m in range(1, 1000):
+        even = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        for numerator in (even, odd):
+            d = 1.0 / guard(1.0 + numerator * d)
+            c = guard(1.0 + numerator / c)
+            fraction *= c * d
+        if abs(c * d - 1.0) < 1e-16:
+            break
+    log_front = (
+        a * math.log(x) + b * math.log(y) + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    )
+    return math.exp(log_front) * fraction / a
+
+
+def t_two_sided_p(t: float, dof: int) -> float:
+    """Two-sided tail 2 P(T > |t|) of Student's t with dof degrees of freedom.
+
+    The tail is I_x(dof/2, 1/2) at x = dof / (dof + t^2).
+    """
+    if math.isnan(t):
+        return math.nan
+    t2 = t * t
+    if t2 == 0.0:
+        return 1.0
+    return _incomplete_beta(dof / 2.0, 0.5, 1.0 / (1.0 + t2 / dof), 1.0 / (1.0 + dof / t2))
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -290,9 +470,7 @@ def fit_mlr(train: Dataset) -> MlrModel:
     t_all = beta / se
     names = ("intercept",) + MLR_PREDICTORS
     t_stats = {name: float(t_all[i]) for i, name in enumerate(names)}
-    p_values = {
-        name: float(2.0 * stats.t.sf(abs(t_all[i]), dof)) for i, name in enumerate(names)
-    }
+    p_values = {name: t_two_sided_p(float(t_all[i]), dof) for i, name in enumerate(names)}
 
     vif: dict[str, float] = {}
     for i, name in enumerate(MLR_PREDICTORS, start=1):

@@ -7,18 +7,19 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import skew
 
 from . import baselines, evaluation, fmt, svgplot, ucp
 from .data import (
     PROFILES,
     Dataset,
     parse_dataset,
+    parse_number,
     render_dataset,
     effort_vector,
     generate_synthetic,
@@ -72,21 +73,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
     text = render_dataset(dataset)
     _write_text(Path(args.out), text)
     efforts = effort_vector(dataset)
+    centered = efforts - efforts.mean()
+    variance = float(np.mean(centered**2))
+    skewness = float(np.mean(centered**3)) / variance**1.5 if variance > 0 else math.nan
     logger.info("wrote %d synthetic projects to %s", len(dataset), args.out)
     print(f"wrote {len(dataset)} projects to {args.out}")
     print(
         f"effort mean {efforts.mean():.1f} (target {profile.mean_effort:.1f}), "
         f"sd {efforts.std():.1f} (target {profile.sd_effort:.1f}), "
-        f"skewness {skew(efforts):.2f} (target {profile.skewness:.2f})"
+        f"skewness {skewness:.2f} (target {profile.skewness:.2f})"
     )
     return 0
-
-
-def _train_all(train: Dataset, args: argparse.Namespace):
-    fmt_model = fmt.train_fmt(train, _fcm_config(args), TreeConfig())
-    boost_model = baselines.fit_treeboost(train, _treeboost_config(args))
-    mlr_model = baselines.fit_mlr(train)
-    return fmt_model, boost_model, mlr_model
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -174,6 +171,8 @@ def _predict_with(doc: dict, dataset: Dataset) -> np.ndarray:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     doc = json.loads(Path(args.model_file).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"model file must hold a JSON object, got {type(doc).__name__}")
     if args.model is not None and doc.get("kind") != args.model:
         raise ValueError(
             f"model file kind {doc.get('kind')!r} does not match requested {args.model!r}"
@@ -191,15 +190,19 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _load_predictions(path: str) -> dict[str, float]:
+    """Read an id,predicted_ph CSV; rows are numbered from 1 at the header."""
     rows = list(csv.reader(io.StringIO(Path(path).read_text(encoding="utf-8"))))
-    rows = [row for row in rows if row]
-    if not rows or [c.strip().lower() for c in rows[0]] != ["id", "predicted_ph"]:
+    rows = [(i + 1, row) for i, row in enumerate(rows) if row]
+    if not rows or [c.strip().lower() for c in rows[0][1]] != ["id", "predicted_ph"]:
         raise ValueError("predictions file must have header id,predicted_ph")
     result: dict[str, float] = {}
-    for row in rows[1:]:
+    for row_number, row in rows[1:]:
         if len(row) != 2:
             raise ValueError(f"malformed prediction row: {row!r}")
-        result[row[0].strip()] = float(row[1])
+        pid = row[0].strip()
+        if pid in result:
+            raise ValueError(f"duplicate prediction id {pid!r} at row {row_number}")
+        result[pid] = parse_number(row[1], "predicted_ph", row_number)
     return result
 
 

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 FEATURE_NAMES = ("size_ucp", "productivity", "complexity")
 CSV_COLUMNS = ("id", "size_ucp", "productivity", "complexity", "effort_ph")
@@ -85,7 +84,7 @@ def effort_vector(dataset: Dataset) -> np.ndarray:
     return np.array([p.effort_ph for p in dataset], dtype=float)
 
 
-def _parse_number(text: str, column: str, row: int) -> float:
+def parse_number(text: str, column: str, row: int) -> float:
     token = text.strip()
     if not _NUMBER.match(token):
         raise ValueError(f"non-numeric {column} {text!r} at row {row}")
@@ -128,7 +127,7 @@ def parse_dataset(csv_text: str, source_label: str = "mixed") -> Dataset:
         if pid in seen:
             raise ValueError(f"duplicate id {pid!r} at row {row_number}")
         values = {
-            name: _parse_number(row[index[name]], name, row_number)
+            name: parse_number(row[index[name]], name, row_number)
             for name in CSV_COLUMNS[1:]
         }
         if values["effort_ph"] <= 0:
@@ -261,7 +260,10 @@ def _calibrate(profile: SourceProfile) -> tuple[float, float]:
     heavy-tailed profiles, hence this deterministic fixed-point correction over
     a quantile grid.
     """
-    grid = norm.ppf((np.arange(_CAL_GRID_SIZE) + 0.5) / _CAL_GRID_SIZE)
+    # Imported here so that only the synthetic generator pays scipy's import.
+    from scipy.special import ndtri
+
+    grid = ndtri((np.arange(_CAL_GRID_SIZE) + 0.5) / _CAL_GRID_SIZE)
     mean, sd = profile.mean_effort, profile.sd_effort
     for _ in range(300):
         x = np.clip(

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import norm, rankdata
 
 DEFAULT_ALPHA = 0.05
 _EXACT_LIMIT = 12
@@ -114,6 +114,17 @@ class WilcoxonResult:
     w_statistic: float
 
 
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of values; tied values share the mean of their ranks."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def _exact_two_sided_p(ranks: np.ndarray, w_pos: float) -> float:
     # Work in doubled-rank integers so tied (x.5) ranks stay exact.
     r2 = np.rint(ranks * 2.0).astype(int)
@@ -139,7 +150,7 @@ def _normal_two_sided_p(ranks: np.ndarray, abs_diffs: np.ndarray, w_pos: float) 
     if offset == 0.0 or sigma2 <= 0.0:
         return 1.0
     z = (offset - 0.5) / np.sqrt(sigma2)
-    return min(float(2.0 * norm.sf(z)), 1.0)
+    return min(math.erfc(z / math.sqrt(2.0)), 1.0)
 
 
 def wilcoxon_signed_rank(
@@ -165,7 +176,7 @@ def wilcoxon_signed_rank(
     if d.size == 0:
         return WilcoxonResult(True, 1.0, 0.0)
     abs_d = np.abs(d)
-    ranks = rankdata(abs_d, method="average")
+    ranks = average_ranks(abs_d)
     w_pos = float(ranks[d > 0].sum())
     if d.size <= _EXACT_LIMIT:
         p = _exact_two_sided_p(ranks, w_pos)

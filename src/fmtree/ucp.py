@@ -13,7 +13,6 @@ TECHNICAL_WEIGHTS = (2.0, 1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 2.0, 1.0, 1.0, 1.0, 1.0,
 ENVIRONMENTAL_WEIGHTS = (1.5, 0.5, 1.0, 0.5, 1.0, 2.0, -1.0, -1.0)
 
 DEFAULT_EFFORT_RATIO = 20.0
-EFFORT_RATIO_RANGE = (15.0, 30.0)
 
 RATING_RANGE = (0, 5)
 

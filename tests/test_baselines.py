@@ -1,16 +1,24 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
+from scipy.special import stdtr
 
-from conftest import piecewise_dataset
+from conftest import BENCHMARK_TRAIN, piecewise_dataset
 from fmtree.baselines import (
-    BoostNode,
     MlrModel,
+    StageTree,
     TreeboostConfig,
     TreeboostModel,
+    _best_split,
+    _quantile,
     _stage_leaf_value,
     fit_mlr,
     fit_treeboost,
@@ -21,10 +29,15 @@ from fmtree.baselines import (
     predict_mlr_dataset,
     predict_treeboost,
     predict_treeboost_dataset,
+    t_two_sided_p,
     treeboost_from_json,
     treeboost_to_json,
 )
-from fmtree.data import Dataset, Project, effort_vector, split_holdout
+from fmtree.data import Dataset, Project, effort_vector, feature_matrix, split_holdout
+
+TREEBOOST_REFERENCE = json.loads(
+    (Path(__file__).parent / "fixtures" / "treeboost_reference.json").read_text(encoding="utf-8")
+)
 
 
 def step_dataset():
@@ -89,7 +102,65 @@ class TestHuberLoss:
         assert huber_loss(np.array([0.0, 0.0]), np.array([1.0, 3.0]), 0.0) == 2.0
 
 
+class TestQuantile:
+    @given(
+        arrays(np.float64, st.integers(1, 80), elements=st.floats(-1e6, 1e6)),
+        st.floats(0.0, 1.0),
+    )
+    def test_matches_numpy_bit_for_bit(self, values, q):
+        assert _quantile(values, q).hex() == float(np.quantile(values, q)).hex()
+
+
+def reference_split(x, residuals):
+    """The per-feature split scan of the nested-node grower, kept as the oracle."""
+    n = len(residuals)
+    if n < 2 or float(np.ptp(residuals)) == 0.0:
+        return None
+    best = None
+    parent_sse = float(np.sum(residuals**2)) - n * float(np.mean(residuals)) ** 2
+    for f in range(x.shape[1]):
+        order = np.argsort(x[:, f], kind="stable")
+        vs, rs = x[order, f], residuals[order]
+        cum, cum2 = np.cumsum(rs), np.cumsum(rs * rs)
+        cuts = np.arange(1, n)
+        nl = cuts.astype(float)
+        nr = n - nl
+        sse = (cum2[cuts - 1] - cum[cuts - 1] ** 2 / nl) + (
+            (cum2[-1] - cum2[cuts - 1]) - (cum[-1] - cum[cuts - 1]) ** 2 / nr
+        )
+        gain = parent_sse - sse
+        gain[vs[cuts] == vs[cuts - 1]] = -np.inf
+        j = int(np.argmax(gain))
+        if np.isfinite(gain[j]) and gain[j] > 0.0 and (best is None or gain[j] > best[0]):
+            best = (float(gain[j]), f, float((vs[cuts[j] - 1] + vs[cuts[j]]) / 2.0))
+    return None if best is None else best[1:]
+
+
+class TestBestSplit:
+    @given(st.data())
+    def test_matches_per_feature_scan_on_any_node(self, data):
+        n = data.draw(st.integers(1, 30))
+        x = data.draw(arrays(np.float64, (n, 3), elements=st.integers(0, 6).map(float)))
+        residuals = data.draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
+        member = data.draw(arrays(np.bool_, n))
+        rows = np.flatnonzero(member)
+        order = np.argsort(x, axis=0, kind="stable").T
+        sorted_x = np.take_along_axis(x.T, order, axis=1)
+        got = _best_split(order, sorted_x, residuals[order], residuals, rows)
+        assert got == reference_split(x[rows], residuals[rows])
+
+
 class TestStageLeafValue:
+    @given(
+        arrays(np.float64, st.integers(1, 40), elements=st.floats(-1e6, 1e6)),
+        st.floats(0.0, 1e6),
+    )
+    def test_matches_numpy_median_and_mean(self, diff, delta):
+        med = float(np.median(diff))
+        centered = diff - med
+        expected = med + float(np.mean(np.sign(centered) * np.minimum(np.abs(centered), delta)))
+        assert _stage_leaf_value(diff, delta).hex() == expected.hex()
+
     def test_symmetric_values_give_median(self):
         assert _stage_leaf_value(np.array([1.0, 2.0, 3.0, 4.0]), 100.0) == 2.5
 
@@ -129,7 +200,8 @@ class TestTreeboost:
         assert_allclose(predict_treeboost_dataset(model, data), median, rtol=1e-6)
 
     def test_single_leaf_series_arithmetic(self):
-        model = TreeboostModel(f0=100.0, shrinkage=0.1, trees=[BoostNode(value=5.0)])
+        leaf = StageTree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[5.0])
+        model = TreeboostModel(f0=100.0, shrinkage=0.1, trees=[leaf])
         assert predict_treeboost(model, Project("p", 100.0, 20.0, 3.0, 1.0)) == 100.5
 
     def test_loss_trace_non_increasing(self):
@@ -177,6 +249,84 @@ class TestTreeboost:
     def test_from_json_rejects_other_kinds(self):
         with pytest.raises(ValueError, match="expected model kind 'treeboost'"):
             treeboost_from_json({"kind": "mlr"})
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"trees": None}, "'trees' must be a list"),
+            ({"f0": None}, "f0 must be a number"),
+            ({"shrinkage": float("nan")}, "shrinkage must be finite"),
+            ({"trees": [3]}, r"trees\[0\] must be a JSON object"),
+            ({"trees": [{"value": "5"}]}, r"trees\[0\].value must be a number"),
+            ({"trees": [{"feature": 0, "threshold": 1.0, "left": {"value": 1.0}}]},
+             "must hold either"),
+            ({"trees": [{"feature": 7, "threshold": 1.0, "left": {"value": 1.0},
+                         "right": {"value": 2.0}}]}, r"trees\[0\].feature must be an integer"),
+            ({"trees": [{"feature": True, "threshold": 1.0, "left": {"value": 1.0},
+                         "right": {"value": 2.0}}]}, "feature must be an integer"),
+            ({"trees": [{"feature": 0, "threshold": float("inf"), "left": {"value": 1.0},
+                         "right": {"value": 2.0}}]}, r"trees\[0\].threshold must be finite"),
+            ({"trees": [{"feature": 0, "threshold": 1.0, "left": {"value": 1.0},
+                         "right": {"value": float("nan")}}]}, r"trees\[0\].right.value"),
+        ],
+    )
+    def test_from_json_rejects_malformed_models(self, change, message):
+        doc = {"kind": "treeboost", "f0": 100.0, "shrinkage": 0.1, "trees": [], **change}
+        with pytest.raises(ValueError, match=message):
+            treeboost_from_json(doc)
+
+    def test_batch_predict_equals_per_row_walk(self):
+        train, test = split_holdout(piecewise_dataset(), 59, seed=2014)
+        model = fit_treeboost(train, TreeboostConfig(n_trees=150, max_depth=4, seed=3))
+        doc = treeboost_to_json(model)
+        expected = []
+        for row in feature_matrix(test):
+            total = 0
+            for node in doc["trees"]:
+                while "value" not in node:
+                    node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
+                total += node["value"]
+            expected.append(max(doc["f0"] + doc["shrinkage"] * total, 1.0))
+        batch = predict_treeboost_dataset(model, test)
+        assert batch.tolist() == expected
+        assert [predict_treeboost(model, p) for p in test] == expected
+
+    @pytest.mark.parametrize("seed", sorted(TREEBOOST_REFERENCE["fits"]))
+    def test_fit_matches_recorded_reference(self, seed):
+        reference = TREEBOOST_REFERENCE["fits"][seed]
+        train, test = split_holdout(piecewise_dataset(), BENCHMARK_TRAIN, int(seed))
+        model = fit_treeboost(train, TreeboostConfig(seed=int(seed)))
+        text = json.dumps(treeboost_to_json(model), indent=2, sort_keys=True) + "\n"
+        trace = np.array(model.loss_trace).tobytes()
+        assert len(model.trees) == 1000
+        assert [float(v).hex() for v in predict_treeboost_dataset(model, test)] == (
+            reference["test_predictions"]
+        )
+        assert hashlib.sha256(trace).hexdigest() == reference["loss_trace_sha256"]
+        assert hashlib.sha256(text.encode()).hexdigest() == reference["model_json_sha256"]
+
+
+class TestTTail:
+    def test_matches_scipy_stdtr(self):
+        # scipy itself loses digits near t = 0 for small dof, so the grid starts at 0.01.
+        smallest = 1.0
+        for dof in (1, 2, 3, 5, 10, 55, 300, 1496):
+            for t in np.geomspace(1e-2, 1e5, 120):
+                reference = 2.0 * stdtr(dof, -t)
+                got = t_two_sided_p(float(t), dof)
+                if reference == 0.0:
+                    assert got < 1e-300
+                    continue
+                smallest = min(smallest, reference)
+                assert got == pytest.approx(reference, rel=1e-10, abs=0.0), (dof, t)
+        assert smallest < 1e-200
+
+    def test_edges(self):
+        assert t_two_sided_p(0.0, 4) == 1.0
+        assert t_two_sided_p(1e-300, 4) == 1.0
+        assert t_two_sided_p(math.inf, 4) == 0.0
+        assert t_two_sided_p(-2.5, 7) == t_two_sided_p(2.5, 7)
+        assert math.isnan(t_two_sided_p(math.nan, 4))
 
 
 class TestMlr:

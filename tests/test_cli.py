@@ -2,9 +2,14 @@ import csv
 import io
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fmtree
 from conftest import piecewise_dataset
 from fmtree.cli import _log_level, main
 from fmtree.data import parse_dataset, render_dataset
@@ -150,6 +155,61 @@ class TestTrainPredictEvaluate:
                      "--data", str(dataset_csv), "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert "must have header" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1_000", "1e3x", ""])
+    def test_evaluate_rejects_bad_prediction_numbers(self, tmp_path, dataset_csv, capsys, value):
+        predictions = tmp_path / "pred.csv"
+        predictions.write_text(f"id,predicted_ph\np001,{value}\n", encoding="utf-8")
+        code = main(["evaluate", "--predictions", str(predictions),
+                     "--data", str(dataset_csv), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "non-numeric predicted_ph" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_evaluate_rejects_duplicate_prediction_ids(self, tmp_path, dataset_csv, capsys):
+        rows = [f"{p.id},{p.effort_ph!r}" for p in piecewise_dataset()]
+        predictions = tmp_path / "pred.csv"
+        predictions.write_text(
+            "id,predicted_ph\n" + "\n".join(rows) + "\np002,1e9\n", encoding="utf-8"
+        )
+        code = main(["evaluate", "--predictions", str(predictions),
+                     "--data", str(dataset_csv), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert f"duplicate prediction id 'p002' at row {len(rows) + 2}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "must hold a JSON object"),
+            ('{"kind": "treeboost", "f0": 1.0, "shrinkage": 0.1, "trees": null}', "trees"),
+            ('{"kind": "treeboost", "f0": 1.0, "shrinkage": 0.1, "trees": [{"feature": 7,'
+             ' "threshold": 1.0, "left": {"value": 1.0}, "right": {"value": 2.0}}]}', "feature"),
+            ('{"kind": "treeboost", "f0": 1.0, "shrinkage": 0.1, "trees": [{"feature": 0,'
+             ' "threshold": Infinity, "left": {"value": 1.0}, "right": {"value": 2.0}}]}',
+             "threshold must be finite"),
+        ],
+    )
+    def test_predict_rejects_malformed_model_json(self, tmp_path, dataset_csv, capsys,
+                                                  text, message):
+        model = tmp_path / "model.json"
+        model.write_text(text, encoding="utf-8")
+        code = main(["predict", "--model-file", str(model), "--data", str(dataset_csv),
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(fmtree.__file__).resolve().parents[1])
+    probe = "import sys, fmtree.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "[]"
 
 
 class TestCompare:

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 
 from fmtree.evaluation import (
+    average_ranks,
     boxplot_summary,
     evaluate,
     mdmre,
@@ -110,6 +113,12 @@ class TestBoxplot:
             "minimum", "q1", "median", "q3", "maximum",
             "whisker_low", "whisker_high", "outliers",
         }
+
+
+@given(st.lists(st.integers(-5, 5), min_size=1, max_size=40))
+def test_average_ranks_match_scipy(values):
+    v = np.array(values, dtype=float) / 4.0
+    assert np.array_equal(average_ranks(v), stats.rankdata(v, method="average"))
 
 
 def brute_force_two_sided_p(a, b):
