@@ -7,7 +7,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FEATURE_NAMES, Dataset, Project, effort_vector, feature_matrix
+from .data import (
+    FEATURE_NAMES,
+    Dataset,
+    Project,
+    effort_vector,
+    feature_matrix,
+    finite_number,
+    json_int,
+)
 from .fmt import EFFORT_FLOOR_PH
 
 MLR_PREDICTORS = ("ln_size", "productivity", "complexity")
@@ -308,14 +316,6 @@ def _stage_to_json(tree: StageTree, node: int = 0) -> dict:
     }
 
 
-def _finite_number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{what} must be finite, got {value!r}")
-    return float(value)
-
-
 def _stage_from_json(doc, where: str) -> StageTree:
     feature: list[int] = []
     threshold: list[float] = []
@@ -333,19 +333,15 @@ def _stage_from_json(doc, where: str) -> StageTree:
         right.append(-1)
         value.append(0.0)
         if set(node) == {"value"}:
-            value[index] = _finite_number(node["value"], f"{path}.value")
+            value[index] = finite_number(node["value"], f"{path}.value")
             return index
         if set(node) != {"feature", "threshold", "left", "right"}:
             raise ValueError(
                 f"{path} must hold either 'value' or 'feature', 'threshold', 'left' "
                 f"and 'right', got keys {sorted(node)}"
             )
-        f = node["feature"]
-        d = len(FEATURE_NAMES)
-        if isinstance(f, bool) or not isinstance(f, int) or not 0 <= f < d:
-            raise ValueError(f"{path}.feature must be an integer in [0, {d}), got {f!r}")
-        feature[index] = f
-        threshold[index] = _finite_number(node["threshold"], f"{path}.threshold")
+        feature[index] = json_int(node["feature"], f"{path}.feature", 0, len(FEATURE_NAMES))
+        threshold[index] = finite_number(node["threshold"], f"{path}.threshold")
         left[index] = add(node["left"], f"{path}.left")
         right[index] = add(node["right"], f"{path}.right")
         return index
@@ -371,8 +367,8 @@ def treeboost_from_json(doc: dict) -> TreeboostModel:
     if not isinstance(trees, list):
         raise ValueError(f"treeboost 'trees' must be a list, got {trees!r}")
     return TreeboostModel(
-        _finite_number(doc.get("f0"), "treeboost f0"),
-        _finite_number(doc.get("shrinkage"), "treeboost shrinkage"),
+        finite_number(doc.get("f0"), "treeboost f0"),
+        finite_number(doc.get("shrinkage"), "treeboost shrinkage"),
         [_stage_from_json(t, f"trees[{i}]") for i, t in enumerate(trees)],
     )
 
@@ -528,18 +524,34 @@ def mlr_to_json(model: MlrModel, alpha: float = 0.05) -> dict:
     }
 
 
+def _number_map(value, what: str) -> dict[str, float]:
+    """A JSON object of name -> number; diagnostics may be infinite or NaN."""
+    if not isinstance(value, dict) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value.values()
+    ):
+        raise ValueError(f"{what} must map names to numbers, got {value!r}")
+    return {k: float(v) for k, v in value.items()}
+
+
 def mlr_from_json(doc: dict) -> MlrModel:
+    """Rebuild a model from mlr_to_json output; ValueError on any malformed part."""
     if doc.get("kind") != "mlr":
         raise ValueError(f"expected model kind 'mlr', got {doc.get('kind')!r}")
-    coef = doc["coefficients"]
-    diag = doc["diagnostics"]
+    coef = doc.get("coefficients")
+    names = ("intercept",) + MLR_PREDICTORS
+    if not isinstance(coef, dict) or sorted(coef) != sorted(names):
+        raise ValueError(f"mlr coefficients must name exactly {', '.join(names)}, got {coef!r}")
+    coefficients = [finite_number(coef[name], f"mlr coefficient {name}") for name in names]
+    diag = doc.get("diagnostics")
+    if not isinstance(diag, dict):
+        raise ValueError(f"mlr diagnostics must be a JSON object, got {diag!r}")
+    adjusted_r2 = diag.get("adjusted_r2")
+    if isinstance(adjusted_r2, bool) or not isinstance(adjusted_r2, (int, float)):
+        raise ValueError(f"mlr adjusted_r2 must be a number, got {adjusted_r2!r}")
     return MlrModel(
-        float(coef["intercept"]),
-        float(coef["ln_size"]),
-        float(coef["productivity"]),
-        float(coef["complexity"]),
-        float(diag["adjusted_r2"]),
-        {k: float(v) for k, v in diag["vif"].items()},
-        {k: float(v) for k, v in diag["t_stats"].items()},
-        {k: float(v) for k, v in diag["p_values"].items()},
+        *coefficients,
+        float(adjusted_r2),
+        _number_map(diag.get("vif"), "mlr vif"),
+        _number_map(diag.get("t_stats"), "mlr t_stats"),
+        _number_map(diag.get("p_values"), "mlr p_values"),
     )

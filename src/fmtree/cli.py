@@ -22,6 +22,7 @@ from .data import (
     parse_number,
     render_dataset,
     effort_vector,
+    finite_number,
     generate_synthetic,
     split_holdout,
 )
@@ -135,9 +136,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     if args.model == "ucp":
-        if args.ratio <= 0:
-            raise ValueError(f"ratio must be positive, got {args.ratio}")
-        doc = {"kind": "ucp", "ratio": args.ratio}
+        doc = {"kind": "ucp", "ratio": ucp.check_ratio(args.ratio)}
         _write_json(Path(args.out), doc)
         print(f"wrote ucp model to {args.out}")
         return 0
@@ -164,7 +163,7 @@ def _predict_with(doc: dict, dataset: Dataset) -> np.ndarray:
     if kind == "mlr":
         return baselines.predict_mlr_dataset(baselines.mlr_from_json(doc), dataset)
     if kind == "ucp":
-        ratio = float(doc.get("ratio", ucp.DEFAULT_EFFORT_RATIO))
+        ratio = finite_number(doc.get("ratio", ucp.DEFAULT_EFFORT_RATIO), "ucp ratio")
         return np.array([ucp.classical_effort(p.size_ucp, ratio) for p in dataset])
     raise ValueError(f"unknown model kind {kind!r} in model file")
 

@@ -7,7 +7,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -84,6 +84,35 @@ def effort_vector(dataset: Dataset) -> np.ndarray:
     return np.array([p.effort_ph for p in dataset], dtype=float)
 
 
+def finite_number(value, what: str) -> float:
+    """A number read from JSON: an int or float (not a bool) that is finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return float(value)
+
+
+def json_int(value, what: str, low: int, high: int | None = None) -> int:
+    """An integer read from JSON (not a bool) in [low, high), or at least low."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < low
+        or (high is not None and value >= high)
+    ):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise ValueError(f"{what} must be an integer {bounds}, got {value!r}")
+    return value
+
+
+def finite_numbers(value, what: str, length: int) -> list[float]:
+    """A JSON list of exactly `length` finite numbers."""
+    if not isinstance(value, list) or len(value) != length:
+        raise ValueError(f"{what} must be a list of {length} numbers, got {value!r}")
+    return [finite_number(v, f"{what}[{i}]") for i, v in enumerate(value)]
+
+
 def parse_number(text: str, column: str, row: int) -> float:
     token = text.strip()
     if not _NUMBER.match(token):
@@ -98,12 +127,12 @@ def parse_dataset(csv_text: str, source_label: str = "mixed") -> Dataset:
     complexity, effort_ph (any order, case-insensitive).  Rows are numbered
     from 1 at the header so error messages match editor line numbers.
     """
-    rows = list(csv.reader(io.StringIO(csv_text)))
-    rows = [(i + 1, row) for i, row in enumerate(rows) if row]
-    if not rows:
+    records = enumerate(csv.reader(io.StringIO(csv_text)), 1)
+    rows = ((number, row) for number, row in records if row)
+    first = next(rows, None)
+    if first is None:
         raise ValueError("empty input: missing header row")
-    header_row, header = rows[0]
-    names = [cell.strip().lower() for cell in header]
+    names = [cell.strip().lower() for cell in first[1]]
     missing = [c for c in CSV_COLUMNS if c not in names]
     if missing:
         raise ValueError(f"missing column(s): {', '.join(missing)}")
@@ -116,7 +145,7 @@ def parse_dataset(csv_text: str, source_label: str = "mixed") -> Dataset:
 
     projects: list[Project] = []
     seen: set[str] = set()
-    for row_number, row in rows[1:]:
+    for row_number, row in rows:
         if len(row) != len(names):
             raise ValueError(
                 f"expected {len(names)} fields, found {len(row)} at row {row_number}"
@@ -151,37 +180,6 @@ def render_dataset(dataset: Dataset) -> str:
             [p.id, repr(p.size_ucp), repr(p.productivity), repr(p.complexity), repr(p.effort_ph)]
         )
     return buffer.getvalue()
-
-
-def dataset_to_json(dataset: Dataset) -> list[dict]:
-    return [
-        {
-            "id": p.id,
-            "size_ucp": p.size_ucp,
-            "productivity": p.productivity,
-            "complexity": p.complexity,
-            "effort_ph": p.effort_ph,
-        }
-        for p in dataset
-    ]
-
-
-def dataset_from_json(records: Sequence[dict], source_label: str = "mixed") -> Dataset:
-    projects = []
-    for i, record in enumerate(records):
-        try:
-            projects.append(
-                Project(
-                    str(record["id"]),
-                    float(record["size_ucp"]),
-                    float(record["productivity"]),
-                    float(record["complexity"]),
-                    float(record["effort_ph"]),
-                )
-            )
-        except KeyError as exc:
-            raise ValueError(f"record {i} missing key {exc.args[0]!r}") from None
-    return Dataset(tuple(projects), source_label)
 
 
 def split_holdout(dataset: Dataset, train_count: int, seed: int) -> tuple[Dataset, Dataset]:

@@ -6,7 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import finite_numbers
+
 _SIGMA_FLOOR_SCALE = 1e-6
+# numpy's sum along a contiguous axis adds fewer terms than this one after
+# another and sums pairwise from here on.
+_PAIRWISE_FROM = 8
 
 
 @dataclass(frozen=True)
@@ -37,12 +42,19 @@ class FcmConfig:
 
 @dataclass
 class FuzzyPartition:
-    """FCM output: cluster centers, membership matrix, objective history."""
+    """FCM output: cluster centers, membership matrix, objective history.
+
+    converged is False when the loop stopped at max_iterations with the
+    largest membership change, final_shift, still at or above the tolerance.
+    """
 
     centers: np.ndarray  # (k, d)
     memberships: np.ndarray  # (n, k), rows sum to 1
     objective_trace: list[float]
     fuzzifier_m: float
+    iterations: int
+    converged: bool
+    final_shift: float
 
 
 @dataclass
@@ -65,8 +77,15 @@ class Standardization:
         return {"mean": self.mean.tolist(), "scale": self.scale.tolist()}
 
     @classmethod
-    def from_json(cls, doc: dict) -> "Standardization":
-        return cls(np.asarray(doc["mean"], dtype=float), np.asarray(doc["scale"], dtype=float))
+    def from_json(cls, doc: dict, features: int) -> "Standardization":
+        """Rebuild from to_json output for `features` features; ValueError if malformed."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"standardization must be a JSON object, got {doc!r}")
+        mean = finite_numbers(doc.get("mean"), "standardization mean", features)
+        scale = finite_numbers(doc.get("scale"), "standardization scale", features)
+        if min(scale) <= 0:
+            raise ValueError(f"standardization scale must be positive, got {scale}")
+        return cls(np.array(mean), np.array(scale))
 
 
 @dataclass
@@ -100,12 +119,31 @@ class FuzzyInferenceModel:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FuzzyInferenceModel":
+        """Rebuild from to_json output; ValueError on any malformed part."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"fuzzy model must be a JSON object, got {doc!r}")
+        centers = _matrix_from_json(doc.get("centers"), "fuzzy centers")
+        sigmas = _matrix_from_json(doc.get("sigmas"), "fuzzy sigmas")
+        if sigmas.shape != centers.shape:
+            raise ValueError(
+                f"fuzzy sigmas have shape {sigmas.shape} but centers {centers.shape}"
+            )
+        if not np.all(sigmas > 0):
+            raise ValueError("fuzzy sigmas must be positive")
         std = doc.get("standardization")
         return cls(
-            np.asarray(doc["centers"], dtype=float),
-            np.asarray(doc["sigmas"], dtype=float),
-            None if std is None else Standardization.from_json(std),
+            centers,
+            sigmas,
+            None if std is None else Standardization.from_json(std, len(centers)),
         )
+
+
+def _matrix_from_json(value, what: str) -> np.ndarray:
+    """A non-empty JSON list of equally long, non-empty lists of finite numbers."""
+    if not (isinstance(value, list) and value and isinstance(value[0], list) and value[0]):
+        raise ValueError(f"{what} must be a list of lists of numbers, got {value!r}")
+    width = len(value[0])
+    return np.array([finite_numbers(row, f"{what}[{i}]", width) for i, row in enumerate(value)])
 
 
 def _as_feature_matrix(features: np.ndarray) -> np.ndarray:
@@ -117,7 +155,33 @@ def _as_feature_matrix(features: np.ndarray) -> np.ndarray:
     return x
 
 
+# fcm_cluster keeps squared distances and memberships cluster-major, as (k, n)
+# arrays, so that each elementwise step runs over n contiguous values instead
+# of n rows of k.  Every sum is still taken in the order the (n, k) layout
+# gives it, so the results are the same to the last bit.
+
+
+def _row_major(at: np.ndarray) -> np.ndarray:
+    """(n, k) C-ordered copy of a (k, n) array, filled one column at a time."""
+    a = np.empty(at.shape[::-1])
+    for c, row in enumerate(at):
+        a[:, c] = row
+    return a
+
+
+def _squared_distances_t(x: np.ndarray, xt: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(k, n) squared distances from each center to each row of x (xt is x.T, contiguous)."""
+    if x.shape[1] >= _PAIRWISE_FROM:
+        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        return np.ascontiguousarray(d2.T)
+    d2t = (xt[0] - centers[:, :1]) ** 2
+    for j in range(1, len(xt)):
+        d2t += (xt[j] - centers[:, j : j + 1]) ** 2
+    return d2t
+
+
 def _memberships_from_sqdist(d2: np.ndarray, fuzzifier_m: float) -> np.ndarray:
+    """(n, k) memberships from (n, k) squared distances."""
     u = np.empty_like(d2)
     zero_rows = d2.min(axis=1) == 0.0
     if np.any(zero_rows):
@@ -132,6 +196,19 @@ def _memberships_from_sqdist(d2: np.ndarray, fuzzifier_m: float) -> np.ndarray:
         w = ratio ** (-1.0 / (fuzzifier_m - 1.0))
         u[regular] = w / w.sum(axis=1, keepdims=True)
     return u
+
+
+def _memberships_t(d2t: np.ndarray, fuzzifier_m: float) -> np.ndarray:
+    """_memberships_from_sqdist on the (k, n) layout."""
+    nearest = d2t.min(axis=0)
+    if not nearest.all():
+        return _memberships_from_sqdist(_row_major(d2t), fuzzifier_m).T
+    w = (d2t / nearest) ** (-1.0 / (fuzzifier_m - 1.0))
+    if len(w) >= _PAIRWISE_FROM:
+        w /= _row_major(w).sum(axis=1)
+    else:
+        w /= w.sum(axis=0)
+    return w
 
 
 def fcm_cluster(features: np.ndarray, config: FcmConfig = FcmConfig()) -> FuzzyPartition:
@@ -154,21 +231,26 @@ def fcm_cluster(features: np.ndarray, config: FcmConfig = FcmConfig()) -> FuzzyP
     u = rng.random((n, config.k))
     u /= u.sum(axis=1, keepdims=True)
 
+    m = config.fuzzifier_m
+    xt = np.ascontiguousarray(x.T)
+    ut = u.T
+    umt = ut**m
     centers = np.zeros((config.k, d))
     trace: list[float] = []
     for _ in range(config.max_iterations):
-        um = u ** config.fuzzifier_m
-        weights = um.sum(axis=0)
+        weights = _row_major(umt).sum(axis=0)
         fresh = weights > 0
-        centers[fresh] = (um.T[fresh] @ x) / weights[fresh, None]
-        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        u_next = _memberships_from_sqdist(d2, config.fuzzifier_m)
-        trace.append(float((u_next ** config.fuzzifier_m * d2).sum()))
-        shift = float(np.abs(u_next - u).max())
-        u = u_next
+        centers[fresh] = (umt[fresh] @ x) / weights[fresh, None]
+        d2t = _squared_distances_t(x, xt, centers)
+        ut_next = _memberships_t(d2t, m)
+        umt = ut_next**m
+        trace.append(float(_row_major(umt * d2t).sum()))
+        shift = float(np.abs(ut_next - ut).max())
+        ut = ut_next
         if shift < config.tolerance:
             break
-    return FuzzyPartition(centers.copy(), u, trace, config.fuzzifier_m)
+    converged = shift < config.tolerance
+    return FuzzyPartition(centers.copy(), _row_major(ut), trace, m, len(trace), converged, shift)
 
 
 def build_fuzzy_model(

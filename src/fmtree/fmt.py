@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,9 +16,11 @@ from .fcm import (
     fcm_cluster,
     membership_matrix,
 )
-from .mtree import ModelTree, TreeConfig, build_tree, prune, smooth_predict, tree_from_json, tree_to_json
+from .mtree import ModelTree, TreeConfig, build_tree, predict_tree, prune, tree_from_json, tree_to_json
 
 EFFORT_FLOOR_PH = 1.0
+
+logger = logging.getLogger("fmtree")
 
 
 @dataclass
@@ -56,22 +59,33 @@ def train_fmt(
     standardization = Standardization.fit(features)
     z = standardization.apply(features)
     partition = fcm_cluster(z, fcm_config)
+    if not partition.converged:
+        logger.warning(
+            "FCM stopped at max_iterations=%d without converging: last membership change "
+            "%.3g, tolerance %g",
+            partition.iterations,
+            partition.final_shift,
+            fcm_config.tolerance,
+        )
     fuzzy = build_fuzzy_model(partition, z, standardization)
     memberships = membership_matrix(fuzzy, features)
     tree = prune(build_tree(memberships, features, efforts, tree_config), tree_config)
     return FmtModel(fuzzy, tree, fcm_config, tree_config)
 
 
+def _predict_features(model: FmtModel, features: np.ndarray) -> np.ndarray:
+    memberships = membership_matrix(model.fuzzy, features)
+    predictions = predict_tree(model.tree, memberships, features, model.tree_config)
+    return np.maximum(predictions, EFFORT_FLOOR_PH)
+
+
 def predict_fmt(model: FmtModel, project: Project) -> float:
     """Estimate effort (PH) for one project; outputs are floored at 1 PH."""
-    row = np.asarray(project.features(), dtype=float)
-    memberships = membership_matrix(model.fuzzy, row[None, :])[0]
-    prediction = smooth_predict(model.tree, memberships, row, model.tree_config)
-    return max(prediction, EFFORT_FLOOR_PH)
+    return float(_predict_features(model, np.array([project.features()], dtype=float))[0])
 
 
 def predict_fmt_dataset(model: FmtModel, dataset: Dataset) -> np.ndarray:
-    return np.array([predict_fmt(model, p) for p in dataset])
+    return _predict_features(model, feature_matrix(dataset))
 
 
 def fmt_to_json(model: FmtModel) -> dict:
@@ -96,13 +110,35 @@ def fmt_to_json(model: FmtModel) -> dict:
     }
 
 
+def _config_from_json(cls, doc, what: str):
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
+    try:
+        return cls(**doc)
+    except TypeError as exc:
+        raise ValueError(f"malformed {what}: {exc}") from None
+
+
 def fmt_from_json(doc: dict) -> FmtModel:
+    """Rebuild a model from fmt_to_json output; ValueError on any malformed part."""
     if doc.get("kind") != "fmt":
         raise ValueError(f"expected model kind 'fmt', got {doc.get('kind')!r}")
+    names = doc.get("feature_names")
+    if names != list(FEATURE_NAMES):
+        raise ValueError(f"fmt feature_names must be {list(FEATURE_NAMES)}, got {names!r}")
+    fuzzy = FuzzyInferenceModel.from_json(doc.get("fuzzy"))
+    tree = tree_from_json(doc.get("tree"))
+    d, k = len(FEATURE_NAMES), fuzzy.cluster_count
+    if fuzzy.feature_count != d:
+        raise ValueError(f"fmt fuzzy centers must have {d} rows, got {fuzzy.feature_count}")
+    if tree.routing_dim != d * k or tree.regression_dim != d:
+        raise ValueError(
+            f"fmt tree dimensions must be routing {d * k} / regression {d} for k={k}, "
+            f"got {tree.routing_dim} / {tree.regression_dim}"
+        )
     return FmtModel(
-        FuzzyInferenceModel.from_json(doc["fuzzy"]),
-        tree_from_json(doc["tree"]),
-        FcmConfig(**doc["fcm_config"]),
-        TreeConfig(**doc["tree_config"]),
-        tuple(doc["feature_names"]),
+        fuzzy,
+        tree,
+        _config_from_json(FcmConfig, doc.get("fcm_config"), "fmt fcm_config"),
+        _config_from_json(TreeConfig, doc.get("tree_config"), "fmt tree_config"),
     )

@@ -13,6 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import finite_number, finite_numbers, json_int
+
 # Error-inflation fallback for nodes with no spare degrees of freedom (n <= v).
 _SMALL_NODE_FACTOR = 10.0
 # Collapse a subtree outright once the node model is this close to exact.
@@ -33,8 +35,10 @@ class TreeConfig:
             raise ValueError(f"min_instances must be at least 2, got {self.min_instances}")
         if not 0.0 < self.sd_fraction < 1.0:
             raise ValueError(f"sd_fraction must be in (0, 1), got {self.sd_fraction}")
-        if self.smoothing_k < 0:
-            raise ValueError(f"smoothing_k must be non-negative, got {self.smoothing_k}")
+        if not (self.smoothing_k >= 0 and np.isfinite(self.smoothing_k)):
+            raise ValueError(
+                f"smoothing_k must be non-negative and finite, got {self.smoothing_k}"
+            )
         if self.pruning_factor < 0:
             raise ValueError(f"pruning_factor must be non-negative, got {self.pruning_factor}")
 
@@ -46,11 +50,17 @@ class LinearModel:
     intercept: float
     coefficients: tuple[float, ...]
 
-    def predict_row(self, row: Sequence[float]) -> float:
-        return self.intercept + float(np.dot(self.coefficients, row))
-
     def predict(self, rows: np.ndarray) -> np.ndarray:
-        return self.intercept + np.asarray(rows, dtype=float) @ np.asarray(self.coefficients)
+        """Evaluate on each row of a 2-D array.
+
+        Terms are added column by column, so a row's value does not depend on
+        which other rows share the call (a BLAS matrix-vector product would
+        round differently by position).
+        """
+        total = np.zeros(len(rows))
+        for coefficient, column in zip(self.coefficients, np.asarray(rows, dtype=float).T):
+            total += coefficient * column
+        return self.intercept + total
 
 
 @dataclass
@@ -98,7 +108,8 @@ def _fit_linear(g: np.ndarray, y: np.ndarray) -> tuple[LinearModel, float]:
         a = a + _RIDGE_JITTER * np.eye(a.shape[0])
     beta = np.linalg.solve(a, b)
     model = LinearModel(float(beta[0]), tuple(float(c) for c in beta[1:]))
-    mae = float(np.mean(np.abs(y - model.predict(g))))
+    # The stored mae keeps the bits of this matrix product, not LinearModel.predict's.
+    mae = float(np.mean(np.abs(y - (model.intercept + g @ np.asarray(model.coefficients)))))
     return model, mae
 
 
@@ -196,18 +207,6 @@ def build_tree(
     return ModelTree(root, r.shape[1], g.shape[1], (r, g, y))
 
 
-def _route(node: Node, routing_row: np.ndarray) -> list[Node]:
-    path = [node]
-    while not node.is_leaf:
-        node = node.left if routing_row[node.feature] <= node.threshold else node.right
-        path.append(node)
-    return path
-
-
-def _raw_predict(node: Node, routing_row: np.ndarray, regression_row: np.ndarray) -> float:
-    return _route(node, routing_row)[-1].model.predict_row(regression_row)
-
-
 def _adjust_factor(n: int, v: int, config: TreeConfig) -> float:
     if n <= v:
         return _SMALL_NODE_FACTOR
@@ -226,56 +225,30 @@ def prune(tree: ModelTree, config: TreeConfig = TreeConfig()) -> ModelTree:
     r, g, y = tree.training
     v_model = tree.regression_dim + 1
     near_zero = _NEAR_ZERO_ERROR_FRACTION * _popsd(y)
+    # Each training row's raw prediction by the pruned subtree walked last.
+    predictions = np.empty(len(y))
 
     def walk(node: Node, idx: np.ndarray) -> tuple[Node, int]:
+        collapsed = Node(node.model, node.count, node.mae)
         if node.is_leaf:
-            return Node(node.model, node.count, node.mae), v_model
+            predictions[idx] = node.model.predict(g[idx])
+            return collapsed, v_model
         left_mask = r[idx, node.feature] <= node.threshold
         left, v_left = walk(node.left, idx[left_mask])
         right, v_right = walk(node.right, idx[~left_mask])
         v_subtree = v_left + v_right + 1
-        rebuilt = Node(
-            node.model, node.count, node.mae, node.feature, node.threshold, left, right
-        )
-        predictions = np.array([_raw_predict(rebuilt, r[i], g[i]) for i in idx])
-        subtree_err = float(np.mean(np.abs(y[idx] - predictions)))
+        subtree_err = float(np.mean(np.abs(y[idx] - predictions[idx])))
         adjusted_node = node.mae * _adjust_factor(len(idx), v_model, config)
         adjusted_subtree = subtree_err * _adjust_factor(len(idx), v_subtree, config)
         if adjusted_node <= adjusted_subtree or adjusted_node <= near_zero:
-            return Node(node.model, node.count, node.mae), v_model
-        return rebuilt, v_subtree
+            predictions[idx] = node.model.predict(g[idx])
+            return collapsed, v_model
+        return Node(
+            node.model, node.count, node.mae, node.feature, node.threshold, left, right
+        ), v_subtree
 
     new_root, _ = walk(tree.root, np.arange(len(y)))
     return ModelTree(new_root, tree.routing_dim, tree.regression_dim, tree.training)
-
-
-def smooth_predict(
-    tree: ModelTree,
-    routing_row: Sequence[float],
-    regression_row: Sequence[float],
-    config: TreeConfig = TreeConfig(),
-) -> float:
-    """Predict one row, blending the leaf value with ancestor models.
-
-    Walking from the leaf to the root, the running prediction p becomes
-    (n_child*p + smoothing_k*node_model(x)) / (n_child + smoothing_k) at each
-    ancestor, n_child being the row count of the child just left behind.
-    With smoothing_k = 0 this is the raw leaf prediction.
-    """
-    r = np.asarray(routing_row, dtype=float).reshape(-1)
-    x = np.asarray(regression_row, dtype=float).reshape(-1)
-    if r.shape[0] != tree.routing_dim or x.shape[0] != tree.regression_dim:
-        raise ValueError(
-            f"dimension mismatch: expected routing {tree.routing_dim} / "
-            f"regression {tree.regression_dim}, got {r.shape[0]} / {x.shape[0]}"
-        )
-    path = _route(tree.root, r)
-    p = path[-1].model.predict_row(x)
-    for parent, child in zip(path[-2::-1], path[::-1]):
-        p = (child.count * p + config.smoothing_k * parent.model.predict_row(x)) / (
-            child.count + config.smoothing_k
-        )
-    return float(p)
 
 
 def predict_tree(
@@ -284,9 +257,51 @@ def predict_tree(
     regression: np.ndarray,
     config: TreeConfig = TreeConfig(),
 ) -> np.ndarray:
+    """Predict each row, blending its leaf value with the ancestor models.
+
+    Walking from the leaf to the root, the running prediction p becomes
+    (n_child*p + smoothing_k*node_model(x)) / (n_child + smoothing_k) at each
+    ancestor, n_child being the row count of the child just left behind.
+    With smoothing_k = 0 this is the raw leaf prediction.  Rows travel down
+    the tree in blocks, and each node's model is evaluated once per block.
+    """
     r = np.asarray(routing, dtype=float)
     g = np.asarray(regression, dtype=float)
-    return np.array([smooth_predict(tree, r[i], g[i], config) for i in range(len(r))])
+    if r.ndim != 2 or g.ndim != 2 or len(r) != len(g):
+        raise ValueError("routing and regression must be 2-D matrices with equal row counts")
+    if r.shape[1] != tree.routing_dim or g.shape[1] != tree.regression_dim:
+        raise ValueError(
+            f"dimension mismatch: expected routing {tree.routing_dim} / "
+            f"regression {tree.regression_dim}, got {r.shape[1]} / {g.shape[1]}"
+        )
+    k = config.smoothing_k
+
+    def walk(node: Node, idx: np.ndarray) -> np.ndarray:
+        own = node.model.predict(g[idx])
+        if node.is_leaf:
+            return own
+        p = np.empty(len(idx))
+        goes_left = r[idx, node.feature] <= node.threshold
+        for child, mask in ((node.left, goes_left), (node.right, ~goes_left)):
+            if mask.any():
+                p[mask] = (child.count * walk(child, idx[mask]) + k * own[mask]) / (
+                    child.count + k
+                )
+        return p
+
+    return walk(tree.root, np.arange(len(r)))
+
+
+def smooth_predict(
+    tree: ModelTree,
+    routing_row: Sequence[float],
+    regression_row: Sequence[float],
+    config: TreeConfig = TreeConfig(),
+) -> float:
+    """predict_tree for one row."""
+    r = np.asarray(routing_row, dtype=float).reshape(1, -1)
+    g = np.asarray(regression_row, dtype=float).reshape(1, -1)
+    return float(predict_tree(tree, r, g, config)[0])
 
 
 def _node_to_json(node: Node) -> dict:
@@ -305,17 +320,39 @@ def _node_to_json(node: Node) -> dict:
     return doc
 
 
-def _node_from_json(doc: dict) -> Node:
-    model = LinearModel(
-        float(doc["model"]["intercept"]),
-        tuple(float(c) for c in doc["model"]["coefficients"]),
+_SPLIT_KEYS = {"feature", "threshold", "left", "right"}
+
+
+def _node_from_json(doc, path: str, routing_dim: int, regression_dim: int) -> Node:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} must be a JSON object, got {doc!r}")
+    model = doc.get("model")
+    if not isinstance(model, dict):
+        raise ValueError(f"{path}.model must be a JSON object, got {model!r}")
+    node = Node(
+        LinearModel(
+            finite_number(model.get("intercept"), f"{path}.model.intercept"),
+            tuple(
+                finite_numbers(
+                    model.get("coefficients"), f"{path}.model.coefficients", regression_dim
+                )
+            ),
+        ),
+        json_int(doc.get("count"), f"{path}.count", 1),
+        finite_number(doc.get("mae"), f"{path}.mae"),
     )
-    node = Node(model, int(doc["count"]), float(doc["mae"]))
-    if "feature" in doc:
-        node.feature = int(doc["feature"])
-        node.threshold = float(doc["threshold"])
-        node.left = _node_from_json(doc["left"])
-        node.right = _node_from_json(doc["right"])
+    split = _SPLIT_KEYS & set(doc)
+    if not split:
+        return node
+    if split != _SPLIT_KEYS:
+        raise ValueError(
+            f"{path} must hold all or none of 'feature', 'threshold', 'left' and 'right', "
+            f"got keys {sorted(doc)}"
+        )
+    node.feature = json_int(doc["feature"], f"{path}.feature", 0, routing_dim)
+    node.threshold = finite_number(doc["threshold"], f"{path}.threshold")
+    node.left = _node_from_json(doc["left"], f"{path}.left", routing_dim, regression_dim)
+    node.right = _node_from_json(doc["right"], f"{path}.right", routing_dim, regression_dim)
     return node
 
 
@@ -328,11 +365,13 @@ def tree_to_json(tree: ModelTree) -> dict:
 
 
 def tree_from_json(doc: dict) -> ModelTree:
-    return ModelTree(
-        _node_from_json(doc["root"]),
-        int(doc["routing_dim"]),
-        int(doc["regression_dim"]),
-    )
+    """Rebuild a tree from tree_to_json output; ValueError on any malformed part."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"tree must be a JSON object, got {doc!r}")
+    routing_dim = json_int(doc.get("routing_dim"), "tree routing_dim", 0)
+    regression_dim = json_int(doc.get("regression_dim"), "tree regression_dim", 0)
+    root = _node_from_json(doc.get("root"), "tree.root", routing_dim, regression_dim)
+    return ModelTree(root, routing_dim, regression_dim)
 
 
 def render_tree(tree: ModelTree) -> str:

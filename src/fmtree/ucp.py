@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -104,9 +105,14 @@ def classical_effort(ucp: float, ratio: float = DEFAULT_EFFORT_RATIO) -> float:
     """Effort in person-hours as UCP times a fixed PH/UCP ratio."""
     if ucp <= 0:
         raise ValueError(f"ucp must be positive, got {ucp}")
-    if ratio <= 0:
-        raise ValueError(f"ratio must be positive, got {ratio}")
-    return ucp * ratio
+    return ucp * check_ratio(ratio)
+
+
+def check_ratio(ratio: float) -> float:
+    """Return a PH/UCP ratio after checking that it is positive and finite."""
+    if not 0 < ratio < math.inf:
+        raise ValueError(f"ratio must be positive and finite, got {ratio}")
+    return ratio
 
 
 def use_case_model_from_json(doc: dict) -> UseCaseModel:

@@ -122,6 +122,13 @@ class TestTrainPredictEvaluate:
         assert code == 2
         assert "ratio must be positive" in capsys.readouterr().err
 
+    def test_non_finite_ucp_ratio_exits_2(self, tmp_path, capsys):
+        code = main(["train", "--model", "ucp", "--ratio", "nan", "--out",
+                     str(tmp_path / "m.json")])
+        assert code == 2
+        assert "ratio must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_predict_kind_mismatch_exits_2(self, tmp_path, dataset_csv, capsys):
         model = tmp_path / "ucp.json"
         main(["train", "--model", "ucp", "--out", str(model)])
@@ -189,6 +196,25 @@ class TestTrainPredictEvaluate:
             ('{"kind": "treeboost", "f0": 1.0, "shrinkage": 0.1, "trees": [{"feature": 0,'
              ' "threshold": Infinity, "left": {"value": 1.0}, "right": {"value": 2.0}}]}',
              "threshold must be finite"),
+            ('{"kind": "ucp", "ratio": "nan"}', "ucp ratio must be a number"),
+            ('{"kind": "ucp", "ratio": NaN}', "ucp ratio must be finite"),
+            ('{"kind": "ucp", "ratio": null}', "ucp ratio must be a number"),
+            ('{"kind": "ucp", "ratio": -2}', "ratio must be positive"),
+            ('{"kind": "mlr", "coefficients": null, "diagnostics": {}}', "mlr coefficients"),
+            ('{"kind": "mlr", "coefficients": {"intercept": 1, "ln_size": 1, "productivity":'
+             ' "x", "complexity": 1}, "diagnostics": {}}', "productivity must be a number"),
+            ('{"kind": "mlr", "coefficients": {"intercept": 1, "ln_size": 1, "productivity":'
+             ' 0, "complexity": 1}, "diagnostics": {}}', "adjusted_r2 must be a number"),
+            ('{"kind": "fmt", "feature_names": null}', "feature_names"),
+            ('{"kind": "fmt", "feature_names": ["size_ucp", "productivity", "complexity"],'
+             ' "fuzzy": {"centers": [[0], [0], [0]], "sigmas": [[1], [1], [0]]}}',
+             "sigmas must be positive"),
+            ('{"kind": "fmt", "feature_names": ["size_ucp", "productivity", "complexity"],'
+             ' "fuzzy": {"centers": [[0], [0], [0]], "sigmas": [[1], [1], [1]]},'
+             ' "tree": {"routing_dim": 3, "regression_dim": 3, "root": {"count": 5,'
+             ' "mae": 0.0, "model": {"intercept": 1.0, "coefficients": [0, 0, 0]},'
+             ' "feature": 3, "threshold": 0.5, "left": {}, "right": {}}}}',
+             "tree.root.feature must be an integer in [0, 3)"),
         ],
     )
     def test_predict_rejects_malformed_model_json(self, tmp_path, dataset_csv, capsys,

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 
 import numpy as np
@@ -14,8 +13,6 @@ from fmtree.data import (
     Dataset,
     Project,
     SourceProfile,
-    dataset_from_json,
-    dataset_to_json,
     effort_vector,
     feature_matrix,
     generate_synthetic,
@@ -67,6 +64,16 @@ def test_parse_non_numeric_reports_row_and_column():
         parse_dataset(text)
 
 
+def test_parse_counts_blank_lines_in_row_numbers():
+    text = "\n\nid,size_ucp,productivity,complexity,effort_ph\n\np1,1,2,3,4\n\n\np2,abc,2,3,4\n"
+    with pytest.raises(ValueError, match="non-numeric size_ucp 'abc' at row 8"):
+        parse_dataset(text)
+    with pytest.raises(ValueError, match="empty input"):
+        parse_dataset("\n\n\n")
+    with pytest.raises(ValueError, match="no data rows"):
+        parse_dataset("id,size_ucp,productivity,complexity,effort_ph\n\n\n")
+
+
 def test_parse_rejects_thousands_separators_and_underscores():
     quoted = 'id,size_ucp,productivity,complexity,effort_ph\np1,"1,234",2,3,4\n'
     with pytest.raises(ValueError, match="non-numeric"):
@@ -94,14 +101,6 @@ def test_render_parse_round_trip_exact():
     ds = Dataset(projects, "Edu")
     again = parse_dataset(render_dataset(ds), "Edu")
     assert again == ds
-
-
-def test_json_round_trip():
-    ds = parse_dataset(CSV_ONE)
-    doc = json.loads(json.dumps(dataset_to_json(ds)))
-    assert dataset_from_json(doc) == Dataset(ds.projects, "mixed")
-    with pytest.raises(ValueError, match="missing key"):
-        dataset_from_json([{"id": "a", "size_ucp": 1}])
 
 
 def test_project_validation():

@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+from fmtree import fcm
 from fmtree.fcm import (
     FcmConfig,
     FuzzyInferenceModel,
@@ -208,3 +212,123 @@ def test_dimension_mismatch_errors():
     model = build_fuzzy_model(part, x)
     with pytest.raises(ValueError, match="dimension mismatch"):
         membership_matrix(model, np.ones((3, 5)))
+
+
+def reference_memberships(d2, fuzzifier_m):
+    """The (n, k) membership update that preceded the cluster-major loop, kept as the oracle."""
+    u = np.empty_like(d2)
+    zero_rows = d2.min(axis=1) == 0.0
+    if np.any(zero_rows):
+        u[zero_rows] = 0.0
+        rows = np.nonzero(zero_rows)[0]
+        u[rows, np.argmax(d2[rows] == 0.0, axis=1)] = 1.0
+    regular = ~zero_rows
+    if np.any(regular):
+        d2r = d2[regular]
+        ratio = d2r / d2r.min(axis=1, keepdims=True)
+        w = ratio ** (-1.0 / (fuzzifier_m - 1.0))
+        u[regular] = w / w.sum(axis=1, keepdims=True)
+    return u
+
+
+def reference_fcm(x, config):
+    """The broadcast FCM loop that preceded the cluster-major one, kept as the oracle."""
+    n, d = x.shape
+    rng = np.random.default_rng(config.seed)
+    u = rng.random((n, config.k))
+    u /= u.sum(axis=1, keepdims=True)
+    centers = np.zeros((config.k, d))
+    trace = []
+    for _ in range(config.max_iterations):
+        um = u ** config.fuzzifier_m
+        weights = um.sum(axis=0)
+        fresh = weights > 0
+        centers[fresh] = (um.T[fresh] @ x) / weights[fresh, None]
+        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        u_next = reference_memberships(d2, config.fuzzifier_m)
+        trace.append(float((u_next ** config.fuzzifier_m * d2).sum()))
+        shift = float(np.abs(u_next - u).max())
+        u = u_next
+        if shift < config.tolerance:
+            break
+    return centers, u, trace
+
+
+def assert_same_partition(x, config):
+    centers, memberships, trace = reference_fcm(x, config)
+    part = fcm_cluster(x, config)
+    assert np.array_equal(part.centers, centers)
+    assert np.array_equal(part.memberships, memberships)
+    assert part.objective_trace == trace
+    assert part.iterations == len(trace)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_fcm_matches_reference_bit_for_bit(data):
+    # Widths and cluster counts reach past 8, where numpy starts summing pairwise.
+    d = data.draw(st.integers(1, 10), label="d")
+    on_centers = data.draw(st.booleans(), label="on_centers")
+    if on_centers:
+        # k separated points: the centers collapse onto them exactly, so a
+        # point sits on a center and the zero-distance branch runs.
+        k = data.draw(st.integers(2, 5), label="k")
+        x = np.arange(k, dtype=float)[:, None] * 10.0 + np.zeros((1, d))
+    else:
+        n = data.draw(st.integers(2, 60), label="n")
+        k = data.draw(st.integers(1, min(n, 10)), label="k")
+        elements = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3))
+        x = data.draw(arrays(np.float64, (n, d), elements=elements), label="x")
+        if k >= 2 and np.all(x == x[0]):
+            x[0, 0] += 1.0
+    config = FcmConfig(
+        k=k,
+        fuzzifier_m=data.draw(st.sampled_from([1.5, 2.0, 2.5, 3.0]), label="m"),
+        tolerance=data.draw(st.sampled_from([1e-12, 1e-6, 1e-3]), label="tolerance"),
+        max_iterations=data.draw(st.integers(1, 40), label="max_iterations"),
+        seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+    )
+    assert_same_partition(x, config)
+
+
+def test_point_on_a_center_takes_the_zero_distance_branch(monkeypatch):
+    calls = []
+    original = fcm._memberships_from_sqdist
+
+    def spy(d2, fuzzifier_m):
+        calls.append(d2.min(axis=1).min())
+        return original(d2, fuzzifier_m)
+
+    monkeypatch.setattr(fcm, "_memberships_from_sqdist", spy)
+    # symmetric integer rows put the single center exactly on the middle row
+    x = np.array([[-2.0, 1.0], [0.0, 0.0], [2.0, -1.0], [1.0, 3.0], [-1.0, -3.0]])
+    assert_same_partition(x, FcmConfig(k=1))
+    x = np.array([[0.0, 0.0], [5.0, 5.0], [0.0, 5.0]])
+    assert_same_partition(x, FcmConfig(k=3, seed=3, tolerance=1e-12))
+    assert len(calls) == 2 and max(calls) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(1, 30), st.integers(1, 10)),
+        elements=st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+    ),
+    st.sampled_from([1.5, 2.0, 3.0]),
+)
+def test_cluster_major_memberships_match_reference(d2, fuzzifier_m):
+    got = fcm._memberships_t(np.ascontiguousarray(d2.T), fuzzifier_m)
+    assert np.array_equal(got.T, reference_memberships(d2, fuzzifier_m))
+
+
+def test_convergence_is_reported():
+    _, points = planted_points()
+    part = fcm_cluster(points, FcmConfig(k=3, seed=7))
+    assert part.converged
+    assert part.iterations == len(part.objective_trace) < 300
+    assert part.final_shift < 1e-6
+    capped = fcm_cluster(points, FcmConfig(k=3, seed=7, max_iterations=3))
+    assert not capped.converged
+    assert capped.iterations == 3
+    assert capped.final_shift >= 1e-6

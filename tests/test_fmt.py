@@ -1,4 +1,8 @@
+import hashlib
 import json
+import logging
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,10 @@ from fmtree.fmt import (
     train_fmt,
 )
 from fmtree.mtree import TreeConfig, build_tree, predict_tree, prune
+
+FMT_REFERENCE = json.loads(
+    (Path(__file__).parent / "fixtures" / "fmt_reference.json").read_text(encoding="utf-8")
+)
 
 
 def flat_dataset(effort_fn, n=40, seed=3):
@@ -121,3 +129,70 @@ def test_training_set_size_guard():
 def test_from_json_rejects_other_kinds():
     with pytest.raises(ValueError, match="expected model kind 'fmt'"):
         fmt_from_json({"kind": "treeboost"})
+
+
+@pytest.mark.parametrize("name", sorted(FMT_REFERENCE["fits"]))
+def test_fit_matches_recorded_reference(name):
+    reference = FMT_REFERENCE["fits"][name]
+    n, seed = reference["n"], reference["seed"]
+    data = piecewise_dataset() if n == 84 else piecewise_dataset(n, seed)
+    train, test = split_holdout(data, reference["train_count"], seed)
+    model = train_fmt(train, FcmConfig(seed=seed))
+    text = json.dumps(fmt_to_json(model), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == reference["model_json_sha256"]
+    total = math.fsum(predict_fmt_dataset(model, test).tolist())
+    assert total == pytest.approx(reference["test_prediction_sum"], rel=1e-12)
+
+
+def test_batch_predict_equals_per_row_predict():
+    train, test = split_holdout(piecewise_dataset(600, 3), 400, 3)
+    model = train_fmt(train, FcmConfig(seed=3), TreeConfig(min_instances=2))
+    assert model.tree.leaf_count() > 2
+    batch = predict_fmt_dataset(model, test)
+    assert_allclose(batch, [predict_fmt(model, p) for p in test], rtol=1e-12)
+    reversed_test = Dataset(test.projects[::-1], test.source_label)
+    assert np.array_equal(predict_fmt_dataset(model, reversed_test), batch[::-1])
+
+
+def test_unconverged_fcm_logs_one_warning(caplog):
+    data = piecewise_dataset()
+    with caplog.at_level(logging.WARNING, logger="fmtree"):
+        train_fmt(data, FcmConfig(max_iterations=5))
+    assert len(caplog.records) == 1
+    assert "FCM stopped at max_iterations=5 without converging" in caplog.records[0].getMessage()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="fmtree"):
+        train_fmt(data)
+    assert caplog.records == []
+
+
+def model_doc():
+    return json.loads(json.dumps(fmt_to_json(train_fmt(piecewise_dataset()))))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda d: d.update(feature_names=["a", "b", "c"]), "feature_names"),
+        (lambda d: d["fuzzy"].update(centers=None), "fuzzy centers must be a list"),
+        (lambda d: d["fuzzy"]["centers"][1].append(0.5), r"fuzzy centers\[1\] must be a list of 3"),
+        (lambda d: d["fuzzy"]["sigmas"][0].__setitem__(1, 0.0), "sigmas must be positive"),
+        (lambda d: d["fuzzy"]["sigmas"][2].__setitem__(0, float("nan")), "must be finite"),
+        (lambda d: d["fuzzy"].update(sigmas=d["fuzzy"]["sigmas"][:2]), "sigmas have shape"),
+        (lambda d: d["fuzzy"].update(centers=d["fuzzy"]["centers"][:2],
+                                     sigmas=d["fuzzy"]["sigmas"][:2], standardization=None),
+         "must have 3 rows"),
+        (lambda d: d["fuzzy"]["standardization"].update(scale=[1.0, -1.0, 1.0]),
+         "scale must be positive"),
+        (lambda d: d["tree"].update(routing_dim=6), "routing 9 / regression 3"),
+        (lambda d: d["tree"]["root"].update(count=None), "count must be an integer"),
+        (lambda d: d["fcm_config"].update(bogus=1), "malformed fmt fcm_config"),
+        (lambda d: d.update(tree_config=[]), "tree_config must be a JSON object"),
+        (lambda d: d["tree_config"].update(smoothing_k=float("nan")), "smoothing_k"),
+    ],
+)
+def test_from_json_rejects_malformed_models(change, message):
+    doc = model_doc()
+    change(doc)
+    with pytest.raises(ValueError, match=message):
+        fmt_from_json(doc)

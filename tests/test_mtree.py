@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fmtree.mtree import (
@@ -223,7 +225,7 @@ class TestPrune:
         def leaf_prediction(node, i):
             while not node.is_leaf:
                 node = node.left if r[i, node.feature] <= node.threshold else node.right
-            return node.model.predict_row(g[i])
+            return node.model.intercept + float(np.dot(node.model.coefficients, g[i]))
 
         def walk(node, idx):
             if node.is_leaf:
@@ -336,3 +338,132 @@ class TestSerialization:
         assert "route[" in text
         assert "leaf (n=" in text
         assert text.endswith("\n")
+
+
+def reference_leaf_value(node, routing_row, regression_row):
+    while not node.is_leaf:
+        node = node.left if routing_row[node.feature] <= node.threshold else node.right
+    return node.model.intercept + float(np.dot(node.model.coefficients, regression_row))
+
+
+def reference_prune(tree, config):
+    """The per-row pruning pass that preceded the batch one, kept as the oracle."""
+    r, g, y = tree.training
+    v_model = tree.regression_dim + 1
+    near_zero = 1e-5 * float(np.std(y))
+
+    def factor(n, v):
+        if n <= v:
+            return 10.0
+        return (n + config.pruning_factor * v) / (n - v)
+
+    def walk(node, idx):
+        if node.is_leaf:
+            return Node(node.model, node.count, node.mae), v_model
+        mask = r[idx, node.feature] <= node.threshold
+        left, v_left = walk(node.left, idx[mask])
+        right, v_right = walk(node.right, idx[~mask])
+        v_subtree = v_left + v_right + 1
+        rebuilt = Node(node.model, node.count, node.mae, node.feature, node.threshold, left, right)
+        predictions = np.array([reference_leaf_value(rebuilt, r[i], g[i]) for i in idx])
+        subtree_err = float(np.mean(np.abs(y[idx] - predictions)))
+        adjusted_node = node.mae * factor(len(idx), v_model)
+        adjusted_subtree = subtree_err * factor(len(idx), v_subtree)
+        if adjusted_node <= adjusted_subtree or adjusted_node <= near_zero:
+            return Node(node.model, node.count, node.mae), v_model
+        return rebuilt, v_subtree
+
+    root, _ = walk(tree.root, np.arange(len(y)))
+    return ModelTree(root, tree.routing_dim, tree.regression_dim, tree.training)
+
+
+def reference_smooth_predict(tree, routing_row, regression_row, config):
+    """The per-row smoothing walk that preceded the batch one, kept as the oracle."""
+    path = [tree.root]
+    while not path[-1].is_leaf:
+        node = path[-1]
+        path.append(node.left if routing_row[node.feature] <= node.threshold else node.right)
+
+    def value(node):
+        return node.model.intercept + float(np.dot(node.model.coefficients, regression_row))
+
+    p = value(path[-1])
+    for parent, child in zip(path[-2::-1], path[::-1]):
+        p = (child.count * p + config.smoothing_k * value(parent)) / (
+            child.count + config.smoothing_k
+        )
+    return p
+
+
+def random_tree_data(seed, n, routing_dim, regression_dim, noise):
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(0.0, 10.0, size=(n, routing_dim))
+    g = rng.uniform(0.0, 10.0, size=(n, regression_dim))
+    y = np.where(r[:, 0] <= 5.0, 3.0 * g[:, 0] + 7.0, 40.0 - 2.0 * g[:, 0])
+    return r, g, y + noise * rng.normal(size=n)
+
+
+tree_data = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.integers(8, 160),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.sampled_from([0.0, 0.01, 1.0, 10.0]),
+)
+
+
+class TestBatchPaths:
+    @settings(max_examples=60, deadline=None)
+    @given(tree_data, st.integers(2, 6), st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+    def test_prune_matches_per_row_reference(self, data, min_instances, pruning_factor):
+        r, g, y = random_tree_data(*data)
+        config = TreeConfig(min_instances=min_instances, pruning_factor=pruning_factor)
+        tree = build_tree(r, g, y, config)
+        got = json.dumps(tree_to_json(prune(tree, config)))
+        assert got == json.dumps(tree_to_json(reference_prune(tree, config)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree_data, st.sampled_from([0.0, 1.0, 15.0]))
+    def test_predict_matches_per_row_reference(self, data, smoothing_k):
+        r, g, y = random_tree_data(*data)
+        config = TreeConfig(min_instances=2, smoothing_k=smoothing_k)
+        tree = prune(build_tree(r, g, y, config), config)
+        got = predict_tree(tree, r, g, config)
+        want = [reference_smooth_predict(tree, r[i], g[i], config) for i in range(len(r))]
+        assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        # a row's prediction does not depend on the rows it is batched with
+        order = np.random.default_rng(data[0]).permutation(len(r))
+        assert np.array_equal(predict_tree(tree, r[order], g[order], config), got[order])
+        assert [smooth_predict(tree, r[i], g[i], config) for i in range(3)] == list(got[:3])
+
+    def test_empty_batch(self):
+        tree = manual_two_level_tree()
+        assert predict_tree(tree, np.empty((0, 1)), np.empty((0, 1))).shape == (0,)
+
+
+def sample_tree_doc():
+    tree = manual_two_level_tree()
+    return json.loads(json.dumps(tree_to_json(tree)))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda d: d.update(routing_dim="1"), "routing_dim must be an integer"),
+        (lambda d: d.update(root=None), "tree.root must be a JSON object"),
+        (lambda d: d["root"].update(count=0), "tree.root.count must be an integer >= 1"),
+        (lambda d: d["root"].update(mae=float("nan")), "tree.root.mae must be finite"),
+        (lambda d: d["root"].pop("model"), "tree.root.model must be a JSON object"),
+        (lambda d: d["root"]["model"].update(coefficients=[1.0, 2.0]), "list of 1 numbers"),
+        (lambda d: d["root"]["model"].update(intercept="3"), "intercept must be a number"),
+        (lambda d: d["root"].update(feature=1), r"feature must be an integer in \[0, 1\)"),
+        (lambda d: d["root"].pop("right"), "all or none"),
+        (lambda d: d["root"].update(threshold=float("inf")), "threshold must be finite"),
+        (lambda d: d["root"]["left"].update(left={}), "all or none"),
+    ],
+)
+def test_from_json_rejects_malformed_trees(change, message):
+    doc = sample_tree_doc()
+    change(doc)
+    with pytest.raises(ValueError, match=message):
+        tree_from_json(doc)
