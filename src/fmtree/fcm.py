@@ -9,9 +9,6 @@ import numpy as np
 from .data import finite_numbers
 
 _SIGMA_FLOOR_SCALE = 1e-6
-# numpy's sum along a contiguous axis adds fewer terms than this one after
-# another and sums pairwise from here on.
-_PAIRWISE_FROM = 8
 
 
 @dataclass(frozen=True)
@@ -52,7 +49,6 @@ class FuzzyPartition:
     memberships: np.ndarray  # (n, k), rows sum to 1
     objective_trace: list[float]
     fuzzifier_m: float
-    iterations: int
     converged: bool
     final_shift: float
 
@@ -157,8 +153,11 @@ def _as_feature_matrix(features: np.ndarray) -> np.ndarray:
 
 # fcm_cluster keeps squared distances and memberships cluster-major, as (k, n)
 # arrays, so that each elementwise step runs over n contiguous values instead
-# of n rows of k.  Every sum is still taken in the order the (n, k) layout
-# gives it, so the results are the same to the last bit.
+# of n rows of k.  Every sum over clusters is still taken in the order the
+# (n, k) layout gives it.  Squared distances add the features one after
+# another, as numpy's broadcast sum does for fewer than 8 features (numpy sums
+# pairwise from 8 terms on), so for such inputs, the 3 features of an FMT
+# included, the results are the same to the last bit as the broadcast loop's.
 
 
 def _row_major(at: np.ndarray) -> np.ndarray:
@@ -169,11 +168,8 @@ def _row_major(at: np.ndarray) -> np.ndarray:
     return a
 
 
-def _squared_distances_t(x: np.ndarray, xt: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(k, n) squared distances from each center to each row of x (xt is x.T, contiguous)."""
-    if x.shape[1] >= _PAIRWISE_FROM:
-        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        return np.ascontiguousarray(d2.T)
+def _squared_distances_t(xt: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(k, n) squared distances from each center to each column of the (d, n) xt."""
     d2t = (xt[0] - centers[:, :1]) ** 2
     for j in range(1, len(xt)):
         d2t += (xt[j] - centers[:, j : j + 1]) ** 2
@@ -204,10 +200,7 @@ def _memberships_t(d2t: np.ndarray, fuzzifier_m: float) -> np.ndarray:
     if not nearest.all():
         return _memberships_from_sqdist(_row_major(d2t), fuzzifier_m).T
     w = (d2t / nearest) ** (-1.0 / (fuzzifier_m - 1.0))
-    if len(w) >= _PAIRWISE_FROM:
-        w /= _row_major(w).sum(axis=1)
-    else:
-        w /= w.sum(axis=0)
+    w /= _row_major(w).sum(axis=1)
     return w
 
 
@@ -241,7 +234,7 @@ def fcm_cluster(features: np.ndarray, config: FcmConfig = FcmConfig()) -> FuzzyP
         weights = _row_major(umt).sum(axis=0)
         fresh = weights > 0
         centers[fresh] = (umt[fresh] @ x) / weights[fresh, None]
-        d2t = _squared_distances_t(x, xt, centers)
+        d2t = _squared_distances_t(xt, centers)
         ut_next = _memberships_t(d2t, m)
         umt = ut_next**m
         trace.append(float(_row_major(umt * d2t).sum()))
@@ -250,7 +243,7 @@ def fcm_cluster(features: np.ndarray, config: FcmConfig = FcmConfig()) -> FuzzyP
         if shift < config.tolerance:
             break
     converged = shift < config.tolerance
-    return FuzzyPartition(centers.copy(), _row_major(ut), trace, m, len(trace), converged, shift)
+    return FuzzyPartition(centers.copy(), _row_major(ut), trace, m, converged, shift)
 
 
 def build_fuzzy_model(

@@ -63,7 +63,7 @@ def train_fmt(
         logger.warning(
             "FCM stopped at max_iterations=%d without converging: last membership change "
             "%.3g, tolerance %g",
-            partition.iterations,
+            len(partition.objective_trace),
             partition.final_shift,
             fcm_config.tolerance,
         )

