@@ -13,8 +13,8 @@ from .baselines import (
     TreeboostModel,
     fit_mlr,
     fit_treeboost,
-    predict_mlr,
-    predict_treeboost,
+    predict_mlr_dataset,
+    predict_treeboost_dataset,
 )
 from .data import (
     EDU,
@@ -24,6 +24,7 @@ from .data import (
     Dataset,
     Project,
     SourceProfile,
+    effort_vector,
     generate_synthetic,
     parse_dataset,
     render_dataset,
@@ -52,15 +53,13 @@ from .fcm import (
     fcm_cluster,
     membership_matrix,
 )
-from .fmt import FmtModel, predict_fmt, train_fmt
+from .fmt import FmtModel, predict_fmt_dataset, train_fmt
 from .mtree import (
     LinearModel,
     ModelTree,
     TreeConfig,
     build_tree,
     prune,
-    render_tree,
-    smooth_predict,
 )
 from .ucp import (
     UcpBreakdown,
@@ -104,6 +103,7 @@ __all__ = [
     "compute_adjustment_factors",
     "compute_ucp",
     "compute_uucp",
+    "effort_vector",
     "evaluate",
     "fcm_cluster",
     "fit_mlr",
@@ -116,13 +116,11 @@ __all__ = [
     "mre_vector",
     "parse_dataset",
     "pred",
-    "predict_fmt",
-    "predict_mlr",
-    "predict_treeboost",
+    "predict_fmt_dataset",
+    "predict_mlr_dataset",
+    "predict_treeboost_dataset",
     "prune",
     "render_dataset",
-    "render_tree",
-    "smooth_predict",
     "split_holdout",
     "train_fmt",
     "wilcoxon_signed_rank",

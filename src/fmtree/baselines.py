@@ -10,7 +10,6 @@ import numpy as np
 from .data import (
     FEATURE_NAMES,
     Dataset,
-    Project,
     effort_vector,
     feature_matrix,
     finite_number,
@@ -20,6 +19,8 @@ from .fmt import EFFORT_FLOOR_PH
 
 MLR_PREDICTORS = ("ln_size", "productivity", "complexity")
 VIF_ALARM = 4.0
+# The largest log-space MLR score whose exp is a finite float.
+_MAX_LOG_EFFORT = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -286,8 +287,9 @@ def _forest(trees: list[StageTree]) -> tuple[StageTree, np.ndarray]:
     return forest, roots
 
 
-def _predict_rows(model: TreeboostModel, x: np.ndarray) -> np.ndarray:
-    """Predict every row of x; the stages are added one at a time, in tree order."""
+def predict_treeboost_dataset(model: TreeboostModel, dataset: Dataset) -> np.ndarray:
+    """Predict every project; the stages are added one at a time, in tree order."""
+    x = feature_matrix(dataset)
     total = np.zeros(len(x))
     if model.trees:
         forest, roots = _forest(model.trees)
@@ -295,14 +297,6 @@ def _predict_rows(model: TreeboostModel, x: np.ndarray) -> np.ndarray:
         for stage_values in forest.value[leaves]:
             total += stage_values
     return np.maximum(model.f0 + model.shrinkage * total, EFFORT_FLOOR_PH)
-
-
-def predict_treeboost(model: TreeboostModel, project: Project) -> float:
-    return float(_predict_rows(model, np.array([project.features()], dtype=float))[0])
-
-
-def predict_treeboost_dataset(model: TreeboostModel, dataset: Dataset) -> np.ndarray:
-    return _predict_rows(model, feature_matrix(dataset))
 
 
 def _stage_to_json(tree: StageTree, node: int = 0) -> dict:
@@ -366,9 +360,13 @@ def treeboost_from_json(doc: dict) -> TreeboostModel:
     trees = doc.get("trees")
     if not isinstance(trees, list):
         raise ValueError(f"treeboost 'trees' must be a list, got {trees!r}")
+    f0 = finite_number(doc.get("f0"), "treeboost f0")
+    shrinkage = finite_number(doc.get("shrinkage"), "treeboost shrinkage")
+    if not 0.0 < shrinkage <= 1.0:
+        raise ValueError(f"treeboost shrinkage must be in (0, 1], got {shrinkage!r}")
     return TreeboostModel(
-        finite_number(doc.get("f0"), "treeboost f0"),
-        finite_number(doc.get("shrinkage"), "treeboost shrinkage"),
+        f0,
+        shrinkage,
         [_stage_from_json(t, f"trees[{i}]") for i, t in enumerate(trees)],
     )
 
@@ -487,19 +485,26 @@ def fit_mlr(train: Dataset) -> MlrModel:
     )
 
 
-def predict_mlr(model: MlrModel, project: Project) -> float:
-    """exp of the log-space score; positive by construction."""
-    score = (
-        model.intercept
-        + model.coef_ln_size * math.log(project.size_ucp)
-        + model.coef_productivity * project.productivity
-        + model.coef_complexity * project.complexity
-    )
-    return math.exp(score)
-
-
 def predict_mlr_dataset(model: MlrModel, dataset: Dataset) -> np.ndarray:
-    return np.array([predict_mlr(model, p) for p in dataset])
+    """exp of each project's log-space score; ValueError when it overflows.
+
+    math.log and math.exp run row by row: numpy's vectorized exp and log can
+    round differently in the last bit.
+    """
+    predictions = []
+    for project in dataset:
+        score = (
+            model.intercept
+            + model.coef_ln_size * math.log(project.size_ucp)
+            + model.coef_productivity * project.productivity
+            + model.coef_complexity * project.complexity
+        )
+        if not score <= _MAX_LOG_EFFORT:
+            raise ValueError(
+                f"mlr prediction for project {project.id!r} overflows: log-space score {score!r}"
+            )
+        predictions.append(math.exp(score))
+    return np.array(predictions)
 
 
 def mlr_to_json(model: MlrModel, alpha: float = 0.05) -> dict:

@@ -11,6 +11,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -30,8 +31,6 @@ from .fcm import FcmConfig
 from .mtree import TreeConfig
 
 logger = logging.getLogger("fmtree")
-
-MODEL_KINDS = ("fmt", "treeboost", "mlr", "ucp")
 
 
 def _log_level() -> int:
@@ -58,14 +57,66 @@ def _load_dataset(path: str) -> Dataset:
     return parse_dataset(Path(path).read_text(encoding="utf-8"))
 
 
-def _fcm_config(args: argparse.Namespace) -> FcmConfig:
-    return FcmConfig(k=args.clusters, fuzzifier_m=args.fuzzifier, seed=args.seed)
+class Kind(NamedTuple):
+    """One model kind: `fit(train, config(args))` gives a model for `predict(model, dataset)`."""
+
+    label: str
+    config: Callable[[argparse.Namespace], Any]
+    fit: Callable[[Dataset | None, Any], Any]
+    predict: Callable[[Any, Dataset], np.ndarray]
+    to_json: Callable[[Any], dict]
+    from_json: Callable[[dict], Any]
 
 
-def _treeboost_config(args: argparse.Namespace) -> baselines.TreeboostConfig:
-    return baselines.TreeboostConfig(
-        n_trees=args.trees, shrinkage=args.shrinkage, seed=args.seed
-    )
+def _ucp_from_json(doc: dict) -> float:
+    ratio = doc.get("ratio", ucp.DEFAULT_EFFORT_RATIO)
+    return ucp.check_ratio(finite_number(ratio, "ucp ratio"))
+
+
+# The lambdas look functions up on their modules at call time, so that a
+# wrapper installed on a module attribute (a tracer, a test double) is used.
+# The ucp model is its PH/UCP ratio; it needs no training data.
+KINDS: dict[str, Kind] = {
+    "fmt": Kind(
+        "FMT",
+        lambda args: FcmConfig(k=args.clusters, fuzzifier_m=args.fuzzifier, seed=args.seed),
+        lambda train, config: fmt.train_fmt(train, config, TreeConfig()),
+        lambda model, dataset: fmt.predict_fmt_dataset(model, dataset),
+        lambda model: fmt.fmt_to_json(model),
+        lambda doc: fmt.fmt_from_json(doc),
+    ),
+    "treeboost": Kind(
+        "Treeboost",
+        lambda args: baselines.TreeboostConfig(
+            n_trees=args.trees, shrinkage=args.shrinkage, seed=args.seed
+        ),
+        lambda train, config: baselines.fit_treeboost(train, config),
+        lambda model, dataset: baselines.predict_treeboost_dataset(model, dataset),
+        lambda model: baselines.treeboost_to_json(model),
+        lambda doc: baselines.treeboost_from_json(doc),
+    ),
+    "mlr": Kind(
+        "MLR",
+        lambda args: None,
+        lambda train, config: baselines.fit_mlr(train),
+        lambda model, dataset: baselines.predict_mlr_dataset(model, dataset),
+        lambda model: baselines.mlr_to_json(model),
+        lambda doc: baselines.mlr_from_json(doc),
+    ),
+    "ucp": Kind(
+        "UCP",
+        lambda args: ucp.check_ratio(args.ratio),
+        lambda train, ratio: ratio,
+        lambda ratio, dataset: np.array([ucp.classical_effort(p.size_ucp, ratio) for p in dataset]),
+        lambda ratio: {"kind": "ucp", "ratio": ratio},
+        _ucp_from_json,
+    ),
+}
+
+
+def _configs(args: argparse.Namespace) -> dict[str, Any]:
+    """Every kind's configuration, so that each knob is checked before data is read."""
+    return {name: kind.config(args) for name, kind in KINDS.items()}
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -88,22 +139,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    fcm_config = _fcm_config(args)
-    boost_config = _treeboost_config(args)
+    configs = _configs(args)
     dataset = _load_dataset(args.data)
     train, test = split_holdout(dataset, args.train_count, args.seed)
     logger.info("split %d projects into %d train / %d test", len(dataset), len(train), len(test))
 
-    fmt_model = fmt.train_fmt(train, fcm_config, TreeConfig())
-    boost_model = baselines.fit_treeboost(train, boost_config)
-    mlr_model = baselines.fit_mlr(train)
-
+    models = {name: kind.fit(train, configs[name]) for name, kind in KINDS.items()}
     actuals = effort_vector(test)
     predictions = {
-        "FMT": fmt.predict_fmt_dataset(fmt_model, test),
-        "Treeboost": baselines.predict_treeboost_dataset(boost_model, test),
-        "MLR": baselines.predict_mlr_dataset(mlr_model, test),
-        "UCP": np.array([ucp.classical_effort(p.size_ucp, args.ratio) for p in test]),
+        kind.label: kind.predict(models[name], test) for name, kind in KINDS.items()
     }
     reports = {name: evaluation.evaluate(actuals, preds) for name, preds in predictions.items()}
     mres = {name: evaluation.mre_vector(actuals, preds) for name, preds in predictions.items()}
@@ -135,49 +179,27 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    if args.model == "ucp":
-        doc = {"kind": "ucp", "ratio": ucp.check_ratio(args.ratio)}
-        _write_json(Path(args.out), doc)
-        print(f"wrote ucp model to {args.out}")
-        return 0
-    fcm_config = _fcm_config(args)
-    boost_config = _treeboost_config(args)
-    train = _load_dataset(args.data)
-    if args.model == "fmt":
-        doc = fmt.fmt_to_json(fmt.train_fmt(train, fcm_config, TreeConfig()))
-    elif args.model == "treeboost":
-        doc = baselines.treeboost_to_json(baselines.fit_treeboost(train, boost_config))
-    else:
-        doc = baselines.mlr_to_json(baselines.fit_mlr(train))
-    _write_json(Path(args.out), doc)
+    kind = KINDS[args.model]
+    config = _configs(args)[args.model]
+    train = _load_dataset(args.data) if args.data else None
+    _write_json(Path(args.out), kind.to_json(kind.fit(train, config)))
     print(f"wrote {args.model} model to {args.out}")
     return 0
-
-
-def _predict_with(doc: dict, dataset: Dataset) -> np.ndarray:
-    kind = doc.get("kind")
-    if kind == "fmt":
-        return fmt.predict_fmt_dataset(fmt.fmt_from_json(doc), dataset)
-    if kind == "treeboost":
-        return baselines.predict_treeboost_dataset(baselines.treeboost_from_json(doc), dataset)
-    if kind == "mlr":
-        return baselines.predict_mlr_dataset(baselines.mlr_from_json(doc), dataset)
-    if kind == "ucp":
-        ratio = finite_number(doc.get("ratio", ucp.DEFAULT_EFFORT_RATIO), "ucp ratio")
-        return np.array([ucp.classical_effort(p.size_ucp, ratio) for p in dataset])
-    raise ValueError(f"unknown model kind {kind!r} in model file")
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
     doc = json.loads(Path(args.model_file).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ValueError(f"model file must hold a JSON object, got {type(doc).__name__}")
-    if args.model is not None and doc.get("kind") != args.model:
-        raise ValueError(
-            f"model file kind {doc.get('kind')!r} does not match requested {args.model!r}"
-        )
+    name = doc.get("kind")
+    if args.model is not None and name != args.model:
+        raise ValueError(f"model file kind {name!r} does not match requested {args.model!r}")
+    if not isinstance(name, str) or name not in KINDS:
+        raise ValueError(f"unknown model kind {name!r} in model file")
+    kind = KINDS[name]
+    model = kind.from_json(doc)
     dataset = _load_dataset(args.data)
-    predictions = _predict_with(doc, dataset)
+    predictions = kind.predict(model, dataset)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["id", "predicted_ph"])
@@ -271,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.set_defaults(func=cmd_compare)
 
     p_train = sub.add_parser("train", help="train one model and write it as JSON")
-    p_train.add_argument("--model", required=True, choices=MODEL_KINDS)
-    p_train.add_argument("--data", help="dataset CSV (unused for ucp)")
+    p_train.add_argument("--model", required=True, choices=tuple(KINDS))
+    p_train.add_argument("--data", help="dataset CSV (not needed for ucp)")
     add_seed(p_train)
     add_model_knobs(p_train)
     p_train.add_argument("--ratio", type=float, default=ucp.DEFAULT_EFFORT_RATIO)
@@ -281,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_predict = sub.add_parser("predict", help="apply a model JSON to a dataset")
     p_predict.add_argument("--model-file", required=True)
-    p_predict.add_argument("--model", choices=MODEL_KINDS, help="expected model kind")
+    p_predict.add_argument("--model", choices=tuple(KINDS), help="expected model kind")
     p_predict.add_argument("--data", required=True, help="dataset CSV")
     p_predict.add_argument("--out", required=True, help="predictions CSV path")
     p_predict.set_defaults(func=cmd_predict)

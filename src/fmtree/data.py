@@ -117,7 +117,10 @@ def parse_number(text: str, column: str, row: int) -> float:
     token = text.strip()
     if not _NUMBER.match(token):
         raise ValueError(f"non-numeric {column} {text!r} at row {row}")
-    return float(token)
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite {column} {text!r} at row {row}")
+    return value
 
 
 def parse_dataset(csv_text: str, source_label: str = "mixed") -> Dataset:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FEATURE_NAMES, Dataset, Project, effort_vector, feature_matrix
+from .data import FEATURE_NAMES, Dataset, effort_vector, feature_matrix
 from .fcm import (
     FcmConfig,
     FuzzyInferenceModel,
@@ -32,10 +32,6 @@ class FmtModel:
     fcm_config: FcmConfig
     tree_config: TreeConfig
     feature_names: tuple[str, ...] = FEATURE_NAMES
-
-    @property
-    def standardization(self) -> Standardization | None:
-        return self.fuzzy.standardization
 
 
 def train_fmt(
@@ -73,19 +69,12 @@ def train_fmt(
     return FmtModel(fuzzy, tree, fcm_config, tree_config)
 
 
-def _predict_features(model: FmtModel, features: np.ndarray) -> np.ndarray:
+def predict_fmt_dataset(model: FmtModel, dataset: Dataset) -> np.ndarray:
+    """Estimate effort (PH) for every project; outputs are floored at 1 PH."""
+    features = feature_matrix(dataset)
     memberships = membership_matrix(model.fuzzy, features)
     predictions = predict_tree(model.tree, memberships, features, model.tree_config)
     return np.maximum(predictions, EFFORT_FLOOR_PH)
-
-
-def predict_fmt(model: FmtModel, project: Project) -> float:
-    """Estimate effort (PH) for one project; outputs are floored at 1 PH."""
-    return float(_predict_features(model, np.array([project.features()], dtype=float))[0])
-
-
-def predict_fmt_dataset(model: FmtModel, dataset: Dataset) -> np.ndarray:
-    return _predict_features(model, feature_matrix(dataset))
 
 
 def fmt_to_json(model: FmtModel) -> dict:

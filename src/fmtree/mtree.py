@@ -9,8 +9,6 @@ expressed in the original units.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .data import finite_number, finite_numbers, json_int
@@ -292,18 +290,6 @@ def predict_tree(
     return walk(tree.root, np.arange(len(r)))
 
 
-def smooth_predict(
-    tree: ModelTree,
-    routing_row: Sequence[float],
-    regression_row: Sequence[float],
-    config: TreeConfig = TreeConfig(),
-) -> float:
-    """predict_tree for one row."""
-    r = np.asarray(routing_row, dtype=float).reshape(1, -1)
-    g = np.asarray(regression_row, dtype=float).reshape(1, -1)
-    return float(predict_tree(tree, r, g, config)[0])
-
-
 def _node_to_json(node: Node) -> dict:
     doc = {
         "count": node.count,
@@ -373,25 +359,3 @@ def tree_from_json(doc: dict) -> ModelTree:
     root = _node_from_json(doc.get("root"), "tree.root", routing_dim, regression_dim)
     return ModelTree(root, routing_dim, regression_dim)
 
-
-def render_tree(tree: ModelTree) -> str:
-    """Human-readable indented view of splits and leaf models."""
-
-    def model_text(model: LinearModel) -> str:
-        terms = [f"{model.intercept:.6g}"]
-        terms += [f"{c:+.6g}*x{j}" for j, c in enumerate(model.coefficients)]
-        return " ".join(terms)
-
-    lines: list[str] = []
-
-    def walk(node: Node, depth: int) -> None:
-        pad = "  " * depth
-        if node.is_leaf:
-            lines.append(f"{pad}leaf (n={node.count}): y = {model_text(node.model)}")
-            return
-        lines.append(f"{pad}route[{node.feature}] <= {node.threshold:.6g} (n={node.count})")
-        walk(node.left, depth + 1)
-        walk(node.right, depth + 1)
-
-    walk(tree.root, 0)
-    return "\n".join(lines) + "\n"

@@ -117,14 +117,19 @@ def check_ratio(ratio: float) -> float:
 
 def use_case_model_from_json(doc: dict) -> UseCaseModel:
     """Build a UseCaseModel from {actors, use_cases, technical, environmental}."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"use-case model must be a JSON object, got {type(doc).__name__}")
     required = ("actors", "use_cases", "technical", "environmental")
     missing = [key for key in required if key not in doc]
     if missing:
         raise ValueError(f"missing key(s): {', '.join(missing)}")
+    not_lists = [key for key in required if not isinstance(doc[key], list)]
+    if not_lists:
+        raise ValueError(f"{', '.join(not_lists)} must be JSON list(s)")
     try:
         technical = tuple(int(r) if float(r) == int(r) else r for r in doc["technical"])
         environmental = tuple(int(r) if float(r) == int(r) else r for r in doc["environmental"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError("factor ratings must be integers") from None
     return UseCaseModel(
         tuple(str(a).strip().lower() for a in doc["actors"]),

@@ -25,9 +25,7 @@ from fmtree.baselines import (
     huber_loss,
     mlr_from_json,
     mlr_to_json,
-    predict_mlr,
     predict_mlr_dataset,
-    predict_treeboost,
     predict_treeboost_dataset,
     t_two_sided_p,
     treeboost_from_json,
@@ -189,7 +187,7 @@ class TestTreeboost:
         model = fit_treeboost(Dataset(projects, "synthetic"), TreeboostConfig(n_trees=50))
         assert model.trees == []
         assert model.f0 == 500.0
-        assert predict_treeboost(model, projects[0]) == 500.0
+        assert predict_treeboost_dataset(model, Dataset(projects[:1]))[0] == 500.0
 
     def test_vanishing_shrinkage_stays_at_median(self):
         data = piecewise_dataset()
@@ -202,7 +200,8 @@ class TestTreeboost:
     def test_single_leaf_series_arithmetic(self):
         leaf = StageTree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[5.0])
         model = TreeboostModel(f0=100.0, shrinkage=0.1, trees=[leaf])
-        assert predict_treeboost(model, Project("p", 100.0, 20.0, 3.0, 1.0)) == 100.5
+        probe = Dataset((Project("p", 100.0, 20.0, 3.0, 1.0),))
+        assert predict_treeboost_dataset(model, probe)[0] == 100.5
 
     def test_loss_trace_non_increasing(self):
         train, _ = split_holdout(piecewise_dataset(), 59, seed=2014)
@@ -228,7 +227,8 @@ class TestTreeboost:
 
     def test_prediction_floor(self):
         model = TreeboostModel(f0=0.25, shrinkage=0.1)
-        assert predict_treeboost(model, Project("p", 100.0, 20.0, 3.0, 1.0)) == 1.0
+        probe = Dataset((Project("p", 100.0, 20.0, 3.0, 1.0),))
+        assert predict_treeboost_dataset(model, probe)[0] == 1.0
 
     def test_too_few_projects(self):
         with pytest.raises(ValueError, match="at least 10"):
@@ -289,7 +289,7 @@ class TestTreeboost:
             expected.append(max(doc["f0"] + doc["shrinkage"] * total, 1.0))
         batch = predict_treeboost_dataset(model, test)
         assert batch.tolist() == expected
-        assert [predict_treeboost(model, p) for p in test] == expected
+        assert [predict_treeboost_dataset(model, Dataset((p,)))[0] for p in test] == expected
 
     @pytest.mark.parametrize("seed", sorted(TREEBOOST_REFERENCE["fits"]))
     def test_fit_matches_recorded_reference(self, seed):
@@ -347,16 +347,17 @@ class TestMlr:
             + model.coef_productivity * 22.0
             + model.coef_complexity * 4.0
         )
-        assert predict_mlr(model, project) == math.exp(score)
+        assert predict_mlr_dataset(model, Dataset((project,)))[0] == math.exp(score)
 
     def test_intercept_only_model(self):
         model = MlrModel(1.8, 0.0, 0.0, 0.0, 0.0, {}, {}, {})
-        assert predict_mlr(model, Project("q", 50.0, 15.0, 2.0, 1.0)) == 6.0496474644129465
+        probe = Dataset((Project("q", 50.0, 15.0, 2.0, 1.0),))
+        assert predict_mlr_dataset(model, probe)[0] == 6.0496474644129465
 
     def test_hand_coefficients_evaluated(self):
         model = MlrModel(1.8, 1.24, 0.007, 0.12, 0.0, {}, {}, {})
-        project = Project("q", 100.0, 10.0, 2.0, 1.0)
-        assert predict_mlr(model, project) == pytest.approx(2490.929045779924)
+        probe = Dataset((Project("q", 100.0, 10.0, 2.0, 1.0),))
+        assert predict_mlr_dataset(model, probe)[0] == pytest.approx(2490.929045779924)
 
     def test_residuals_orthogonal_to_design(self):
         data = log_linear_dataset(noise_sd=0.3)

@@ -2,17 +2,21 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fmtree
 from conftest import piecewise_dataset
-from fmtree.cli import _log_level, main
-from fmtree.data import parse_dataset, render_dataset
+from fmtree.cli import KINDS, _log_level, build_parser, main
+from fmtree.data import Dataset, parse_dataset, render_dataset, split_holdout
 
 UCP_MODEL = {
     "actors": ["simple", "simple", "complex"],
@@ -73,6 +77,22 @@ class TestUcpCommand:
         model.write_text(json.dumps({"actors": []}), encoding="utf-8")
         assert main(["ucp", str(model)]) == 2
         assert "missing key(s)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (5, "use-case model must be a JSON object, got int"),
+            (dict(UCP_MODEL, actors=5), "actors must be JSON list(s)"),
+            (dict(UCP_MODEL, technical=None, environmental="3"),
+             "technical, environmental must be JSON list(s)"),
+            (dict(UCP_MODEL, technical=[math.inf] * 13), "factor ratings must be integers"),
+        ],
+    )
+    def test_malformed_use_case_file_exits_2(self, tmp_path, capsys, doc, message):
+        model = tmp_path / "usecases.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["ucp", str(model)]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestTrainPredictEvaluate:
@@ -164,14 +184,25 @@ class TestTrainPredictEvaluate:
         assert "must have header" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "1_000", "1e3x", ""])
-    def test_evaluate_rejects_bad_prediction_numbers(self, tmp_path, dataset_csv, capsys, value):
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("nan", "non-numeric predicted_ph"),
+            ("inf", "non-numeric predicted_ph"),
+            ("1_000", "non-numeric predicted_ph"),
+            ("1e3x", "non-numeric predicted_ph"),
+            ("", "non-numeric predicted_ph"),
+            ("1e999", "non-finite predicted_ph '1e999' at row 2"),
+        ],
+    )
+    def test_evaluate_rejects_bad_prediction_numbers(self, tmp_path, dataset_csv, capsys,
+                                                     value, message):
         predictions = tmp_path / "pred.csv"
         predictions.write_text(f"id,predicted_ph\np001,{value}\n", encoding="utf-8")
         code = main(["evaluate", "--predictions", str(predictions),
                      "--data", str(dataset_csv), "--out", str(tmp_path / "r.json")])
         assert code == 2
-        assert "non-numeric predicted_ph" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
     def test_evaluate_rejects_duplicate_prediction_ids(self, tmp_path, dataset_csv, capsys):
@@ -196,6 +227,9 @@ class TestTrainPredictEvaluate:
             ('{"kind": "treeboost", "f0": 1.0, "shrinkage": 0.1, "trees": [{"feature": 0,'
              ' "threshold": Infinity, "left": {"value": 1.0}, "right": {"value": 2.0}}]}',
              "threshold must be finite"),
+            ('{"kind": "treeboost", "f0": 1.0, "shrinkage": -5, "trees": []}',
+             "treeboost shrinkage must be in (0, 1], got -5.0"),
+            ('{"kind": []}', "unknown model kind []"),
             ('{"kind": "ucp", "ratio": "nan"}', "ucp ratio must be a number"),
             ('{"kind": "ucp", "ratio": NaN}', "ucp ratio must be finite"),
             ('{"kind": "ucp", "ratio": null}', "ucp ratio must be a number"),
@@ -205,6 +239,9 @@ class TestTrainPredictEvaluate:
              ' "x", "complexity": 1}, "diagnostics": {}}', "productivity must be a number"),
             ('{"kind": "mlr", "coefficients": {"intercept": 1, "ln_size": 1, "productivity":'
              ' 0, "complexity": 1}, "diagnostics": {}}', "adjusted_r2 must be a number"),
+            ('{"kind": "mlr", "coefficients": {"intercept": 0, "ln_size": 1000, "productivity":'
+             ' 0, "complexity": 0}, "diagnostics": {"adjusted_r2": 0, "vif": {}, "t_stats": {},'
+             ' "p_values": {}}}', "mlr prediction for project 'p001' overflows"),
             ('{"kind": "fmt", "feature_names": null}', "feature_names"),
             ('{"kind": "fmt", "feature_names": ["size_ucp", "productivity", "complexity"],'
              ' "fuzzy": {"centers": [[0], [0], [0]], "sigmas": [[1], [1], [0]]}}',
@@ -226,6 +263,32 @@ class TestTrainPredictEvaluate:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2**16), st.integers(20, 60))
+def test_every_kind_predicts_each_row_alike(seed, train_count):
+    """A JSON round trip, a one-row call and a shuffled batch give the same bits."""
+    train, test = split_holdout(piecewise_dataset(train_count + 15, seed), train_count, seed)
+    args = build_parser().parse_args(
+        ["compare", "--data", "-", "--out-dir", "-", "--seed", str(seed), "--trees", "30"]
+    )
+    order = np.random.default_rng(seed).permutation(len(test))
+    shuffled = Dataset(tuple(test.projects[i] for i in order), test.source_label)
+    for name, kind in KINDS.items():
+        model = kind.fit(train, kind.config(args))
+        batch = kind.predict(model, test)
+        restored = kind.from_json(json.loads(json.dumps(kind.to_json(model))))
+        assert kind.predict(restored, test).tolist() == batch.tolist(), name
+        assert [kind.predict(model, Dataset((p,)))[0] for p in test] == batch.tolist(), name
+        assert kind.predict(model, shuffled).tolist() == batch[order].tolist(), name
+
+
+def test_readme_library_example_runs(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, str(readme), "exec"), {})
+    assert capsys.readouterr().out.strip()
 
 
 def test_cli_import_does_not_load_scipy():
@@ -279,6 +342,12 @@ class TestCompare:
                      "--shrinkage", "0", "--out-dir", str(tmp_path / "r")])
         assert code == 2
         assert "shrinkage" in capsys.readouterr().err
+
+    def test_bad_ratio_fails_before_reading_data(self, tmp_path, capsys):
+        code = main(["compare", "--data", str(tmp_path / "absent.csv"),
+                     "--ratio", "nan", "--out-dir", str(tmp_path / "r")])
+        assert code == 2
+        assert "ratio must be positive and finite" in capsys.readouterr().err
 
     def test_missing_data_file_exits_2(self, tmp_path, capsys):
         code = main(["compare", "--data", str(tmp_path / "absent.csv"),

@@ -64,6 +64,12 @@ def test_parse_non_numeric_reports_row_and_column():
         parse_dataset(text)
 
 
+def test_parse_rejects_overflowing_number_with_row_and_column():
+    text = "id,size_ucp,productivity,complexity,effort_ph\np1,1,2,3,4\np2,1,-1e999,3,4\n"
+    with pytest.raises(ValueError, match="non-finite productivity '-1e999' at row 3"):
+        parse_dataset(text)
+
+
 def test_parse_counts_blank_lines_in_row_numbers():
     text = "\n\nid,size_ucp,productivity,complexity,effort_ph\n\np1,1,2,3,4\n\n\np2,abc,2,3,4\n"
     with pytest.raises(ValueError, match="non-numeric size_ucp 'abc' at row 8"):

@@ -15,7 +15,6 @@ from fmtree.fmt import (
     EFFORT_FLOOR_PH,
     fmt_from_json,
     fmt_to_json,
-    predict_fmt,
     predict_fmt_dataset,
     train_fmt,
 )
@@ -65,7 +64,7 @@ def test_predictions_floored_at_one_hour():
     data = flat_dataset(lambda size: 3000.0 - 10.0 * size)
     model = train_fmt(data)
     probe = Project("probe", 400.0, 20.0, 3.0, 1.0)
-    assert predict_fmt(model, probe) == EFFORT_FLOOR_PH
+    assert predict_fmt_dataset(model, Dataset((probe,)))[0] == EFFORT_FLOOR_PH
 
 
 def test_test_split_rows_never_touch_the_model():
@@ -149,7 +148,7 @@ def test_batch_predict_equals_per_row_predict():
     model = train_fmt(train, FcmConfig(seed=3), TreeConfig(min_instances=2))
     assert model.tree.leaf_count() > 2
     batch = predict_fmt_dataset(model, test)
-    assert_allclose(batch, [predict_fmt(model, p) for p in test], rtol=1e-12)
+    assert batch.tolist() == [predict_fmt_dataset(model, Dataset((p,)))[0] for p in test]
     reversed_test = Dataset(test.projects[::-1], test.source_label)
     assert np.array_equal(predict_fmt_dataset(model, reversed_test), batch[::-1])
 

@@ -16,11 +16,14 @@ from fmtree.mtree import (
     build_tree,
     predict_tree,
     prune,
-    render_tree,
-    smooth_predict,
     tree_from_json,
     tree_to_json,
 )
+
+
+def predict_one(tree, routing_row, regression_row, config=TreeConfig()):
+    """predict_tree on a batch of one row."""
+    return float(predict_tree(tree, [routing_row], [regression_row], config)[0])
 
 
 def pop_sd(values):
@@ -139,8 +142,8 @@ class TestBuildTree:
         tree = build_tree(x, x, y, config)
         assert tree.leaf_count() == 2
         assert tree.root.threshold == 3.5
-        assert smooth_predict(tree, [2.0], [2.0], config) == pytest.approx(1.0)
-        assert smooth_predict(tree, [5.0], [5.0], config) == pytest.approx(9.0)
+        assert predict_one(tree, [2.0], [2.0], config) == pytest.approx(1.0)
+        assert predict_one(tree, [5.0], [5.0], config) == pytest.approx(9.0)
 
     def test_split_survives_pruning_when_signal_is_real(self):
         x = np.arange(1.0, 7.0).reshape(-1, 1)
@@ -260,19 +263,19 @@ def manual_two_level_tree():
 class TestSmoothing:
     def test_blend_matches_hand_value(self):
         tree = manual_two_level_tree()
-        got = smooth_predict(tree, [0.0], [0.0], TreeConfig(smoothing_k=15.0))
+        got = predict_one(tree, [0.0], [0.0], TreeConfig(smoothing_k=15.0))
         assert got == pytest.approx((4 * 10.0 + 15 * 20.0) / 19.0)
 
     def test_zero_k_returns_raw_leaf(self):
         tree = manual_two_level_tree()
-        assert smooth_predict(tree, [0.0], [0.0], TreeConfig(smoothing_k=0.0)) == 10.0
-        assert smooth_predict(tree, [1.0], [0.0], TreeConfig(smoothing_k=0.0)) == 50.0
+        assert predict_one(tree, [0.0], [0.0], TreeConfig(smoothing_k=0.0)) == 10.0
+        assert predict_one(tree, [1.0], [0.0], TreeConfig(smoothing_k=0.0)) == 50.0
 
     def test_value_equal_to_threshold_routes_left(self):
         tree = manual_two_level_tree()
         config = TreeConfig(smoothing_k=0.0)
-        assert smooth_predict(tree, [0.5], [0.0], config) == 10.0
-        assert smooth_predict(tree, [0.5 + 1e-9], [0.0], config) == 50.0
+        assert predict_one(tree, [0.5], [0.0], config) == 10.0
+        assert predict_one(tree, [0.5 + 1e-9], [0.0], config) == 50.0
 
     def test_three_level_blend(self):
         leaf = Node(LinearModel(1.0, (0.0,)), count=2, mae=0.0)
@@ -298,15 +301,15 @@ class TestSmoothing:
         )
         tree = ModelTree(root, routing_dim=2, regression_dim=1)
         # leaf 1 -> (2*1 + 15*2)/17 -> (5*(32/17) + 15*3)/20 = 925/340
-        got = smooth_predict(tree, [0.0, 0.0], [0.0], TreeConfig(smoothing_k=15.0))
+        got = predict_one(tree, [0.0, 0.0], [0.0], TreeConfig(smoothing_k=15.0))
         assert got == pytest.approx(925.0 / 340.0)
 
     def test_dimension_mismatch(self):
         tree = manual_two_level_tree()
         with pytest.raises(ValueError, match="dimension mismatch"):
-            smooth_predict(tree, [0.0, 1.0], [0.0])
+            predict_one(tree, [0.0, 1.0], [0.0])
         with pytest.raises(ValueError, match="dimension mismatch"):
-            smooth_predict(tree, [0.0], [0.0, 1.0])
+            predict_one(tree, [0.0], [0.0, 1.0])
 
 
 class TestSerialization:
@@ -331,13 +334,6 @@ class TestSerialization:
         restored = tree_from_json(tree_to_json(tree))
         with pytest.raises(ValueError, match="deserialized"):
             prune(restored)
-
-    def test_render_smoke(self):
-        tree, _ = self.build_sample()
-        text = render_tree(tree)
-        assert "route[" in text
-        assert "leaf (n=" in text
-        assert text.endswith("\n")
 
 
 def reference_leaf_value(node, routing_row, regression_row):
@@ -434,7 +430,7 @@ class TestBatchPaths:
         # a row's prediction does not depend on the rows it is batched with
         order = np.random.default_rng(data[0]).permutation(len(r))
         assert np.array_equal(predict_tree(tree, r[order], g[order], config), got[order])
-        assert [smooth_predict(tree, r[i], g[i], config) for i in range(3)] == list(got[:3])
+        assert [predict_one(tree, r[i], g[i], config) for i in range(3)] == list(got[:3])
 
     def test_empty_batch(self):
         tree = manual_two_level_tree()
