@@ -10,6 +10,7 @@ import numpy as np
 from .data import (
     FEATURE_NAMES,
     Dataset,
+    check_field_types,
     effort_vector,
     feature_matrix,
     finite_number,
@@ -34,6 +35,7 @@ class TreeboostConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.n_trees < 1:
             raise ValueError(f"n_trees must be at least 1, got {self.n_trees}")
         if not 0.0 < self.huber_quantile <= 1.0:

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import logging
 import math
@@ -17,11 +15,14 @@ import numpy as np
 
 from . import baselines, evaluation, fmt, svgplot, ucp
 from .data import (
+    PREDICTION_COLUMNS,
     PROFILES,
     Dataset,
     parse_dataset,
     parse_number,
+    read_table,
     render_dataset,
+    render_table,
     effort_vector,
     finite_number,
     generate_synthetic,
@@ -53,8 +54,12 @@ def _write_json(path: Path, doc) -> None:
     _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _load_dataset(path: str) -> Dataset:
-    return parse_dataset(Path(path).read_text(encoding="utf-8"))
+def _load(path: str, parse: Callable[[str], Any]) -> Any:
+    """parse() the text of the file at path; a ValueError's message starts with the path."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 class Kind(NamedTuple):
@@ -140,8 +145,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     configs = _configs(args)
-    dataset = _load_dataset(args.data)
+    dataset = _load(args.data, parse_dataset)
     train, test = split_holdout(dataset, args.train_count, args.seed)
+    if len(test) < evaluation.MIN_PAIRS:
+        raise ValueError(
+            f"--train-count {args.train_count} leaves {len(test)} project(s) for the test"
+            f" split; the Wilcoxon test needs at least {evaluation.MIN_PAIRS}"
+        )
     logger.info("split %d projects into %d train / %d test", len(dataset), len(train), len(test))
 
     models = {name: kind.fit(train, configs[name]) for name, kind in KINDS.items()}
@@ -181,7 +191,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     kind = KINDS[args.model]
     config = _configs(args)[args.model]
-    train = _load_dataset(args.data) if args.data else None
+    train = _load(args.data, parse_dataset) if args.data else None
     _write_json(Path(args.out), kind.to_json(kind.fit(train, config)))
     print(f"wrote {args.model} model to {args.out}")
     return 0
@@ -198,38 +208,23 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown model kind {name!r} in model file")
     kind = KINDS[name]
     model = kind.from_json(doc)
-    dataset = _load_dataset(args.data)
+    dataset = _load(args.data, parse_dataset)
     predictions = kind.predict(model, dataset)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["id", "predicted_ph"])
-    for project, value in zip(dataset, predictions):
-        writer.writerow([project.id, repr(float(value))])
-    _write_text(Path(args.out), buffer.getvalue())
+    rows = ((project.id, repr(float(value))) for project, value in zip(dataset, predictions))
+    _write_text(Path(args.out), render_table(PREDICTION_COLUMNS, rows))
     print(f"wrote {len(dataset)} predictions to {args.out}")
     return 0
 
 
-def _load_predictions(path: str) -> dict[str, float]:
-    """Read an id,predicted_ph CSV; rows are numbered from 1 at the header."""
-    rows = list(csv.reader(io.StringIO(Path(path).read_text(encoding="utf-8"))))
-    rows = [(i + 1, row) for i, row in enumerate(rows) if row]
-    if not rows or [c.strip().lower() for c in rows[0][1]] != ["id", "predicted_ph"]:
-        raise ValueError("predictions file must have header id,predicted_ph")
-    result: dict[str, float] = {}
-    for row_number, row in rows[1:]:
-        if len(row) != 2:
-            raise ValueError(f"malformed prediction row: {row!r}")
-        pid = row[0].strip()
-        if pid in result:
-            raise ValueError(f"duplicate prediction id {pid!r} at row {row_number}")
-        result[pid] = parse_number(row[1], "predicted_ph", row_number)
-    return result
+def _parse_predictions(text: str) -> dict[str, float]:
+    """Parse a predictions CSV with the columns PREDICTION_COLUMNS (see data.read_table)."""
+    rows = read_table(text, PREDICTION_COLUMNS)
+    return {pid: parse_number(value, "predicted_ph", number) for number, pid, (value,) in rows}
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    dataset = _load_dataset(args.data)
-    predicted = _load_predictions(args.predictions)
+    dataset = _load(args.data, parse_dataset)
+    predicted = _load(args.predictions, _parse_predictions)
     dataset_ids = set(dataset.ids())
     missing = sorted(dataset_ids - predicted.keys())
     extra = sorted(predicted.keys() - dataset_ids)

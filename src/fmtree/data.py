@@ -5,14 +5,16 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, fields
+from typing import Iterable, Iterator
 
 import numpy as np
 
 FEATURE_NAMES = ("size_ucp", "productivity", "complexity")
 CSV_COLUMNS = ("id", "size_ucp", "productivity", "complexity", "effort_ph")
+PREDICTION_COLUMNS = ("id", "predicted_ph")
 SOURCE_LABELS = ("Ind1", "Ind2", "Edu", "mixed", "synthetic")
 
 # Strict decimal syntax: no thousands separators, no underscores, no inf/nan.
@@ -106,6 +108,20 @@ def json_int(value, what: str, low: int, high: int | None = None) -> int:
     return value
 
 
+def check_field_types(config) -> None:
+    """Check a config dataclass: int fields hold ints, float fields finite numbers (no bools).
+
+    The field types are read from the string annotations that
+    `from __future__ import annotations` leaves on the dataclass.
+    """
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if field.type == "float":
+            finite_number(value, field.name)
+        elif isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{field.name} must be an integer, got {value!r}")
+
+
 def finite_numbers(value, what: str, length: int) -> list[float]:
     """A JSON list of exactly `length` finite numbers."""
     if not isinstance(value, list) or len(value) != length:
@@ -123,66 +139,73 @@ def parse_number(text: str, column: str, row: int) -> float:
     return value
 
 
-def parse_dataset(csv_text: str, source_label: str = "mixed") -> Dataset:
-    """Parse a project CSV into a Dataset.
+def read_table(text: str, columns: tuple[str, ...]) -> Iterator[tuple[int, str, list[str]]]:
+    """Yield (row number, id, other cells in `columns` order) for each data row of a CSV.
 
-    The header must name exactly the columns id, size_ucp, productivity,
-    complexity, effort_ph (any order, case-insensitive).  Rows are numbered
-    from 1 at the header so error messages match editor line numbers.
+    The header names exactly `columns` (id first) in any order and case.  Rows
+    are numbered from 1 at the first line, blank lines included, so errors
+    match editor line numbers.  Ids must be non-empty and unique.
     """
-    records = enumerate(csv.reader(io.StringIO(csv_text)), 1)
-    rows = ((number, row) for number, row in records if row)
-    first = next(rows, None)
-    if first is None:
+    records = enumerate(csv.reader(io.StringIO(text)), 1)
+    for _, header in records:
+        if header:
+            break
+    else:
         raise ValueError("empty input: missing header row")
-    names = [cell.strip().lower() for cell in first[1]]
-    missing = [c for c in CSV_COLUMNS if c not in names]
+    names = [cell.strip().lower() for cell in header]
+    missing = [c for c in columns if c not in names]
     if missing:
         raise ValueError(f"missing column(s): {', '.join(missing)}")
-    unexpected = [c for c in names if c not in CSV_COLUMNS]
+    unexpected = [c for c in names if c not in columns]
     if unexpected:
         raise ValueError(f"unexpected column(s): {', '.join(unexpected)}")
     if len(names) != len(set(names)):
         raise ValueError("repeated column in header")
-    index = {name: names.index(name) for name in CSV_COLUMNS}
-
-    projects: list[Project] = []
+    # One itemgetter call per row: a generator per row slowed large parses markedly.
+    pick = operator.itemgetter(*(names.index(c) for c in columns))
     seen: set[str] = set()
-    for row_number, row in rows:
+    for number, row in records:
+        if not row:
+            continue
         if len(row) != len(names):
-            raise ValueError(
-                f"expected {len(names)} fields, found {len(row)} at row {row_number}"
-            )
-        pid = row[index["id"]].strip()
-        if not pid:
-            raise ValueError(f"empty id at row {row_number}")
-        if pid in seen:
-            raise ValueError(f"duplicate id {pid!r} at row {row_number}")
-        values = {
-            name: parse_number(row[index[name]], name, row_number)
-            for name in CSV_COLUMNS[1:]
-        }
-        if values["effort_ph"] <= 0:
-            raise ValueError(f"non-positive effort at row {row_number}")
-        if values["size_ucp"] <= 0:
-            raise ValueError(f"non-positive size_ucp at row {row_number}")
-        seen.add(pid)
-        projects.append(Project(pid, **values))
-    if not projects:
+            raise ValueError(f"expected {len(names)} fields, found {len(row)} at row {number}")
+        raw_id, *cells = pick(row)
+        row_id = raw_id.strip()
+        if not row_id:
+            raise ValueError(f"empty id at row {number}")
+        if row_id in seen:
+            raise ValueError(f"duplicate id {row_id!r} at row {number}")
+        seen.add(row_id)
+        yield number, row_id, cells
+    if not seen:
         raise ValueError("no data rows")
+
+
+def render_table(columns: tuple[str, ...], rows: Iterable[Iterable[str]]) -> str:
+    """CSV text of a header row and `rows`, one line each, ending in a newline."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def parse_dataset(csv_text: str, source_label: str = "mixed") -> Dataset:
+    """Parse a project CSV with the columns CSV_COLUMNS into a Dataset (see read_table)."""
+    projects: list[Project] = []
+    for number, pid, cells in read_table(csv_text, CSV_COLUMNS):
+        values = [parse_number(text, name, number) for name, text in zip(CSV_COLUMNS[1:], cells)]
+        try:
+            projects.append(Project(pid, *values))
+        except ValueError as exc:
+            raise ValueError(f"{exc} at row {number}") from None
     return Dataset(tuple(projects), source_label)
 
 
 def render_dataset(dataset: Dataset) -> str:
     """Render a Dataset back to CSV text; parse(render(d)) round-trips exactly."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for p in dataset:
-        writer.writerow(
-            [p.id, repr(p.size_ucp), repr(p.productivity), repr(p.complexity), repr(p.effort_ph)]
-        )
-    return buffer.getvalue()
+    rows = ((p.id, *map(repr, p.features()), repr(p.effort_ph)) for p in dataset)
+    return render_table(CSV_COLUMNS, rows)
 
 
 def split_holdout(dataset: Dataset, train_count: int, seed: int) -> tuple[Dataset, Dataset]:

@@ -9,6 +9,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 DEFAULT_ALPHA = 0.05
+# The fewest pairs wilcoxon_signed_rank accepts, so the fewest test rows `compare` can use.
+MIN_PAIRS = 5
 _EXACT_LIMIT = 12
 
 
@@ -167,8 +169,8 @@ def wilcoxon_signed_rank(
     bv = _as_vector(b, "b")
     if av.shape != bv.shape:
         raise ValueError(f"length mismatch: {av.size} vs {bv.size}")
-    if av.size < 5:
-        raise ValueError(f"need at least 5 pairs, got {av.size}")
+    if av.size < MIN_PAIRS:
+        raise ValueError(f"need at least {MIN_PAIRS} pairs, got {av.size}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     d = av - bv

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import finite_numbers
+from .data import check_field_types, finite_numbers
 
 _SIGMA_FLOOR_SCALE = 1e-6
 
@@ -27,6 +27,7 @@ class FcmConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
         if not self.fuzzifier_m > 1.0:
@@ -265,7 +266,13 @@ def build_fuzzy_model(
     um = partition.memberships ** partition.fuzzifier_m
     centers = partition.centers.T.copy()  # (d, k)
     dev2 = (x[:, :, None] - centers[None, :, :]) ** 2
-    var = np.einsum("ic,ijc->jc", um, dev2) / um.sum(axis=0)[None, :]
+    weights = um.sum(axis=0)
+    if not np.all(weights > 0):
+        raise ValueError(
+            f"fuzzifier_m={partition.fuzzifier_m!r} is too large: memberships raised to it "
+            "underflow to 0, leaving a cluster with no weight"
+        )
+    var = np.einsum("ic,ijc->jc", um, dev2) / weights[None, :]
     ranges = x.max(axis=0) - x.min(axis=0)
     floor = np.where(ranges > 0, _SIGMA_FLOOR_SCALE * ranges, _SIGMA_FLOOR_SCALE)
     sigmas = np.maximum(np.sqrt(var), floor[:, None])

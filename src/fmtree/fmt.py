@@ -125,9 +125,8 @@ def fmt_from_json(doc: dict) -> FmtModel:
             f"fmt tree dimensions must be routing {d * k} / regression {d} for k={k}, "
             f"got {tree.routing_dim} / {tree.regression_dim}"
         )
-    return FmtModel(
-        fuzzy,
-        tree,
-        _config_from_json(FcmConfig, doc.get("fcm_config"), "fmt fcm_config"),
-        _config_from_json(TreeConfig, doc.get("tree_config"), "fmt tree_config"),
-    )
+    fcm_config = _config_from_json(FcmConfig, doc.get("fcm_config"), "fmt fcm_config")
+    if fcm_config.k != k:
+        raise ValueError(f"fmt fcm_config k={fcm_config.k} does not match the {k} fuzzy clusters")
+    tree_config = _config_from_json(TreeConfig, doc.get("tree_config"), "fmt tree_config")
+    return FmtModel(fuzzy, tree, fcm_config, tree_config)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .data import finite_number, finite_numbers, json_int
+from .data import check_field_types, finite_number, finite_numbers, json_int
 
 # Error-inflation fallback for nodes with no spare degrees of freedom (n <= v).
 _SMALL_NODE_FACTOR = 10.0
@@ -29,14 +29,13 @@ class TreeConfig:
     pruning_factor: float = 1.0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.min_instances < 2:
             raise ValueError(f"min_instances must be at least 2, got {self.min_instances}")
         if not 0.0 < self.sd_fraction < 1.0:
             raise ValueError(f"sd_fraction must be in (0, 1), got {self.sd_fraction}")
-        if not (self.smoothing_k >= 0 and np.isfinite(self.smoothing_k)):
-            raise ValueError(
-                f"smoothing_k must be non-negative and finite, got {self.smoothing_k}"
-            )
+        if self.smoothing_k < 0:
+            raise ValueError(f"smoothing_k must be non-negative, got {self.smoothing_k}")
         if self.pruning_factor < 0:
             raise ValueError(f"pruning_factor must be non-negative, got {self.pruning_factor}")
 
@@ -116,15 +115,15 @@ def _popsd(y: np.ndarray) -> float:
 
 
 def _best_split(
-    routing: np.ndarray, y: np.ndarray, min_instances: int
+    routing: np.ndarray, y: np.ndarray, min_instances: int, parent_sd: float
 ) -> tuple[float, int, float] | None:
     """Maximize SDR over midpoints of consecutive distinct routing values.
 
-    Ties break toward the lowest feature index, then the lowest threshold.
-    Both children must keep at least min_instances rows.
+    parent_sd is the population sd of y.  Ties break toward the lowest
+    feature index, then the lowest threshold.  Both children must keep at
+    least min_instances rows.
     """
     n = len(y)
-    parent_sd = _popsd(y)
     cuts = np.arange(min_instances, n - min_instances + 1)
     if cuts.size == 0:
         return None
@@ -192,7 +191,7 @@ def build_tree(
             or node_sd < config.sd_fraction * global_sd
         ):
             return node
-        found = _best_split(r[idx], y[idx], config.min_instances)
+        found = _best_split(r[idx], y[idx], config.min_instances, node_sd)
         if found is None or found[0] <= 0.0:
             return node
         _, node.feature, node.threshold = found

@@ -81,6 +81,8 @@ class TestTreeboostConfig:
             ({"influence_trimming": 1.0}, "influence_trimming"),
             ({"influence_trimming": -0.1}, "influence_trimming"),
             ({"max_depth": 0}, "max_depth"),
+            ({"n_trees": 2.5}, "n_trees must be an integer"),
+            ({"shrinkage": True}, "shrinkage must be a number"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, message):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,14 @@ from hypothesis import strategies as st
 import fmtree
 from conftest import piecewise_dataset
 from fmtree.cli import KINDS, _log_level, build_parser, main
-from fmtree.data import Dataset, parse_dataset, render_dataset, split_holdout
+from fmtree.data import (
+    CSV_COLUMNS,
+    PREDICTION_COLUMNS,
+    Dataset,
+    parse_dataset,
+    render_dataset,
+    split_holdout,
+)
 
 UCP_MODEL = {
     "actors": ["simple", "simple", "complex"],
@@ -181,7 +189,7 @@ class TestTrainPredictEvaluate:
         code = main(["evaluate", "--predictions", str(predictions),
                      "--data", str(dataset_csv), "--out", str(tmp_path / "r.json")])
         assert code == 2
-        assert "must have header" in capsys.readouterr().err
+        assert "missing column(s): id, predicted_ph" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize(
@@ -214,7 +222,7 @@ class TestTrainPredictEvaluate:
         code = main(["evaluate", "--predictions", str(predictions),
                      "--data", str(dataset_csv), "--out", str(tmp_path / "r.json")])
         assert code == 2
-        assert f"duplicate prediction id 'p002' at row {len(rows) + 2}" in capsys.readouterr().err
+        assert f"pred.csv: duplicate id 'p002' at row {len(rows) + 2}" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize(
@@ -263,6 +271,58 @@ class TestTrainPredictEvaluate:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
+
+
+def csv_lines(*rows):
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+# Each case makes a bad table from a valid header h and data rows r (lists of
+# cells).  In the message, {last} is the last column's name, {width} the
+# column count and {short} one less.
+TABLE_ERRORS = [
+    pytest.param(lambda h, r: "\n\n", "empty input", id="empty-input"),
+    pytest.param(lambda h, r: csv_lines(h[:-1], *(row[:-1] for row in r)),
+                 "missing column(s): {last}", id="missing-column"),
+    pytest.param(lambda h, r: csv_lines(h + ["notes"], *(row + ["x"] for row in r)),
+                 "unexpected column(s): notes", id="unexpected-column"),
+    pytest.param(lambda h, r: csv_lines(h + ["ID"], *(row + [row[0]] for row in r)),
+                 "repeated column in header", id="repeated-column"),
+    pytest.param(lambda h, r: csv_lines(h, r[0], r[1][:-1], *r[2:]),
+                 "expected {width} fields, found {short} at row 3", id="wrong-field-count"),
+    pytest.param(lambda h, r: csv_lines(h, r[0], [""] + r[1][1:], *r[2:]),
+                 "empty id at row 3", id="empty-id"),
+    pytest.param(lambda h, r: csv_lines(h, r[0], r[0], *r[2:]),
+                 "duplicate id 'p001' at row 3", id="duplicate-id"),
+    pytest.param(lambda h, r: csv_lines(h, r[0], r[1][:-1] + ["abc"], *r[2:]),
+                 "non-numeric {last} 'abc' at row 3", id="bad-number"),
+    pytest.param(lambda h, r: "\n\n" + csv_lines(h) + "\n" + csv_lines(r[0]) + "\n\n"
+                 + csv_lines(r[1][:-1] + ["abc"], *r[2:]),
+                 "non-numeric {last} 'abc' at row 8", id="blank-lines"),
+]
+
+
+@pytest.mark.parametrize("bad_file", ["projects.csv", "pred.csv"])
+@pytest.mark.parametrize("make, message", TABLE_ERRORS)
+def test_evaluate_reports_table_errors_in_either_file(tmp_path, capsys, bad_file, make, message):
+    dataset = piecewise_dataset()
+    tables = {
+        "projects.csv": (CSV_COLUMNS, [
+            line.split(",") for line in render_dataset(dataset).splitlines()[1:]
+        ]),
+        "pred.csv": (PREDICTION_COLUMNS, [[p.id, repr(p.effort_ph)] for p in dataset]),
+    }
+    for name, (header, rows) in tables.items():
+        text = make(list(header), rows) if name == bad_file else csv_lines(header, *rows)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    header = tables[bad_file][0]
+    expected = message.format(last=header[-1], width=len(header), short=len(header) - 1)
+    report = tmp_path / "report.json"
+    code = main(["evaluate", "--predictions", str(tmp_path / "pred.csv"),
+                 "--data", str(tmp_path / "projects.csv"), "--out", str(report)])
+    assert code == 2
+    assert f"{bad_file}: {expected}" in capsys.readouterr().err
+    assert not report.exists()
 
 
 @settings(max_examples=8, deadline=None)
@@ -348,6 +408,26 @@ class TestCompare:
                      "--ratio", "nan", "--out-dir", str(tmp_path / "r")])
         assert code == 2
         assert "ratio must be positive and finite" in capsys.readouterr().err
+
+    def test_small_test_split_fails_before_any_fit(self, tmp_path, dataset_csv, capsys,
+                                                   monkeypatch):
+        fits = []
+        for name, kind in KINDS.items():
+            monkeypatch.setitem(KINDS, name, kind._replace(fit=lambda *a, n=name: fits.append(n)))
+        code = main(["compare", "--data", str(dataset_csv), "--train-count", "83",
+                     "--out-dir", str(tmp_path / "r")])
+        assert code == 2
+        assert "--train-count 83 leaves 1 project(s) for the test split" in capsys.readouterr().err
+        assert fits == []
+        assert not (tmp_path / "r").exists()
+
+    def test_huge_fuzzifier_is_named_without_numpy_warning(self, tmp_path, dataset_csv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["compare", "--data", str(dataset_csv), "--fuzzifier", "1e308",
+                         "--trees", "5", "--out-dir", str(tmp_path / "r")])
+        assert code == 2
+        assert "fuzzifier_m=1e+308 is too large" in capsys.readouterr().err
 
     def test_missing_data_file_exits_2(self, tmp_path, capsys):
         code = main(["compare", "--data", str(tmp_path / "absent.csv"),

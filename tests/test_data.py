@@ -54,7 +54,7 @@ def test_parse_unexpected_column_rejected():
 
 def test_parse_non_positive_effort_reports_row():
     text = "id,size_ucp,productivity,complexity,effort_ph\np1,1,2,3,4\np2,1,2,3,0\n"
-    with pytest.raises(ValueError, match="non-positive effort at row 3"):
+    with pytest.raises(ValueError, match="effort_ph must be positive, got 0.0 at row 3"):
         parse_dataset(text)
 
 

@@ -188,6 +188,15 @@ def model_doc():
         (lambda d: d["fcm_config"].update(bogus=1), "malformed fmt fcm_config"),
         (lambda d: d.update(tree_config=[]), "tree_config must be a JSON object"),
         (lambda d: d["tree_config"].update(smoothing_k=float("nan")), "smoothing_k"),
+        (lambda d: d["tree_config"].update(smoothing_k=True),
+         "smoothing_k must be a number, got True"),
+        (lambda d: d["tree_config"].update(min_instances=4.5),
+         "min_instances must be an integer, got 4.5"),
+        (lambda d: d["fcm_config"].update(max_iterations=2.5),
+         "max_iterations must be an integer, got 2.5"),
+        (lambda d: d["fcm_config"].update(seed="x"), "seed must be an integer, got 'x'"),
+        (lambda d: d["fcm_config"].update(k=True), "k must be an integer, got True"),
+        (lambda d: d["fcm_config"].update(k=7), "k=7 does not match the 3 fuzzy clusters"),
     ],
 )
 def test_from_json_rejects_malformed_models(change, message):

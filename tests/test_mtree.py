@@ -82,7 +82,7 @@ class TestBestSplit:
         #   4.5, 5.5 mirror 2.5, 1.5
         routing = np.arange(1.0, 7.0).reshape(-1, 1)
         y = np.array([1.0, 1.0, 1.0, 9.0, 9.0, 9.0])
-        sdr, feature, threshold = _best_split(routing, y, 1)
+        sdr, feature, threshold = _best_split(routing, y, 1, float(np.std(y)))
         assert feature == 0
         assert threshold == 3.5
         assert_allclose(sdr, 4.0)
@@ -91,7 +91,7 @@ class TestBestSplit:
         routing = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([0.0, 1.0, 1.0, 0.0])
         # cuts at 1.5 and 3.5 give identical SDR by symmetry
-        sdr, feature, threshold = _best_split(routing, y, 1)
+        sdr, feature, threshold = _best_split(routing, y, 1, float(np.std(y)))
         assert threshold == 1.5
         assert_allclose(sdr, 0.5 - 0.75 * pop_sd([1.0, 1.0, 0.0]))
 
@@ -99,7 +99,7 @@ class TestBestSplit:
         column = np.arange(1.0, 7.0)
         routing = np.column_stack([column, column])
         y = np.array([1.0, 1.0, 1.0, 9.0, 9.0, 9.0])
-        _, feature, threshold = _best_split(routing, y, 1)
+        _, feature, threshold = _best_split(routing, y, 1, float(np.std(y)))
         assert feature == 0
         assert threshold == 3.5
 
@@ -108,7 +108,7 @@ class TestBestSplit:
             rng = np.random.default_rng(seed)
             routing = rng.uniform(0.0, 10.0, size=(30, 3))
             y = rng.uniform(0.0, 100.0, size=30)
-            got = _best_split(routing, y, 3)
+            got = _best_split(routing, y, 3, float(np.std(y)))
             want = oracle_best_split(routing, y, 3)
             assert got is not None
             assert got[1] == want[1]
@@ -118,12 +118,12 @@ class TestBestSplit:
     def test_respects_min_instances(self):
         routing = np.arange(1.0, 7.0).reshape(-1, 1)
         y = np.array([1.0, 1.0, 1.0, 9.0, 9.0, 9.0])
-        assert _best_split(routing, y, 4) is None
+        assert _best_split(routing, y, 4, float(np.std(y))) is None
 
     def test_no_cut_between_equal_values(self):
         routing = np.array([[1.0], [1.0], [1.0], [1.0]])
         y = np.array([0.0, 1.0, 2.0, 3.0])
-        assert _best_split(routing, y, 1) is None
+        assert _best_split(routing, y, 1, float(np.std(y))) is None
 
 
 class TestBuildTree:
