@@ -22,9 +22,7 @@ from .data import (
     IND2,
     PROFILES,
     Dataset,
-    Project,
     SourceProfile,
-    effort_vector,
     generate_synthetic,
     parse_dataset,
     render_dataset,
@@ -87,7 +85,6 @@ __all__ = [
     "MlrModel",
     "ModelTree",
     "PROFILES",
-    "Project",
     "SourceProfile",
     "Standardization",
     "TreeConfig",
@@ -103,7 +100,6 @@ __all__ = [
     "compute_adjustment_factors",
     "compute_ucp",
     "compute_uucp",
-    "effort_vector",
     "evaluate",
     "fcm_cluster",
     "fit_mlr",

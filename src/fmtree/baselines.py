@@ -11,8 +11,6 @@ from .data import (
     FEATURE_NAMES,
     Dataset,
     check_field_types,
-    effort_vector,
-    feature_matrix,
     finite_number,
     json_int,
 )
@@ -238,8 +236,8 @@ def fit_treeboost(train: Dataset, config: TreeboostConfig = TreeboostConfig()) -
     """
     if len(train) < 10:
         raise ValueError(f"need at least 10 training projects, got {len(train)}")
-    x = feature_matrix(train)
-    y = effort_vector(train)
+    x = train.features
+    y = train.efforts
     f0 = float(np.median(y))
     model = TreeboostModel(f0, config.shrinkage)
     if float(np.ptp(y)) == 0.0:
@@ -291,7 +289,7 @@ def _forest(trees: list[StageTree]) -> tuple[StageTree, np.ndarray]:
 
 def predict_treeboost_dataset(model: TreeboostModel, dataset: Dataset) -> np.ndarray:
     """Predict every project; the stages are added one at a time, in tree order."""
-    x = feature_matrix(dataset)
+    x = dataset.features
     total = np.zeros(len(x))
     if model.trees:
         forest, roots = _forest(model.trees)
@@ -448,12 +446,9 @@ def fit_mlr(train: Dataset) -> MlrModel:
     """Fit ln(effort) on [1, ln(size), productivity, complexity] by OLS."""
     if len(train) < 5:
         raise ValueError(f"need at least 5 training projects, got {len(train)}")
-    features = feature_matrix(train)
-    y = np.log(effort_vector(train))
+    y = np.log(train.efforts)
     n = len(y)
-    x = np.column_stack(
-        [np.ones(n), np.log(features[:, 0]), features[:, 1], features[:, 2]]
-    )
+    x = np.column_stack([np.ones(n), np.log(train.features[:, 0]), train.features[:, 1:]])
     beta, r2 = _ols(x, y)
     p = x.shape[1] - 1
     adjusted_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - p - 1)
@@ -494,16 +489,16 @@ def predict_mlr_dataset(model: MlrModel, dataset: Dataset) -> np.ndarray:
     round differently in the last bit.
     """
     predictions = []
-    for project in dataset:
+    for pid, (size, productivity, complexity) in zip(dataset.ids, dataset.features.tolist()):
         score = (
             model.intercept
-            + model.coef_ln_size * math.log(project.size_ucp)
-            + model.coef_productivity * project.productivity
-            + model.coef_complexity * project.complexity
+            + model.coef_ln_size * math.log(size)
+            + model.coef_productivity * productivity
+            + model.coef_complexity * complexity
         )
         if not score <= _MAX_LOG_EFFORT:
             raise ValueError(
-                f"mlr prediction for project {project.id!r} overflows: log-space score {score!r}"
+                f"mlr prediction for project {pid!r} overflows: log-space score {score!r}"
             )
         predictions.append(math.exp(score))
     return np.array(predictions)

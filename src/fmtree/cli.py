@@ -23,7 +23,6 @@ from .data import (
     read_table,
     render_dataset,
     render_table,
-    effort_vector,
     finite_number,
     generate_synthetic,
     split_holdout,
@@ -112,7 +111,7 @@ KINDS: dict[str, Kind] = {
         "UCP",
         lambda args: ucp.check_ratio(args.ratio),
         lambda train, ratio: ratio,
-        lambda ratio, dataset: np.array([ucp.classical_effort(p.size_ucp, ratio) for p in dataset]),
+        lambda ratio, dataset: dataset.features[:, 0] * ratio,
         lambda ratio: {"kind": "ucp", "ratio": ratio},
         _ucp_from_json,
     ),
@@ -129,7 +128,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     dataset = generate_synthetic(profile, args.count, args.seed)
     text = render_dataset(dataset)
     _write_text(Path(args.out), text)
-    efforts = effort_vector(dataset)
+    efforts = dataset.efforts
     centered = efforts - efforts.mean()
     variance = float(np.mean(centered**2))
     skewness = float(np.mean(centered**3)) / variance**1.5 if variance > 0 else math.nan
@@ -155,7 +154,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     logger.info("split %d projects into %d train / %d test", len(dataset), len(train), len(test))
 
     models = {name: kind.fit(train, configs[name]) for name, kind in KINDS.items()}
-    actuals = effort_vector(test)
+    actuals = test.efforts
     predictions = {
         kind.label: kind.predict(models[name], test) for name, kind in KINDS.items()
     }
@@ -197,20 +196,25 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.model_file).read_text(encoding="utf-8"))
+def _parse_model(text: str, expected: str | None) -> tuple[Kind, Any]:
+    """The kind and the model in a model file's JSON text; `expected`, if given, must match."""
+    doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError(f"model file must hold a JSON object, got {type(doc).__name__}")
     name = doc.get("kind")
-    if args.model is not None and name != args.model:
-        raise ValueError(f"model file kind {name!r} does not match requested {args.model!r}")
+    if expected is not None and name != expected:
+        raise ValueError(f"model file kind {name!r} does not match requested {expected!r}")
     if not isinstance(name, str) or name not in KINDS:
         raise ValueError(f"unknown model kind {name!r} in model file")
     kind = KINDS[name]
-    model = kind.from_json(doc)
+    return kind, kind.from_json(doc)
+
+
+def cmd_predict(args: argparse.Namespace) -> int:
+    kind, model = _load(args.model_file, lambda text: _parse_model(text, args.model))
     dataset = _load(args.data, parse_dataset)
     predictions = kind.predict(model, dataset)
-    rows = ((project.id, repr(float(value))) for project, value in zip(dataset, predictions))
+    rows = zip(dataset.ids, map(repr, predictions.tolist()))
     _write_text(Path(args.out), render_table(PREDICTION_COLUMNS, rows))
     print(f"wrote {len(dataset)} predictions to {args.out}")
     return 0
@@ -225,7 +229,7 @@ def _parse_predictions(text: str) -> dict[str, float]:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     dataset = _load(args.data, parse_dataset)
     predicted = _load(args.predictions, _parse_predictions)
-    dataset_ids = set(dataset.ids())
+    dataset_ids = set(dataset.ids)
     missing = sorted(dataset_ids - predicted.keys())
     extra = sorted(predicted.keys() - dataset_ids)
     if missing or extra:
@@ -234,9 +238,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             + (f"; missing: {', '.join(missing)}" if missing else "")
             + (f"; unmatched: {', '.join(extra)}" if extra else "")
         )
-    actuals = [p.effort_ph for p in dataset]
-    predictions = [predicted[p.id] for p in dataset]
-    report = evaluation.evaluate(actuals, predictions)
+    predictions = [predicted[pid] for pid in dataset.ids]
+    report = evaluation.evaluate(dataset.efforts, predictions)
     _write_json(Path(args.out), report.to_json())
     print(evaluation.render_metrics_table({"model": report}))
     print(f"report written to {args.out}")
@@ -244,14 +247,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_ucp(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.model_json).read_text(encoding="utf-8"))
-    model = ucp.use_case_model_from_json(doc)
+    model = _load(args.model_json, lambda text: ucp.use_case_model_from_json(json.loads(text)))
     breakdown = ucp.compute_ucp(model)
     effort = ucp.classical_effort(breakdown.ucp, args.ratio)
     for key, value in breakdown.to_json().items():
         print(f"{key:>6}: {value:.4f}")
     print(f"effort: {effort:.2f} PH (at {args.ratio:g} PH/UCP)")
     return 0
+
+
+def _seed(text: str) -> int:
+    """The --seed type: numpy's generators take only non-negative integer seeds."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_seed(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        p.add_argument("--seed", type=_seed, default=0, help="RNG seed, >= 0 (default 0)")
 
     def add_model_knobs(p: argparse.ArgumentParser) -> None:
         p.add_argument("--clusters", type=int, default=3, help="FCM cluster count")

@@ -1,4 +1,4 @@
-"""Project dataset schema, CSV/JSON ingestion, holdout splitting, synthetic data."""
+"""The project Dataset, the CSV table format, JSON number checks, holdout splits, synthetic data."""
 
 from __future__ import annotations
 
@@ -15,75 +15,75 @@ import numpy as np
 FEATURE_NAMES = ("size_ucp", "productivity", "complexity")
 CSV_COLUMNS = ("id", "size_ucp", "productivity", "complexity", "effort_ph")
 PREDICTION_COLUMNS = ("id", "predicted_ph")
-SOURCE_LABELS = ("Ind1", "Ind2", "Edu", "mixed", "synthetic")
 
 # Strict decimal syntax: no thousands separators, no underscores, no inf/nan.
 _NUMBER = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
 
 
-@dataclass(frozen=True)
-class Project:
-    """One observed project: UCP size, two context features, actual effort."""
+class _ProjectError(ValueError):
+    """A bad value in one project; `index` is the project's position in the dataset."""
 
-    id: str
-    size_ucp: float
-    productivity: float
-    complexity: float
-    effort_ph: float
-
-    def __post_init__(self) -> None:
-        for name in FEATURE_NAMES + ("effort_ph",):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-        if self.size_ucp <= 0:
-            raise ValueError(f"size_ucp must be positive, got {self.size_ucp}")
-        if self.effort_ph <= 0:
-            raise ValueError(f"effort_ph must be positive, got {self.effort_ph}")
-
-    def features(self) -> tuple[float, float, float]:
-        return (self.size_ucp, self.productivity, self.complexity)
+    def __init__(self, message: str, index: int) -> None:
+        super().__init__(message)
+        self.index = index
 
 
-@dataclass(frozen=True)
+def _project_fault(values: list[float]) -> str:
+    """The first fault in one project's (size_ucp, productivity, complexity, effort_ph)."""
+    for name, value in zip(CSV_COLUMNS[1:], values):
+        if not math.isfinite(value):
+            return f"{name} must be finite, got {value!r}"
+    name, value = ("size_ucp", values[0]) if values[0] <= 0 else ("effort_ph", values[3])
+    return f"{name} must be positive, got {value}"
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """An ordered collection of projects with unique ids."""
+    """Projects as columns: unique ids, an (n, 3) FEATURE_NAMES matrix and n efforts.
 
-    projects: tuple[Project, ...]
-    source_label: str = "mixed"
+    Both arrays are read-only float copies, `features` C-contiguous.  Every value
+    is checked once, here: all finite, sizes and efforts positive.
+    """
+
+    ids: tuple[str, ...]
+    features: np.ndarray
+    efforts: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "projects", tuple(self.projects))
-        if not self.projects:
+        ids = tuple(self.ids)
+        features = np.array(self.features, dtype=float, order="C")
+        efforts = np.array(self.efforts, dtype=float)
+        n = len(ids)
+        if n == 0:
             raise ValueError("dataset must contain at least one project")
-        if self.source_label not in SOURCE_LABELS:
-            raise ValueError(
-                f"unknown source_label {self.source_label!r}; expected one of {SOURCE_LABELS}"
-            )
-        seen: set[str] = set()
-        for project in self.projects:
-            if project.id in seen:
-                raise ValueError(f"duplicate id {project.id!r}")
-            seen.add(project.id)
+        if features.shape != (n, 3) or efforts.shape != (n,):
+            raise ValueError(f"{n} ids need features of shape ({n}, 3) and efforts of shape "
+                             f"({n},), got {features.shape} and {efforts.shape}")
+        if len(set(ids)) != n:
+            seen: set[str] = set()
+            for pid in ids:
+                if pid in seen:
+                    raise ValueError(f"duplicate id {pid!r}")
+                seen.add(pid)
+        valid = np.isfinite(features).all(axis=1) & np.isfinite(efforts)
+        valid &= (features[:, 0] > 0) & (efforts > 0)
+        if not valid.all():
+            i = int(np.argmin(valid))
+            raise _ProjectError(_project_fault([*features[i].tolist(), float(efforts[i])]), i)
+        features.flags.writeable = False
+        efforts.flags.writeable = False
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "efforts", efforts)
 
     def __len__(self) -> int:
-        return len(self.projects)
+        return len(self.ids)
 
-    def __iter__(self) -> Iterator[Project]:
-        return iter(self.projects)
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(p.id for p in self.projects)
-
-
-def feature_matrix(dataset: Dataset) -> np.ndarray:
-    """Return the (n, 3) matrix of (size_ucp, productivity, complexity) rows."""
-    return np.array([p.features() for p in dataset], dtype=float)
-
-
-def effort_vector(dataset: Dataset) -> np.ndarray:
-    return np.array([p.effort_ph for p in dataset], dtype=float)
+    def take(self, rows) -> Dataset:
+        """The projects at positions `rows`, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        ids = tuple(self.ids[i] for i in rows.tolist())
+        return Dataset(ids, self.features[rows], self.efforts[rows])
 
 
 def finite_number(value, what: str) -> float:
@@ -190,21 +190,25 @@ def render_table(columns: tuple[str, ...], rows: Iterable[Iterable[str]]) -> str
     return buffer.getvalue()
 
 
-def parse_dataset(csv_text: str, source_label: str = "mixed") -> Dataset:
+def parse_dataset(csv_text: str) -> Dataset:
     """Parse a project CSV with the columns CSV_COLUMNS into a Dataset (see read_table)."""
-    projects: list[Project] = []
+    names = CSV_COLUMNS[1:]
+    numbers, ids, values = [], [], []
     for number, pid, cells in read_table(csv_text, CSV_COLUMNS):
-        values = [parse_number(text, name, number) for name, text in zip(CSV_COLUMNS[1:], cells)]
-        try:
-            projects.append(Project(pid, *values))
-        except ValueError as exc:
-            raise ValueError(f"{exc} at row {number}") from None
-    return Dataset(tuple(projects), source_label)
+        numbers.append(number)
+        ids.append(pid)
+        values.append([parse_number(cell, name, number) for name, cell in zip(names, cells)])
+    table = np.array(values)
+    try:
+        return Dataset(tuple(ids), table[:, :3], table[:, 3])
+    except _ProjectError as exc:
+        raise ValueError(f"{exc} at row {numbers[exc.index]}") from None
 
 
 def render_dataset(dataset: Dataset) -> str:
     """Render a Dataset back to CSV text; parse(render(d)) round-trips exactly."""
-    rows = ((p.id, *map(repr, p.features()), repr(p.effort_ph)) for p in dataset)
+    table = np.column_stack([dataset.features, dataset.efforts]).tolist()
+    rows = ((pid, *map(repr, values)) for pid, values in zip(dataset.ids, table))
     return render_table(CSV_COLUMNS, rows)
 
 
@@ -217,11 +221,7 @@ def split_holdout(dataset: Dataset, train_count: int, seed: int) -> tuple[Datase
     if not 0 < train_count < n:
         raise ValueError(f"train_count must be in (0, {n}), got {train_count}")
     order = np.random.default_rng(seed).permutation(n)
-    train_idx = sorted(order[:train_count].tolist())
-    test_idx = sorted(order[train_count:].tolist())
-    train = Dataset(tuple(dataset.projects[i] for i in train_idx), dataset.source_label)
-    test = Dataset(tuple(dataset.projects[i] for i in test_idx), dataset.source_label)
-    return train, test
+    return dataset.take(np.sort(order[:train_count])), dataset.take(np.sort(order[train_count:]))
 
 
 @dataclass(frozen=True)
@@ -284,8 +284,14 @@ def _calibrate(profile: SourceProfile) -> tuple[float, float]:
     heavy-tailed profiles, hence this deterministic fixed-point correction over
     a quantile grid.
     """
-    # Imported here so that only the synthetic generator pays scipy's import.
-    from scipy.special import ndtri
+    # Imported here so that only the synthetic generator pays scipy's import
+    # and only its users need scipy, through the `synth` extra.
+    try:
+        from scipy.special import ndtri
+    except ImportError:
+        raise ValueError(
+            "synthetic data needs scipy; install it with `pip install fmtree[synth]`"
+        ) from None
 
     grid = ndtri((np.arange(_CAL_GRID_SIZE) + 0.5) / _CAL_GRID_SIZE)
     mean, sd = profile.mean_effort, profile.sd_effort
@@ -331,14 +337,6 @@ def generate_synthetic(profile: SourceProfile, n: int, seed: int) -> Dataset:
     )
     productivity = rng.uniform(*PRODUCTIVITY_RANGE, size=n)
     complexity = rng.integers(COMPLEXITY_RANGE[0], COMPLEXITY_RANGE[1] + 1, size=n)
-    projects = tuple(
-        Project(
-            f"syn-{i + 1:04d}",
-            float(efforts[i] / productivity[i]),
-            float(productivity[i]),
-            float(complexity[i]),
-            float(efforts[i]),
-        )
-        for i in range(n)
-    )
-    return Dataset(projects, "synthetic")
+    ids = tuple(f"syn-{i + 1:04d}" for i in range(n))
+    features = np.column_stack([efforts / productivity, productivity, complexity])
+    return Dataset(ids, features, efforts)

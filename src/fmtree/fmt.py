@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FEATURE_NAMES, Dataset, effort_vector, feature_matrix
+from .data import FEATURE_NAMES, Dataset
 from .fcm import (
     FcmConfig,
     FuzzyInferenceModel,
@@ -50,8 +50,7 @@ def train_fmt(
             f"training set of {len(train)} is smaller than required by "
             f"k={fcm_config.k} / min_instances={tree_config.min_instances}"
         )
-    features = feature_matrix(train)
-    efforts = effort_vector(train)
+    features = train.features
     standardization = Standardization.fit(features)
     z = standardization.apply(features)
     partition = fcm_cluster(z, fcm_config)
@@ -65,13 +64,13 @@ def train_fmt(
         )
     fuzzy = build_fuzzy_model(partition, z, standardization)
     memberships = membership_matrix(fuzzy, features)
-    tree = prune(build_tree(memberships, features, efforts, tree_config), tree_config)
+    tree = prune(build_tree(memberships, features, train.efforts, tree_config), tree_config)
     return FmtModel(fuzzy, tree, fcm_config, tree_config)
 
 
 def predict_fmt_dataset(model: FmtModel, dataset: Dataset) -> np.ndarray:
     """Estimate effort (PH) for every project; outputs are floored at 1 PH."""
-    features = feature_matrix(dataset)
+    features = dataset.features
     memberships = membership_matrix(model.fuzzy, features)
     predictions = predict_tree(model.tree, memberships, features, model.tree_config)
     return np.maximum(predictions, EFFORT_FLOOR_PH)

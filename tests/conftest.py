@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fmtree.data import Dataset, Project
+from fmtree.data import Dataset
 
 BENCHMARK_SEED = 2014
 BENCHMARK_SIZE = 84
@@ -29,12 +29,8 @@ def piecewise_dataset(n: int = BENCHMARK_SIZE, seed: int = BENCHMARK_SEED) -> Da
         34.0 * size - 5060.0 + 150.0 * complexity,
     )
     effort = effort * np.exp(rng.normal(0.0, 0.03, n))
-    projects = tuple(
-        Project(f"p{i + 1:03d}", float(size[i]), float(productivity[i]),
-                float(complexity[i]), float(effort[i]))
-        for i in range(n)
-    )
-    return Dataset(projects, "synthetic")
+    ids = tuple(f"p{i + 1:03d}" for i in range(n))
+    return Dataset(ids, np.column_stack([size, productivity, complexity]), effort)
 
 
 def linear_dataset(n: int = 80, seed: int = 11) -> Dataset:
@@ -44,12 +40,8 @@ def linear_dataset(n: int = 80, seed: int = 11) -> Dataset:
     productivity = rng.uniform(10.0, 35.0, n)
     complexity = rng.integers(1, 6, n).astype(float)
     effort = 25.0 + 12.0 * size + 6.0 * productivity + 90.0 * complexity
-    projects = tuple(
-        Project(f"lin{i:03d}", float(size[i]), float(productivity[i]),
-                float(complexity[i]), float(effort[i]))
-        for i in range(n)
-    )
-    return Dataset(projects, "synthetic")
+    ids = tuple(f"lin{i:03d}" for i in range(n))
+    return Dataset(ids, np.column_stack([size, productivity, complexity]), effort)
 
 
 @pytest.fixture

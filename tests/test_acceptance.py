@@ -28,8 +28,6 @@ from fmtree.cli import main
 from fmtree.data import (
     PROFILES,
     Dataset,
-    Project,
-    effort_vector,
     generate_synthetic,
     render_dataset,
     split_holdout,
@@ -199,14 +197,8 @@ def test_mlr_recovery(capsys):
         productivity = rng.uniform(10.0, 35.0, n)
         complexity = rng.integers(1, 6, n).astype(float)
         log_effort = 1.8 + 1.24 * np.log(size) + 0.007 * productivity + 0.12 * complexity
-        exact = Dataset(
-            tuple(
-                Project(f"e{i}", float(size[i]), float(productivity[i]),
-                        float(complexity[i]), float(np.exp(log_effort[i])))
-                for i in range(n)
-            ),
-            "synthetic",
-        )
+        features = np.column_stack([size, productivity, complexity])
+        exact = Dataset(tuple(f"e{i}" for i in range(n)), features, np.exp(log_effort))
         model = fit_mlr(exact)
         assert abs(model.intercept - 1.8) < 1e-6
         assert abs(model.coef_ln_size - 1.24) < 1e-6
@@ -214,14 +206,7 @@ def test_mlr_recovery(capsys):
         assert abs(model.coef_complexity - 0.12) < 1e-6
 
         noisy_log = log_effort + rng.normal(0.0, 0.2, n)
-        noisy = Dataset(
-            tuple(
-                Project(f"n{i}", float(size[i]), float(productivity[i]),
-                        float(complexity[i]), float(np.exp(noisy_log[i])))
-                for i in range(n)
-            ),
-            "synthetic",
-        )
+        noisy = Dataset(tuple(f"n{i}" for i in range(n)), features, np.exp(noisy_log))
         vif = fit_mlr(noisy).vif
         assert all(v < 1.1 for v in vif.values())
 
@@ -257,12 +242,12 @@ def test_end_to_end_nonlinearity(capsys):
         fmt_model = train_fmt(train, FcmConfig(seed=2014))
         boost_model = fit_treeboost(train, TreeboostConfig(seed=2014))
         mlr_model = fit_mlr(train)
-        actuals = effort_vector(test)
+        actuals = test.efforts
         predictions = {
             "FMT": predict_fmt_dataset(fmt_model, test),
             "Treeboost": predict_treeboost_dataset(boost_model, test),
             "MLR": predict_mlr_dataset(mlr_model, test),
-            "UCP": np.array([classical_effort(p.size_ucp) for p in test]),
+            "UCP": np.array([classical_effort(size) for size in test.features[:, 0].tolist()]),
         }
         fmt_mmre = mmre(mre_vector(actuals, predictions["FMT"]))
         mlr_mmre = mmre(mre_vector(actuals, predictions["MLR"]))
@@ -279,12 +264,12 @@ def test_end_to_end_nonlinearity(capsys):
 def test_generator_moments(capsys):
     with criterion(capsys, "generator moments"):
         for name, profile in PROFILES.items():
-            efforts = effort_vector(generate_synthetic(profile, 1000, seed=5))
+            efforts = generate_synthetic(profile, 1000, seed=5).efforts
             mean = float(efforts.mean())
             sd = float(efforts.std())
             assert abs(mean - profile.mean_effort) / profile.mean_effort < 0.10, name
             assert abs(sd - profile.sd_effort) / profile.sd_effort < 0.15, name
-        ind2 = effort_vector(generate_synthetic(PROFILES["ind2"], 1000, seed=5))
+        ind2 = generate_synthetic(PROFILES["ind2"], 1000, seed=5).efforts
         centered = ind2 - ind2.mean()
         skewness = float(np.mean(centered**3) / np.mean(centered**2) ** 1.5)
         assert skewness > 0.0

@@ -31,7 +31,7 @@ from fmtree.baselines import (
     treeboost_from_json,
     treeboost_to_json,
 )
-from fmtree.data import Dataset, Project, effort_vector, feature_matrix, split_holdout
+from fmtree.data import Dataset, split_holdout
 
 TREEBOOST_REFERENCE = json.loads(
     (Path(__file__).parent / "fixtures" / "treeboost_reference.json").read_text(encoding="utf-8")
@@ -39,11 +39,9 @@ TREEBOOST_REFERENCE = json.loads(
 
 
 def step_dataset():
-    projects = tuple(
-        Project(f"s{i}", float(i + 1), 20.0, 3.0, 100.0 if i < 5 else 200.0)
-        for i in range(10)
-    )
-    return Dataset(projects, "synthetic")
+    size = np.arange(1.0, 11.0)
+    features = np.column_stack([size, np.full(10, 20.0), np.full(10, 3.0)])
+    return Dataset(tuple(f"s{i}" for i in range(10)), features, np.where(size <= 5, 100.0, 200.0))
 
 
 def log_linear_dataset(n=60, seed=2, noise_sd=0.0, coef_complexity=0.08):
@@ -58,14 +56,8 @@ def log_linear_dataset(n=60, seed=2, noise_sd=0.0, coef_complexity=0.08):
         + coef_complexity * complexity
         + rng.normal(0.0, noise_sd, n) * (noise_sd > 0)
     )
-    projects = tuple(
-        Project(
-            f"m{i}", float(size[i]), float(productivity[i]), float(complexity[i]),
-            float(np.exp(log_effort[i])),
-        )
-        for i in range(n)
-    )
-    return Dataset(projects, "synthetic")
+    ids = tuple(f"m{i}" for i in range(n))
+    return Dataset(ids, np.column_stack([size, productivity, complexity]), np.exp(log_effort))
 
 
 class TestTreeboostConfig:
@@ -182,18 +174,19 @@ class TestTreeboost:
         assert model.f0 == 150.0
         assert len(model.trees) == 1
         assert model.loss_trace == [0.0]
-        assert_allclose(predict_treeboost_dataset(model, data), effort_vector(data))
+        assert_allclose(predict_treeboost_dataset(model, data), data.efforts)
 
     def test_constant_efforts_need_no_trees(self):
-        projects = tuple(Project(f"c{i}", float(i + 1), 20.0, 3.0, 500.0) for i in range(12))
-        model = fit_treeboost(Dataset(projects, "synthetic"), TreeboostConfig(n_trees=50))
+        features = np.column_stack([np.arange(1.0, 13.0), np.full(12, 20.0), np.full(12, 3.0)])
+        data = Dataset(tuple(f"c{i}" for i in range(12)), features, np.full(12, 500.0))
+        model = fit_treeboost(data, TreeboostConfig(n_trees=50))
         assert model.trees == []
         assert model.f0 == 500.0
-        assert predict_treeboost_dataset(model, Dataset(projects[:1]))[0] == 500.0
+        assert predict_treeboost_dataset(model, data.take([0]))[0] == 500.0
 
     def test_vanishing_shrinkage_stays_at_median(self):
         data = piecewise_dataset()
-        median = float(np.median(effort_vector(data)))
+        median = float(np.median(data.efforts))
         model = fit_treeboost(data, TreeboostConfig(n_trees=1, shrinkage=1e-12))
         assert_allclose(predict_treeboost_dataset(model, data), median, rtol=1e-6)
         model = fit_treeboost(data, TreeboostConfig(n_trees=50, shrinkage=1e-9))
@@ -202,7 +195,7 @@ class TestTreeboost:
     def test_single_leaf_series_arithmetic(self):
         leaf = StageTree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[5.0])
         model = TreeboostModel(f0=100.0, shrinkage=0.1, trees=[leaf])
-        probe = Dataset((Project("p", 100.0, 20.0, 3.0, 1.0),))
+        probe = Dataset(("p",), [[100.0, 20.0, 3.0]], [1.0])
         assert predict_treeboost_dataset(model, probe)[0] == 100.5
 
     def test_loss_trace_non_increasing(self):
@@ -229,12 +222,12 @@ class TestTreeboost:
 
     def test_prediction_floor(self):
         model = TreeboostModel(f0=0.25, shrinkage=0.1)
-        probe = Dataset((Project("p", 100.0, 20.0, 3.0, 1.0),))
+        probe = Dataset(("p",), [[100.0, 20.0, 3.0]], [1.0])
         assert predict_treeboost_dataset(model, probe)[0] == 1.0
 
     def test_too_few_projects(self):
         with pytest.raises(ValueError, match="at least 10"):
-            fit_treeboost(Dataset(step_dataset().projects[:9], "synthetic"))
+            fit_treeboost(step_dataset().take(range(9)))
 
     def test_json_round_trip(self):
         train, test = split_holdout(piecewise_dataset(), 59, seed=2014)
@@ -282,7 +275,7 @@ class TestTreeboost:
         model = fit_treeboost(train, TreeboostConfig(n_trees=150, max_depth=4, seed=3))
         doc = treeboost_to_json(model)
         expected = []
-        for row in feature_matrix(test):
+        for row in test.features:
             total = 0
             for node in doc["trees"]:
                 while "value" not in node:
@@ -291,7 +284,9 @@ class TestTreeboost:
             expected.append(max(doc["f0"] + doc["shrinkage"] * total, 1.0))
         batch = predict_treeboost_dataset(model, test)
         assert batch.tolist() == expected
-        assert [predict_treeboost_dataset(model, Dataset((p,)))[0] for p in test] == expected
+        assert [
+            predict_treeboost_dataset(model, test.take([i]))[0] for i in range(len(test))
+        ] == expected
 
     @pytest.mark.parametrize("seed", sorted(TREEBOOST_REFERENCE["fits"]))
     def test_fit_matches_recorded_reference(self, seed):
@@ -342,36 +337,36 @@ class TestMlr:
 
     def test_prediction_is_exp_of_score(self):
         model = fit_mlr(log_linear_dataset())
-        project = Project("q", 180.0, 22.0, 4.0, 1.0)
+        project = Dataset(("q",), [[180.0, 22.0, 4.0]], [1.0])
         score = (
             model.intercept
             + model.coef_ln_size * math.log(180.0)
             + model.coef_productivity * 22.0
             + model.coef_complexity * 4.0
         )
-        assert predict_mlr_dataset(model, Dataset((project,)))[0] == math.exp(score)
+        assert predict_mlr_dataset(model, project)[0] == math.exp(score)
 
     def test_intercept_only_model(self):
         model = MlrModel(1.8, 0.0, 0.0, 0.0, 0.0, {}, {}, {})
-        probe = Dataset((Project("q", 50.0, 15.0, 2.0, 1.0),))
+        probe = Dataset(("q",), [[50.0, 15.0, 2.0]], [1.0])
         assert predict_mlr_dataset(model, probe)[0] == 6.0496474644129465
 
     def test_hand_coefficients_evaluated(self):
         model = MlrModel(1.8, 1.24, 0.007, 0.12, 0.0, {}, {}, {})
-        probe = Dataset((Project("q", 100.0, 10.0, 2.0, 1.0),))
+        probe = Dataset(("q",), [[100.0, 10.0, 2.0]], [1.0])
         assert predict_mlr_dataset(model, probe)[0] == pytest.approx(2490.929045779924)
 
     def test_residuals_orthogonal_to_design(self):
         data = log_linear_dataset(noise_sd=0.3)
         model = fit_mlr(data)
-        features = np.array([p.features() for p in data])
+        features = data.features
         x = np.column_stack(
             [np.ones(len(data)), np.log(features[:, 0]), features[:, 1], features[:, 2]]
         )
         beta = np.array(
             [model.intercept, model.coef_ln_size, model.coef_productivity, model.coef_complexity]
         )
-        residuals = np.log(effort_vector(data)) - x @ beta
+        residuals = np.log(data.efforts) - x @ beta
         assert_allclose(x.T @ residuals, 0.0, atol=1e-8)
 
     def test_vif_near_one_for_independent_predictors(self):
@@ -380,12 +375,16 @@ class TestMlr:
 
     def test_collinear_predictors_rejected(self):
         rng = np.random.default_rng(5)
-        projects = tuple(
-            Project(f"c{i}", float(rng.uniform(50, 400)), 2.0 * c, c, float(rng.uniform(100, 5000)))
-            for i, c in enumerate(rng.integers(1, 6, 30).astype(float))
+        complexity = rng.integers(1, 6, 30).astype(float)
+        size = rng.uniform(50.0, 400.0, 30)
+        effort = rng.uniform(100.0, 5000.0, 30)
+        data = Dataset(
+            tuple(f"c{i}" for i in range(30)),
+            np.column_stack([size, 2.0 * complexity, complexity]),
+            effort,
         )
         with pytest.raises(ValueError, match="collinear"):
-            fit_mlr(Dataset(projects, "synthetic"))
+            fit_mlr(data)
 
     def test_p_values_flag_the_null_predictor(self):
         data = log_linear_dataset(n=400, seed=1, noise_sd=0.2, coef_complexity=0.0)
@@ -402,7 +401,7 @@ class TestMlr:
 
     def test_too_few_projects(self):
         with pytest.raises(ValueError, match="at least 5"):
-            fit_mlr(Dataset(log_linear_dataset().projects[:4], "synthetic"))
+            fit_mlr(log_linear_dataset().take(range(4)))
 
     def test_json_round_trip(self):
         data = log_linear_dataset(noise_sd=0.25)

@@ -20,7 +20,6 @@ from fmtree.cli import KINDS, _log_level, build_parser, main
 from fmtree.data import (
     CSV_COLUMNS,
     PREDICTION_COLUMNS,
-    Dataset,
     parse_dataset,
     render_dataset,
     split_holdout,
@@ -69,6 +68,30 @@ class TestSynth:
             main(["synth", "nope", "10", "--out", str(tmp_path / "x.csv")])
         assert excinfo.value.code == 2
 
+    def test_missing_scipy_names_the_extra(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy.special", None)
+        out = tmp_path / "x.csv"
+        assert main(["synth", "edu", "10", "--out", str(out)]) == 2
+        assert "pip install fmtree[synth]" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "compare", "train"])
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_bad_seed_is_rejected_before_any_file_is_touched(tmp_path, capsys, command, seed):
+    out = tmp_path / "out"
+    data = tmp_path / "absent.csv"
+    argv = {
+        "synth": ["synth", "edu", "10", "--out", str(out)],
+        "compare": ["compare", "--data", str(data), "--out-dir", str(out)],
+        "train": ["train", "--model", "fmt", "--data", str(data), "--out", str(out)],
+    }[command]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--seed", seed])
+    assert excinfo.value.code == 2
+    assert f"argument --seed: must be an integer >= 0, got '{seed}'" in capsys.readouterr().err
+    assert not out.exists()
+
 
 class TestUcpCommand:
     def test_worked_example(self, tmp_path, capsys):
@@ -100,7 +123,7 @@ class TestUcpCommand:
         model = tmp_path / "usecases.json"
         model.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["ucp", str(model)]) == 2
-        assert message in capsys.readouterr().err
+        assert f"error: {model}: {message}" in capsys.readouterr().err
 
 
 class TestTrainPredictEvaluate:
@@ -136,8 +159,9 @@ class TestTrainPredictEvaluate:
         assert main(["predict", "--model-file", str(model), "--data", str(dataset_csv),
                      "--out", str(predictions)]) == 0
         values = read_predictions(predictions)
-        for project in piecewise_dataset():
-            assert values[project.id] == pytest.approx(25.0 * project.size_ucp)
+        data = piecewise_dataset()
+        for pid, size in zip(data.ids, data.features[:, 0]):
+            assert values[pid] == pytest.approx(25.0 * size)
 
     def test_train_requires_data_except_ucp(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -214,7 +238,8 @@ class TestTrainPredictEvaluate:
         assert not (tmp_path / "r.json").exists()
 
     def test_evaluate_rejects_duplicate_prediction_ids(self, tmp_path, dataset_csv, capsys):
-        rows = [f"{p.id},{p.effort_ph!r}" for p in piecewise_dataset()]
+        data = piecewise_dataset()
+        rows = [f"{pid},{effort!r}" for pid, effort in zip(data.ids, data.efforts.tolist())]
         predictions = tmp_path / "pred.csv"
         predictions.write_text(
             "id,predicted_ph\n" + "\n".join(rows) + "\np002,1e9\n", encoding="utf-8"
@@ -272,6 +297,23 @@ class TestTrainPredictEvaluate:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
 
+    @pytest.mark.parametrize("command", ["predict", "ucp"])
+    @pytest.mark.parametrize("text", ["{", "", '{"kind": "fmt", "feature_names": null}'])
+    def test_undecodable_json_file_is_named(self, tmp_path, dataset_csv, capsys, command, text):
+        path = tmp_path / "in.json"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "p.csv"
+        argv = {
+            "predict": ["predict", "--model-file", str(path), "--data", str(dataset_csv),
+                        "--out", str(out)],
+            "ucp": ["ucp", str(path)],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: ")
+        assert captured.out == ""
+        assert not out.exists()
+
 
 def csv_lines(*rows):
     return "".join(",".join(row) + "\n" for row in rows)
@@ -310,7 +352,9 @@ def test_evaluate_reports_table_errors_in_either_file(tmp_path, capsys, bad_file
         "projects.csv": (CSV_COLUMNS, [
             line.split(",") for line in render_dataset(dataset).splitlines()[1:]
         ]),
-        "pred.csv": (PREDICTION_COLUMNS, [[p.id, repr(p.effort_ph)] for p in dataset]),
+        "pred.csv": (PREDICTION_COLUMNS, [
+            [pid, repr(effort)] for pid, effort in zip(dataset.ids, dataset.efforts.tolist())
+        ]),
     }
     for name, (header, rows) in tables.items():
         text = make(list(header), rows) if name == bad_file else csv_lines(header, *rows)
@@ -334,13 +378,14 @@ def test_every_kind_predicts_each_row_alike(seed, train_count):
         ["compare", "--data", "-", "--out-dir", "-", "--seed", str(seed), "--trees", "30"]
     )
     order = np.random.default_rng(seed).permutation(len(test))
-    shuffled = Dataset(tuple(test.projects[i] for i in order), test.source_label)
+    shuffled = test.take(order)
     for name, kind in KINDS.items():
         model = kind.fit(train, kind.config(args))
         batch = kind.predict(model, test)
         restored = kind.from_json(json.loads(json.dumps(kind.to_json(model))))
         assert kind.predict(restored, test).tolist() == batch.tolist(), name
-        assert [kind.predict(model, Dataset((p,)))[0] for p in test] == batch.tolist(), name
+        rows = [kind.predict(model, test.take([i]))[0] for i in range(len(test))]
+        assert rows == batch.tolist(), name
         assert kind.predict(model, shuffled).tolist() == batch[order].tolist(), name
 
 

@@ -3,21 +3,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fmtree.data import (
+    CSV_COLUMNS,
     EDU,
     IND1,
     IND2,
     PROFILES,
     Dataset,
-    Project,
     SourceProfile,
-    effort_vector,
-    feature_matrix,
     generate_synthetic,
     parse_dataset,
     render_dataset,
+    render_table,
     split_holdout,
 )
 
@@ -27,19 +28,17 @@ CSV_ONE = "id,size_ucp,productivity,complexity,effort_ph\np1,120,20,3,2400"
 def test_parse_single_row():
     ds = parse_dataset(CSV_ONE)
     assert len(ds) == 1
-    p = ds.projects[0]
-    assert p.id == "p1"
-    assert p.effort_ph == 2400.0
-    assert p.features() == (120.0, 20.0, 3.0)
+    assert ds.ids == ("p1",)
+    assert ds.efforts.tolist() == [2400.0]
+    assert ds.features.tolist() == [[120.0, 20.0, 3.0]]
 
 
 def test_parse_header_order_and_case_insensitive():
     text = "Effort_PH,ID,Complexity,Productivity,Size_UCP\n10,a,1,2,3\n"
     ds = parse_dataset(text)
-    p = ds.projects[0]
-    assert (p.id, p.size_ucp, p.productivity, p.complexity, p.effort_ph) == (
-        "a", 3.0, 2.0, 1.0, 10.0,
-    )
+    assert ds.ids == ("a",)
+    assert ds.features.tolist() == [[3.0, 2.0, 1.0]]
+    assert ds.efforts.tolist() == [10.0]
 
 
 def test_parse_missing_column_named():
@@ -100,46 +99,156 @@ def test_parse_wrong_field_count():
 
 
 def test_render_parse_round_trip_exact():
-    projects = tuple(
-        Project(f"p{i}", 0.1 * i + 0.3, 1.0 / 3.0 * i + 1.0, float(i % 5 + 1), 7.0 / 11.0 + i)
-        for i in range(1, 20)
-    )
-    ds = Dataset(projects, "Edu")
-    again = parse_dataset(render_dataset(ds), "Edu")
-    assert again == ds
+    i = np.arange(1, 20)
+    features = np.column_stack([0.1 * i + 0.3, 1.0 / 3.0 * i + 1.0, i % 5 + 1.0])
+    ds = Dataset(tuple(f"p{k}" for k in i), features, 7.0 / 11.0 + i)
+    again = parse_dataset(render_dataset(ds))
+    assert again.ids == ds.ids
+    assert again.features.tolist() == ds.features.tolist()
+    assert again.efforts.tolist() == ds.efforts.tolist()
+
+
+def one_project(size, productivity, complexity, effort):
+    return Dataset(("p",), [[size, productivity, complexity]], [effort])
 
 
 def test_project_validation():
     with pytest.raises(ValueError, match="effort_ph must be positive"):
-        Project("p", 1.0, 1.0, 1.0, 0.0)
+        one_project(1.0, 1.0, 1.0, 0.0)
     with pytest.raises(ValueError, match="size_ucp must be positive"):
-        Project("p", 0.0, 1.0, 1.0, 10.0)
+        one_project(0.0, 1.0, 1.0, 10.0)
     with pytest.raises(ValueError, match="must be finite"):
-        Project("p", 1.0, math.nan, 1.0, 10.0)
+        one_project(1.0, math.nan, 1.0, 10.0)
 
 
 def test_dataset_validation():
-    p = Project("a", 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="duplicate id"):
-        Dataset((p, p))
+        Dataset(("a", "a"), np.ones((2, 3)), np.ones(2))
     with pytest.raises(ValueError, match="at least one project"):
-        Dataset(())
-    with pytest.raises(ValueError, match="source_label"):
-        Dataset((p,), "bogus")
+        Dataset((), np.ones((0, 3)), np.ones(0))
 
 
-def test_feature_matrix_and_effort_vector():
-    ds = parse_dataset(CSV_ONE)
-    assert_allclose(feature_matrix(ds), [[120.0, 20.0, 3.0]])
-    assert_allclose(effort_vector(ds), [2400.0])
+def test_dataset_columns_are_read_only_copies():
+    features = np.array([[120.0, 20.0, 3.0]])
+    ds = Dataset(["p1"], features, [2400.0])
+    features[0, 0] = 1.0
+    assert ds.ids == ("p1",)
+    assert_allclose(ds.features, [[120.0, 20.0, 3.0]])
+    assert_allclose(ds.efforts, [2400.0])
+    with pytest.raises(ValueError, match="read-only"):
+        ds.features[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        ds.efforts[0] = 1.0
+
+
+def test_dataset_rejects_misshapen_columns():
+    with pytest.raises(ValueError, match=r"shape \(2, 3\).*got \(2, 2\)"):
+        Dataset(("a", "b"), np.ones((2, 2)), np.ones(2))
+    with pytest.raises(ValueError, match=r"shape \(2,\), got \(2, 3\) and \(3,\)"):
+        Dataset(("a", "b"), np.ones((2, 3)), np.ones(3))
+
+
+def test_dataset_names_the_first_fault_of_the_first_bad_project():
+    features = [[1.0, 1.0, 1.0], [0.0, math.nan, 1.0], [-1.0, 1.0, 1.0]]
+    with pytest.raises(ValueError, match="^productivity must be finite, got nan$"):
+        Dataset(("a", "b", "c"), features, [1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="^effort_ph must be finite, got inf$"):
+        Dataset(("a",), [[0.0, 1.0, 1.0]], [math.inf])
+    with pytest.raises(ValueError, match="^size_ucp must be positive, got -0.0$"):
+        Dataset(("a",), [[-0.0, 1.0, 1.0]], [0.0])
+
+
+FIELDS = CSV_COLUMNS[1:]
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# Ids as read_table gives them back: stripped, non-empty, no line breaks or controls.
+project_id = st.text(
+    st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), min_size=1, max_size=8
+).map(str.strip).filter(bool)
+
+
+@st.composite
+def columns(draw):
+    """Valid (ids, rows) with rows of (size_ucp, productivity, complexity, effort_ph)."""
+    ids = draw(st.lists(project_id, min_size=1, max_size=12, unique=True))
+    rows = draw(st.lists(st.tuples(positive, finite, finite, positive),
+                         min_size=len(ids), max_size=len(ids)))
+    return tuple(ids), rows
+
+
+def build(ids, rows, fortran=False):
+    features = np.array([row[:3] for row in rows])
+    return Dataset(ids, np.asfortranarray(features) if fortran else features,
+                   [row[3] for row in rows])
+
+
+non_positive = st.floats(max_value=0.0, allow_infinity=False)
+NON_POSITIVE = [pytest.param(column, non_positive, id=f"{FIELDS[column]}-non-positive")
+                for column in (0, 3)]
+NON_FINITE = [pytest.param(column, st.just(value), id=f"{FIELDS[column]}-{value}")
+              for column in range(4) for value in (math.nan, math.inf, -math.inf)]
+
+
+@st.composite
+def one_fault(draw, column, bad):
+    """Valid columns whose row `i` has a `bad` value in `column`, and the expected message."""
+    ids, rows = draw(columns())
+    i = draw(st.integers(0, len(rows) - 1))
+    value = draw(bad)
+    rows[i] = rows[i][:column] + (value,) + rows[i][column + 1:]
+    if math.isfinite(value):
+        message = f"{FIELDS[column]} must be positive, got {value}"
+    else:
+        message = f"{FIELDS[column]} must be finite, got {value!r}"
+    return ids, rows, i, message
+
+
+@settings(deadline=None)
+@given(columns(), st.booleans())
+def test_dataset_round_trips_through_csv_bit_for_bit(data, fortran):
+    dataset = build(*data, fortran=fortran)
+    for array in (dataset.features, dataset.efforts):
+        assert array.dtype == np.float64 and not array.flags.writeable
+    assert dataset.features.flags.c_contiguous
+    assert dataset.features.shape == (len(dataset), 3)
+    again = parse_dataset(render_dataset(dataset))
+    assert again.ids == dataset.ids
+    assert again.features.tobytes() == dataset.features.tobytes()
+    assert again.efforts.tobytes() == dataset.efforts.tobytes()
+
+
+@pytest.mark.parametrize("column, bad", NON_POSITIVE + NON_FINITE)
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_dataset_names_a_bad_cell_by_field(column, bad, data):
+    ids, rows, _, message = data.draw(one_fault(column, bad))
+    with pytest.raises(ValueError) as excinfo:
+        build(ids, rows)
+    assert str(excinfo.value) == message
+
+
+# A non-finite cell never reaches Dataset from a CSV: parse_number rejects it first.
+@pytest.mark.parametrize("column, bad", NON_POSITIVE)
+@settings(deadline=None)
+@given(data=st.data())
+def test_parse_names_a_bad_cell_with_its_row(column, bad, data):
+    ids, rows, i, message = data.draw(one_fault(column, bad))
+    table = render_table(CSV_COLUMNS, [(pid, *map(repr, row)) for pid, row in zip(ids, rows)])
+    lines = table.splitlines()
+    blanks = data.draw(st.lists(st.integers(0, 2), min_size=len(lines), max_size=len(lines)))
+    text = "".join("\n" * gap + line + "\n" for gap, line in zip(blanks, lines))
+    row_number = i + 2 + sum(blanks[: i + 2])
+    with pytest.raises(ValueError) as excinfo:
+        parse_dataset(text)
+    assert str(excinfo.value) == f"{message} at row {row_number}"
 
 
 def test_split_holdout_partitions():
     ds = generate_synthetic(EDU, 84, seed=3)
     train, test = split_holdout(ds, 59, seed=5)
     assert len(train) == 59 and len(test) == 25
-    assert set(train.ids()) | set(test.ids()) == set(ds.ids())
-    assert set(train.ids()) & set(test.ids()) == set()
+    assert set(train.ids) | set(test.ids) == set(ds.ids)
+    assert set(train.ids) & set(test.ids) == set()
 
 
 def test_split_holdout_deterministic_and_seed_sensitive():
@@ -147,8 +256,8 @@ def test_split_holdout_deterministic_and_seed_sensitive():
     a1 = split_holdout(ds, 30, seed=1)
     a2 = split_holdout(ds, 30, seed=1)
     b = split_holdout(ds, 30, seed=2)
-    assert a1[0].ids() == a2[0].ids() and a1[1].ids() == a2[1].ids()
-    assert a1[0].ids() != b[0].ids()
+    assert a1[0].ids == a2[0].ids and a1[1].ids == a2[1].ids
+    assert a1[0].ids != b[0].ids
 
 
 def test_split_holdout_range_errors():
@@ -169,23 +278,24 @@ def test_generate_synthetic_ranges_and_determinism():
     for profile in (IND1, IND2, EDU):
         ds1 = generate_synthetic(profile, 200, seed=7)
         ds2 = generate_synthetic(profile, 200, seed=7)
-        assert ds1 == ds2
         assert render_dataset(ds1) == render_dataset(ds2)
-        efforts = effort_vector(ds1)
+        efforts = ds1.efforts
         assert efforts.min() >= profile.min_effort
         assert efforts.max() <= profile.max_effort
-        features = feature_matrix(ds1)
+        features = ds1.features
         ratio = efforts / features[:, 0]
         assert ratio.min() >= 10.0 - 1e-9 and ratio.max() <= 35.0 + 1e-9
         assert np.all(features[:, 2] == np.round(features[:, 2]))
         assert features[:, 2].min() >= 1 and features[:, 2].max() <= 5
 
-    assert generate_synthetic(EDU, 200, seed=8) != generate_synthetic(EDU, 200, seed=9)
+    assert render_dataset(generate_synthetic(EDU, 200, seed=8)) != render_dataset(
+        generate_synthetic(EDU, 200, seed=9)
+    )
 
 
 def test_generate_synthetic_moments_pinned_seed():
     for profile in PROFILES.values():
-        efforts = effort_vector(generate_synthetic(profile, 1000, seed=5))
+        efforts = generate_synthetic(profile, 1000, seed=5).efforts
         assert abs(efforts.mean() - profile.mean_effort) / profile.mean_effort < 0.10
         assert abs(efforts.std() - profile.sd_effort) / profile.sd_effort < 0.15
 

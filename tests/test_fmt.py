@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import linear_dataset, piecewise_dataset
-from fmtree.data import Dataset, Project, effort_vector, feature_matrix, split_holdout
+from fmtree.data import Dataset, split_holdout
 from fmtree.fcm import FcmConfig, FuzzyInferenceModel, membership_matrix
 from fmtree.fmt import (
     EFFORT_FLOOR_PH,
@@ -28,11 +28,8 @@ FMT_REFERENCE = json.loads(
 def flat_dataset(effort_fn, n=40, seed=3):
     rng = np.random.default_rng(seed)
     size = rng.uniform(60.0, 200.0, n)
-    projects = tuple(
-        Project(f"d{i:02d}", float(size[i]), 20.0, 3.0, float(effort_fn(size[i])))
-        for i in range(n)
-    )
-    return Dataset(projects, "synthetic")
+    features = np.column_stack([size, np.full(n, 20.0), np.full(n, 3.0)])
+    return Dataset(tuple(f"d{i:02d}" for i in range(n)), features, [effort_fn(s) for s in size])
 
 
 def test_routing_uses_one_column_per_feature_and_cluster():
@@ -56,28 +53,23 @@ def test_recovers_exact_linear_relation():
     data = linear_dataset()
     model = train_fmt(data)
     predictions = predict_fmt_dataset(model, data)
-    assert_allclose(predictions, effort_vector(data), rtol=1e-6)
+    assert_allclose(predictions, data.efforts, rtol=1e-6)
     assert model.tree.leaf_count() == 1
 
 
 def test_predictions_floored_at_one_hour():
     data = flat_dataset(lambda size: 3000.0 - 10.0 * size)
     model = train_fmt(data)
-    probe = Project("probe", 400.0, 20.0, 3.0, 1.0)
-    assert predict_fmt_dataset(model, Dataset((probe,)))[0] == EFFORT_FLOOR_PH
+    probe = Dataset(("probe",), [[400.0, 20.0, 3.0]], [1.0])
+    assert predict_fmt_dataset(model, probe)[0] == EFFORT_FLOOR_PH
 
 
 def test_test_split_rows_never_touch_the_model():
     data = piecewise_dataset()
     train, test = split_holdout(data, 59, seed=7)
-    victim = test.projects[0].id
-    tampered = tuple(
-        Project(p.id, p.size_ucp, p.productivity, p.complexity, p.effort_ph * 3.0)
-        if p.id == victim
-        else p
-        for p in data
-    )
-    train2, _ = split_holdout(Dataset(tampered, data.source_label), 59, seed=7)
+    victim = test.ids[0]
+    efforts = np.where(np.array(data.ids) == victim, data.efforts * 3.0, data.efforts)
+    train2, _ = split_holdout(Dataset(data.ids, data.features, efforts), 59, seed=7)
     first = json.dumps(fmt_to_json(train_fmt(train)), sort_keys=True)
     second = json.dumps(fmt_to_json(train_fmt(train2)), sort_keys=True)
     assert first == second
@@ -92,11 +84,11 @@ def test_cluster_relabeling_leaves_predictions_unchanged():
         model.fuzzy.sigmas[:, [2, 0, 1]],
         model.fuzzy.standardization,
     )
-    features = feature_matrix(train)
-    efforts = effort_vector(train)
+    features = train.features
+    efforts = train.efforts
     config = model.tree_config
     tree = prune(build_tree(membership_matrix(permuted, features), features, efforts, config), config)
-    test_features = feature_matrix(test)
+    test_features = test.features
     got = predict_tree(tree, membership_matrix(permuted, test_features), test_features, config)
     want = predict_tree(
         model.tree, membership_matrix(model.fuzzy, test_features), test_features, config
@@ -148,8 +140,9 @@ def test_batch_predict_equals_per_row_predict():
     model = train_fmt(train, FcmConfig(seed=3), TreeConfig(min_instances=2))
     assert model.tree.leaf_count() > 2
     batch = predict_fmt_dataset(model, test)
-    assert batch.tolist() == [predict_fmt_dataset(model, Dataset((p,)))[0] for p in test]
-    reversed_test = Dataset(test.projects[::-1], test.source_label)
+    rows = [predict_fmt_dataset(model, test.take([i]))[0] for i in range(len(test))]
+    assert batch.tolist() == rows
+    reversed_test = test.take(range(len(test) - 1, -1, -1))
     assert np.array_equal(predict_fmt_dataset(model, reversed_test), batch[::-1])
 
 
