@@ -53,7 +53,6 @@ from .fcm import (
 )
 from .fmt import FmtModel, predict_fmt_dataset, train_fmt
 from .mtree import (
-    LinearModel,
     ModelTree,
     TreeConfig,
     build_tree,
@@ -81,7 +80,6 @@ __all__ = [
     "FuzzyPartition",
     "IND1",
     "IND2",
-    "LinearModel",
     "MlrModel",
     "ModelTree",
     "PROFILES",

@@ -1,4 +1,8 @@
-"""Reference estimators: Huber-loss stochastic gradient boosting and log-space MLR."""
+"""Reference estimators: Huber-loss stochastic gradient boosting and log-space MLR.
+
+Each boosting stage is an `mtree.FlatTree` with one value per leaf, and is
+written and read by the same nested-JSON node codec as the model tree.
+"""
 
 from __future__ import annotations
 
@@ -12,9 +16,9 @@ from .data import (
     Dataset,
     check_field_types,
     finite_number,
-    json_int,
 )
 from .fmt import EFFORT_FLOOR_PH
+from .mtree import SPLIT_KEYS, FlatTree, nodes_from_json, nodes_to_json
 
 MLR_PREDICTORS = ("ln_size", "productivity", "complexity")
 VIF_ALARM = 4.0
@@ -53,39 +57,10 @@ class TreeboostConfig:
 
 
 @dataclass(eq=False)
-class StageTree:
-    """One boosting stage as parallel node arrays, the layout of scikit-learn's Tree.
+class StageTree(FlatTree):
+    """One boosting stage: a FlatTree whose leaf i predicts value[i]."""
 
-    Node 0 is the root.  An internal node i sends a row to left[i] when
-    row[feature[i]] <= threshold[i] and to right[i] otherwise.  A leaf has
-    feature == left == right == -1 and predicts value[i].
-    """
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
     value: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("feature", "left", "right"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.intp))
-        for name in ("threshold", "value"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-
-    def apply(self, x: np.ndarray, node: np.ndarray) -> np.ndarray:
-        """Walk the rows of x from start nodes to leaves.
-
-        `node` has shape (n,) or (k, n): one start node per row, or k of them.
-        """
-        rows = np.arange(len(x))
-        while True:
-            feature = self.feature[node]
-            inner = feature >= 0
-            if not inner.any():
-                return node
-            go_left = x[rows, np.where(inner, feature, 0)] <= self.threshold[node]
-            node = np.where(inner, np.where(go_left, self.left[node], self.right[node]), node)
 
 
 @dataclass
@@ -193,34 +168,32 @@ def _grow_stage_tree(
     order = np.argsort(xs, axis=0, kind="stable").T
     sorted_x = np.take_along_axis(xs.T, order, axis=1)
     sorted_pseudo = pseudo[order]
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
+    # Preorder node rows [feature, threshold, left, right, value].
+    nodes: list[list] = []
 
     def grow(rows: np.ndarray, depth_left: int) -> int:
-        node = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
+        node = len(nodes)
+        row = [-1, 0.0, -1, -1, 0.0]
+        nodes.append(row)
         split = None
         if depth_left > 0:
             split = _best_split(order, sorted_x, sorted_pseudo, pseudo, rows)
         if split is None:
             if len(rows):
-                value[node] = _stage_leaf_value(diff[rows], delta)
+                row[4] = _stage_leaf_value(diff[rows], delta)
             return node
-        feature[node], threshold[node] = split
-        go_left = xs[rows, feature[node]] <= threshold[node]
-        left[node] = grow(rows[go_left], depth_left - 1)
-        right[node] = grow(rows[~go_left], depth_left - 1)
+        feature, threshold = split
+        go_left = xs[rows, feature] <= threshold
+        row[:4] = (
+            feature,
+            threshold,
+            grow(rows[go_left], depth_left - 1),
+            grow(rows[~go_left], depth_left - 1),
+        )
         return node
 
     grow(np.arange(len(pseudo)), max_depth)
-    return StageTree(feature, threshold, left, right, value)
+    return StageTree.from_rows(nodes)
 
 
 def fit_treeboost(train: Dataset, config: TreeboostConfig = TreeboostConfig()) -> TreeboostModel:
@@ -299,49 +272,15 @@ def predict_treeboost_dataset(model: TreeboostModel, dataset: Dataset) -> np.nda
     return np.maximum(model.f0 + model.shrinkage * total, EFFORT_FLOOR_PH)
 
 
-def _stage_to_json(tree: StageTree, node: int = 0) -> dict:
-    if tree.feature[node] < 0:
-        return {"value": float(tree.value[node])}
-    return {
-        "feature": int(tree.feature[node]),
-        "threshold": float(tree.threshold[node]),
-        "left": _stage_to_json(tree, int(tree.left[node])),
-        "right": _stage_to_json(tree, int(tree.right[node])),
-    }
-
-
-def _stage_from_json(doc, where: str) -> StageTree:
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-
-    def add(node, path: str) -> int:
-        if not isinstance(node, dict):
-            raise ValueError(f"{path} must be a JSON object, got {node!r}")
-        index = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        if set(node) == {"value"}:
-            value[index] = finite_number(node["value"], f"{path}.value")
-            return index
-        if set(node) != {"feature", "threshold", "left", "right"}:
-            raise ValueError(
-                f"{path} must hold either 'value' or 'feature', 'threshold', 'left' "
-                f"and 'right', got keys {sorted(node)}"
-            )
-        feature[index] = json_int(node["feature"], f"{path}.feature", 0, len(FEATURE_NAMES))
-        threshold[index] = finite_number(node["threshold"], f"{path}.threshold")
-        left[index] = add(node["left"], f"{path}.left")
-        right[index] = add(node["right"], f"{path}.right")
-        return index
-
-    add(doc, where)
-    return StageTree(feature, threshold, left, right, value)
+def _stage_payload(node: dict, path: str) -> tuple[tuple, bool]:
+    if set(node) == {"value"}:
+        return (finite_number(node["value"], f"{path}.value"),), False
+    if set(node) != SPLIT_KEYS:
+        raise ValueError(
+            f"{path} must hold either 'value' or 'feature', 'threshold', 'left' "
+            f"and 'right', got keys {sorted(node)}"
+        )
+    return (0.0,), True
 
 
 def treeboost_to_json(model: TreeboostModel) -> dict:
@@ -349,7 +288,12 @@ def treeboost_to_json(model: TreeboostModel) -> dict:
         "kind": "treeboost",
         "f0": model.f0,
         "shrinkage": model.shrinkage,
-        "trees": [_stage_to_json(t) for t in model.trees],
+        "trees": [
+            nodes_to_json(
+                t, lambda i, t=t: {"value": float(t.value[i])} if t.feature[i] < 0 else {}
+            )
+            for t in model.trees
+        ],
     }
 
 
@@ -367,7 +311,12 @@ def treeboost_from_json(doc: dict) -> TreeboostModel:
     return TreeboostModel(
         f0,
         shrinkage,
-        [_stage_from_json(t, f"trees[{i}]") for i, t in enumerate(trees)],
+        [
+            StageTree.from_rows(
+                nodes_from_json(t, f"trees[{i}]", len(FEATURE_NAMES), _stage_payload)
+            )
+            for i, t in enumerate(trees)
+        ],
     )
 
 

@@ -59,6 +59,8 @@ def _load(path: str, parse: Callable[[str], Any]) -> Any:
         return parse(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: nested too deeply to read") from None
 
 
 class Kind(NamedTuple):

@@ -3,12 +3,15 @@
 Splits are chosen on the routing matrix by standard-deviation reduction while
 every node also carries a linear model over the regression features; this lets
 the tree route on derived columns (e.g. fuzzy memberships) yet keep leaves
-expressed in the original units.
+expressed in the original units.  Its nodes, like the boosting stages', are a
+`FlatTree` of preorder arrays, written as nested JSON by one shared codec.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
 from .data import check_field_types, finite_number, finite_numbers, json_int
@@ -40,59 +43,72 @@ class TreeConfig:
             raise ValueError(f"pruning_factor must be non-negative, got {self.pruning_factor}")
 
 
-@dataclass(frozen=True)
-class LinearModel:
-    """Affine model over the regression features."""
+@dataclass(eq=False)
+class FlatTree:
+    """Binary tree nodes as parallel arrays in preorder, the layout of scikit-learn's Tree.
 
-    intercept: float
-    coefficients: tuple[float, ...]
+    Node 0 is the root.  An internal node i sends a row to left[i] when
+    row[feature[i]] <= threshold[i] and to right[i] otherwise.  A leaf has
+    feature == left == right == -1.
+    """
 
-    def predict(self, rows: np.ndarray) -> np.ndarray:
-        """Evaluate on each row of a 2-D array.
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
 
-        Terms are added column by column, so a row's value does not depend on
-        which other rows share the call (a BLAS matrix-vector product would
-        round differently by position).
+    @classmethod
+    def from_rows(cls, rows: list[list], *args):
+        """A tree from preorder node rows [feature, threshold, left, right, *payload];
+        `args` fill the fields that follow the payload arrays."""
+        return cls(*map(np.array, zip(*rows)), *args)
+
+    def apply(self, x: np.ndarray, node: np.ndarray) -> np.ndarray:
+        """Walk the rows of x from start nodes to leaves.
+
+        `node` has shape (n,) or (k, n): one start node per row, or k of them.
         """
-        total = np.zeros(len(rows))
-        for coefficient, column in zip(self.coefficients, np.asarray(rows, dtype=float).T):
-            total += coefficient * column
-        return self.intercept + total
+        rows = np.arange(len(x))
+        while True:
+            feature = self.feature[node]
+            inner = feature >= 0
+            if not inner.any():
+                return node
+            go_left = x[rows, np.where(inner, feature, 0)] <= self.threshold[node]
+            node = np.where(inner, np.where(go_left, self.left[node], self.right[node]), node)
+
+    def leaf_count(self) -> int:
+        return int(np.count_nonzero(self.feature < 0))
 
 
-@dataclass
-class Node:
-    model: LinearModel
-    count: int
-    mae: float
-    feature: int | None = None
-    threshold: float | None = None
-    left: "Node | None" = None
-    right: "Node | None" = None
+@dataclass(eq=False)
+class ModelTree(FlatTree):
+    """A FlatTree whose every node has a training row count, a mean absolute
+    error and an affine model: beta[i, 0] + beta[i, 1:] . regression_row."""
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-
-@dataclass
-class ModelTree:
-    root: Node
+    count: np.ndarray
+    mae: np.ndarray
+    beta: np.ndarray
     routing_dim: int
     regression_dim: int
     # (routing, regression, targets) retained from build_tree; prune needs them.
     training: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def leaf_count(self) -> int:
-        def walk(node: Node) -> int:
-            if node.is_leaf:
-                return 1
-            return walk(node.left) + walk(node.right)
+    def node_values(self, node: np.ndarray | int, g: np.ndarray) -> np.ndarray:
+        """Evaluate node[i]'s model on row i of g (or one node's on every row).
 
-        return walk(self.root)
+        Terms are added column by column, so a row's value does not depend on
+        which other rows share the call (a BLAS matrix-vector product would
+        round differently by position).
+        """
+        beta = self.beta[node]
+        total = np.zeros(len(g))
+        for j in range(g.shape[1]):
+            total += beta[..., j + 1] * g[:, j]
+        return beta[..., 0] + total
 
 
-def _fit_linear(g: np.ndarray, y: np.ndarray) -> tuple[LinearModel, float]:
+def _fit_linear(g: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     """Least squares via normal equations; jitter the diagonal when singular."""
     x = np.hstack([np.ones((len(y), 1)), g])
     a = x.T @ x
@@ -104,10 +120,9 @@ def _fit_linear(g: np.ndarray, y: np.ndarray) -> tuple[LinearModel, float]:
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         a = a + _RIDGE_JITTER * np.eye(a.shape[0])
     beta = np.linalg.solve(a, b)
-    model = LinearModel(float(beta[0]), tuple(float(c) for c in beta[1:]))
-    # The stored mae keeps the bits of this matrix product, not LinearModel.predict's.
-    mae = float(np.mean(np.abs(y - (model.intercept + g @ np.asarray(model.coefficients)))))
-    return model, mae
+    # The stored mae keeps the bits of this matrix product, not node_values'.
+    mae = float(np.mean(np.abs(y - (float(beta[0]) + g @ beta[1:]))))
+    return beta, mae
 
 
 def _popsd(y: np.ndarray) -> float:
@@ -180,10 +195,13 @@ def build_tree(
             f"need at least min_instances={config.min_instances} rows, got {len(y)}"
         )
     global_sd = _popsd(y)
+    rows: list[list] = []
 
-    def grow(idx: np.ndarray) -> Node:
-        model, mae = _fit_linear(g[idx], y[idx])
-        node = Node(model, len(idx), mae)
+    def grow(idx: np.ndarray) -> int:
+        beta, mae = _fit_linear(g[idx], y[idx])
+        node = len(rows)
+        row = [-1, 0.0, -1, -1, len(idx), mae, beta]
+        rows.append(row)
         node_sd = _popsd(y[idx])
         if (
             len(idx) < 2 * config.min_instances
@@ -194,14 +212,13 @@ def build_tree(
         found = _best_split(r[idx], y[idx], config.min_instances, node_sd)
         if found is None or found[0] <= 0.0:
             return node
-        _, node.feature, node.threshold = found
-        left_mask = r[idx, node.feature] <= node.threshold
-        node.left = grow(idx[left_mask])
-        node.right = grow(idx[~left_mask])
+        _, feature, threshold = found
+        left_mask = r[idx, feature] <= threshold
+        row[:4] = feature, threshold, grow(idx[left_mask]), grow(idx[~left_mask])
         return node
 
-    root = grow(np.arange(len(y)))
-    return ModelTree(root, r.shape[1], g.shape[1], (r, g, y))
+    grow(np.arange(len(y)))
+    return ModelTree.from_rows(rows, r.shape[1], g.shape[1], (r, g, y))
 
 
 def _adjust_factor(n: int, v: int, config: TreeConfig) -> float:
@@ -215,7 +232,8 @@ def prune(tree: ModelTree, config: TreeConfig = TreeConfig()) -> ModelTree:
 
     Mean absolute error is inflated by (n + pruning_factor*v) / (n - v), with v
     the parameter count (per model: regression width + 1; per subtree: leaf
-    models plus one per split).  Works bottom-up on the retained training rows.
+    models plus one per split).  Works bottom-up on the retained training rows,
+    re-emitting the kept nodes in preorder.
     """
     if tree.training is None:
         raise ValueError("tree has no retained training data (deserialized trees cannot be pruned)")
@@ -224,28 +242,30 @@ def prune(tree: ModelTree, config: TreeConfig = TreeConfig()) -> ModelTree:
     near_zero = _NEAR_ZERO_ERROR_FRACTION * _popsd(y)
     # Each training row's raw prediction by the pruned subtree walked last.
     predictions = np.empty(len(y))
+    rows: list[list] = []
 
-    def walk(node: Node, idx: np.ndarray) -> tuple[Node, int]:
-        collapsed = Node(node.model, node.count, node.mae)
-        if node.is_leaf:
-            predictions[idx] = node.model.predict(g[idx])
-            return collapsed, v_model
-        left_mask = r[idx, node.feature] <= node.threshold
-        left, v_left = walk(node.left, idx[left_mask])
-        right, v_right = walk(node.right, idx[~left_mask])
-        v_subtree = v_left + v_right + 1
-        subtree_err = float(np.mean(np.abs(y[idx] - predictions[idx])))
-        adjusted_node = node.mae * _adjust_factor(len(idx), v_model, config)
-        adjusted_subtree = subtree_err * _adjust_factor(len(idx), v_subtree, config)
-        if adjusted_node <= adjusted_subtree or adjusted_node <= near_zero:
-            predictions[idx] = node.model.predict(g[idx])
-            return collapsed, v_model
-        return Node(
-            node.model, node.count, node.mae, node.feature, node.threshold, left, right
-        ), v_subtree
+    def walk(node: int, idx: np.ndarray) -> int:
+        """Emit node's kept subtree and return its parameter count."""
+        kept = len(rows)
+        rows.append([-1, 0.0, -1, -1, tree.count[node], tree.mae[node], tree.beta[node]])
+        feature, threshold = tree.feature[node], tree.threshold[node]
+        if feature >= 0:
+            left_mask = r[idx, feature] <= threshold
+            v_left = walk(tree.left[node], idx[left_mask])
+            right = len(rows)
+            v_subtree = v_left + walk(tree.right[node], idx[~left_mask]) + 1
+            subtree_err = float(np.mean(np.abs(y[idx] - predictions[idx])))
+            adjusted_node = tree.mae[node] * _adjust_factor(len(idx), v_model, config)
+            adjusted_subtree = subtree_err * _adjust_factor(len(idx), v_subtree, config)
+            if not (adjusted_node <= adjusted_subtree or adjusted_node <= near_zero):
+                rows[kept][:4] = feature, threshold, kept + 1, right
+                return v_subtree
+            del rows[kept + 1 :]
+        predictions[idx] = tree.node_values(node, g[idx])
+        return v_model
 
-    new_root, _ = walk(tree.root, np.arange(len(y)))
-    return ModelTree(new_root, tree.routing_dim, tree.regression_dim, tree.training)
+    walk(0, np.arange(len(y)))
+    return ModelTree.from_rows(rows, tree.routing_dim, tree.regression_dim, tree.training)
 
 
 def predict_tree(
@@ -259,8 +279,8 @@ def predict_tree(
     Walking from the leaf to the root, the running prediction p becomes
     (n_child*p + smoothing_k*node_model(x)) / (n_child + smoothing_k) at each
     ancestor, n_child being the row count of the child just left behind.
-    With smoothing_k = 0 this is the raw leaf prediction.  Rows travel down
-    the tree in blocks, and each node's model is evaluated once per block.
+    With smoothing_k = 0 this is the raw leaf prediction.  All rows are routed
+    to their leaves at once and then climb the parent links together.
     """
     r = np.asarray(routing, dtype=float)
     g = np.asarray(regression, dtype=float)
@@ -272,80 +292,83 @@ def predict_tree(
             f"regression {tree.regression_dim}, got {r.shape[1]} / {g.shape[1]}"
         )
     k = config.smoothing_k
-
-    def walk(node: Node, idx: np.ndarray) -> np.ndarray:
-        own = node.model.predict(g[idx])
-        if node.is_leaf:
-            return own
-        p = np.empty(len(idx))
-        goes_left = r[idx, node.feature] <= node.threshold
-        for child, mask in ((node.left, goes_left), (node.right, ~goes_left)):
-            if mask.any():
-                p[mask] = (child.count * walk(child, idx[mask]) + k * own[mask]) / (
-                    child.count + k
-                )
-        return p
-
-    return walk(tree.root, np.arange(len(r)))
+    parent = np.full(len(tree.feature), -1)
+    inner = np.flatnonzero(tree.feature >= 0)
+    parent[tree.left[inner]] = parent[tree.right[inner]] = inner
+    node = tree.apply(r, np.zeros(len(r), dtype=np.intp))
+    p = tree.node_values(node, g)
+    rows = np.flatnonzero(parent[node] >= 0)
+    while rows.size:
+        child = node[rows]
+        node[rows] = parent[child]
+        own = tree.node_values(node[rows], g[rows])
+        p[rows] = (tree.count[child] * p[rows] + k * own) / (tree.count[child] + k)
+        rows = rows[parent[node[rows]] >= 0]
+    return p
 
 
-def _node_to_json(node: Node) -> dict:
-    doc = {
-        "count": node.count,
-        "mae": node.mae,
-        "model": {"intercept": node.model.intercept, "coefficients": list(node.model.coefficients)},
-    }
-    if not node.is_leaf:
+def nodes_to_json(tree: FlatTree, payload: Callable[[int], dict], node: int = 0) -> dict:
+    """The nested JSON object of `node`'s subtree: payload(node) plus, at a
+    split, 'feature', 'threshold', 'left' and 'right'."""
+    doc = payload(node)
+    if tree.feature[node] >= 0:
         doc.update(
-            feature=node.feature,
-            threshold=node.threshold,
-            left=_node_to_json(node.left),
-            right=_node_to_json(node.right),
+            feature=int(tree.feature[node]),
+            threshold=float(tree.threshold[node]),
+            left=nodes_to_json(tree, payload, int(tree.left[node])),
+            right=nodes_to_json(tree, payload, int(tree.right[node])),
         )
     return doc
 
 
-_SPLIT_KEYS = {"feature", "threshold", "left", "right"}
+SPLIT_KEYS = {"feature", "threshold", "left", "right"}
 
 
-def _node_from_json(doc, path: str, routing_dim: int, regression_dim: int) -> Node:
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path} must be a JSON object, got {doc!r}")
-    model = doc.get("model")
-    if not isinstance(model, dict):
-        raise ValueError(f"{path}.model must be a JSON object, got {model!r}")
-    node = Node(
-        LinearModel(
-            finite_number(model.get("intercept"), f"{path}.model.intercept"),
-            tuple(
-                finite_numbers(
-                    model.get("coefficients"), f"{path}.model.coefficients", regression_dim
-                )
-            ),
-        ),
-        json_int(doc.get("count"), f"{path}.count", 1),
-        finite_number(doc.get("mae"), f"{path}.mae"),
-    )
-    split = _SPLIT_KEYS & set(doc)
-    if not split:
-        return node
-    if split != _SPLIT_KEYS:
-        raise ValueError(
-            f"{path} must hold all or none of 'feature', 'threshold', 'left' and 'right', "
-            f"got keys {sorted(doc)}"
-        )
-    node.feature = json_int(doc["feature"], f"{path}.feature", 0, routing_dim)
-    node.threshold = finite_number(doc["threshold"], f"{path}.threshold")
-    node.left = _node_from_json(doc["left"], f"{path}.left", routing_dim, regression_dim)
-    node.right = _node_from_json(doc["right"], f"{path}.right", routing_dim, regression_dim)
-    return node
+def nodes_from_json(
+    doc, path: str, feature_bound: int, read_payload: Callable[[dict, str], tuple[tuple, bool]]
+) -> list[list]:
+    """Preorder node rows of a nested JSON tree; ValueError on any malformed node.
+
+    read_payload(node, path) checks a node object's own keys and returns its
+    payload and whether the node splits; a split's feature must lie in
+    [0, feature_bound).
+    """
+    rows: list[list] = []
+
+    def add(node, where: str) -> int:
+        if not isinstance(node, dict):
+            raise ValueError(f"{where} must be a JSON object, got {node!r}")
+        index = len(rows)
+        row = [-1, 0.0, -1, -1]
+        rows.append(row)
+        payload, splits = read_payload(node, where)
+        row.extend(payload)
+        if splits:
+            row[0] = json_int(node["feature"], f"{where}.feature", 0, feature_bound)
+            row[1] = finite_number(node["threshold"], f"{where}.threshold")
+            row[2] = add(node["left"], f"{where}.left")
+            row[3] = add(node["right"], f"{where}.right")
+        return index
+
+    add(doc, path)
+    return rows
 
 
 def tree_to_json(tree: ModelTree) -> dict:
+    def payload(node: int) -> dict:
+        return {
+            "count": int(tree.count[node]),
+            "mae": float(tree.mae[node]),
+            "model": {
+                "intercept": float(tree.beta[node, 0]),
+                "coefficients": tree.beta[node, 1:].tolist(),
+            },
+        }
+
     return {
         "routing_dim": tree.routing_dim,
         "regression_dim": tree.regression_dim,
-        "root": _node_to_json(tree.root),
+        "root": nodes_to_json(tree, payload),
     }
 
 
@@ -355,6 +378,24 @@ def tree_from_json(doc: dict) -> ModelTree:
         raise ValueError(f"tree must be a JSON object, got {doc!r}")
     routing_dim = json_int(doc.get("routing_dim"), "tree routing_dim", 0)
     regression_dim = json_int(doc.get("regression_dim"), "tree regression_dim", 0)
-    root = _node_from_json(doc.get("root"), "tree.root", routing_dim, regression_dim)
-    return ModelTree(root, routing_dim, regression_dim)
 
+    def read_payload(node: dict, path: str) -> tuple[tuple, bool]:
+        model = node.get("model")
+        if not isinstance(model, dict):
+            raise ValueError(f"{path}.model must be a JSON object, got {model!r}")
+        intercept = finite_number(model.get("intercept"), f"{path}.model.intercept")
+        coefficients = finite_numbers(
+            model.get("coefficients"), f"{path}.model.coefficients", regression_dim
+        )
+        count = json_int(node.get("count"), f"{path}.count", 1)
+        mae = finite_number(node.get("mae"), f"{path}.mae")
+        split = SPLIT_KEYS & set(node)
+        if split and split != SPLIT_KEYS:
+            raise ValueError(
+                f"{path} must hold all or none of 'feature', 'threshold', 'left' and 'right', "
+                f"got keys {sorted(node)}"
+            )
+        return (count, mae, [intercept, *coefficients]), bool(split)
+
+    rows = nodes_from_json(doc.get("root"), "tree.root", routing_dim, read_payload)
+    return ModelTree.from_rows(rows, routing_dim, regression_dim)

@@ -193,7 +193,7 @@ class TestTreeboost:
         assert_allclose(predict_treeboost_dataset(model, data), median, rtol=1e-6)
 
     def test_single_leaf_series_arithmetic(self):
-        leaf = StageTree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[5.0])
+        leaf = StageTree.from_rows([[-1, 0.0, -1, -1, 5.0]])
         model = TreeboostModel(f0=100.0, shrinkage=0.1, trees=[leaf])
         probe = Dataset(("p",), [[100.0, 20.0, 3.0]], [1.0])
         assert predict_treeboost_dataset(model, probe)[0] == 100.5

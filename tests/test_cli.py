@@ -33,6 +33,17 @@ UCP_MODEL = {
 }
 
 
+def deep_tree_model(depth):
+    """An fmt model file whose tree is a chain of `depth` splits, too deep to read."""
+    node = {"count": 5, "mae": 0.0, "model": {"intercept": 1.0, "coefficients": [0, 0, 0]}}
+    split = json.dumps(dict(node, feature=0, threshold=0.5, right=node))[:-1]
+    return (
+        '{"kind": "fmt", "feature_names": ["size_ucp", "productivity", "complexity"],'
+        ' "tree": {"routing_dim": 3, "regression_dim": 3, "root": '
+        + (split + ', "left": ') * depth + json.dumps(node) + "}" * depth + "}}"
+    )
+
+
 @pytest.fixture
 def dataset_csv(tmp_path):
     path = tmp_path / "projects.csv"
@@ -298,7 +309,16 @@ class TestTrainPredictEvaluate:
         assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("command", ["predict", "ucp"])
-    @pytest.mark.parametrize("text", ["{", "", '{"kind": "fmt", "feature_names": null}'])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{",
+            "",
+            '{"kind": "fmt", "feature_names": null}',
+            pytest.param("[" * 5000 + "]" * 5000, id="deep-arrays"),
+            pytest.param(deep_tree_model(5000), id="deep-tree"),
+        ],
+    )
     def test_undecodable_json_file_is_named(self, tmp_path, dataset_csv, capsys, command, text):
         path = tmp_path / "in.json"
         path.write_text(text, encoding="utf-8")

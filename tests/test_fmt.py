@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import hashlib
 import json
 import logging
@@ -6,9 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import linear_dataset, piecewise_dataset
+from fmtree import fmt
 from fmtree.data import Dataset, split_holdout
 from fmtree.fcm import FcmConfig, FuzzyInferenceModel, membership_matrix
 from fmtree.fmt import (
@@ -96,6 +101,58 @@ def test_cluster_relabeling_leaves_predictions_unchanged():
     assert_allclose(got, want, atol=1e-9)
 
 
+@functools.cache
+def relabel_fit():
+    train, test = split_holdout(piecewise_dataset(600, 3), 400, 3)
+    return train_fmt(train, FcmConfig(k=4, seed=3), TreeConfig(min_instances=2)), test
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.permutations(range(4)))
+def test_relabeled_clusters_and_remapped_routing_predict_identically(order):
+    model, test = relabel_fit()
+    k = model.fuzzy.cluster_count
+    # New cluster c is old cluster order[c], so old routing column j*k + c
+    # becomes j*k + relabel[c].
+    relabel = np.argsort(order)
+    fuzzy = FuzzyInferenceModel(
+        model.fuzzy.centers[:, order], model.fuzzy.sigmas[:, order], model.fuzzy.standardization
+    )
+    feature = model.tree.feature
+    remapped = np.where(feature >= 0, feature // k * k + relabel[feature % k], feature)
+    tree = dataclasses.replace(model.tree, feature=remapped)
+    relabeled = dataclasses.replace(model, fuzzy=fuzzy, tree=tree)
+    assert model.tree.leaf_count() > 2
+    got = predict_fmt_dataset(relabeled, test)
+    assert got.tobytes() == predict_fmt_dataset(model, test).tobytes()
+
+
+def test_tracer_hooks_see_one_build_and_one_prune(monkeypatch):
+    """The benchmark's tracer wraps fmt.build_tree and fmt.prune where train_fmt
+    looks them up, and counts leaves with the results' leaf_count()."""
+    calls = {"build_tree": [], "prune": []}
+
+    def counting(name):
+        original = getattr(fmt, name)
+
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls[name].append(result)
+            return result
+
+        monkeypatch.setattr(fmt, name, wrapper)
+
+    counting("build_tree")
+    counting("prune")
+    train, _ = split_holdout(piecewise_dataset(), 59, seed=2014)
+    model = train_fmt(train)
+    assert [len(results) for results in calls.values()] == [1, 1]
+    assert calls["prune"][0] is model.tree
+    for (tree,) in calls.values():
+        assert tree.leaf_count() == int(np.count_nonzero(tree.feature < 0))
+    assert calls["build_tree"][0].leaf_count() >= model.tree.leaf_count() > 0
+
+
 def test_serialization_round_trip():
     data = piecewise_dataset()
     train, test = split_holdout(data, 59, seed=7)
@@ -131,8 +188,13 @@ def test_fit_matches_recorded_reference(name):
     model = train_fmt(train, FcmConfig(seed=seed))
     text = json.dumps(fmt_to_json(model), indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == reference["model_json_sha256"]
-    total = math.fsum(predict_fmt_dataset(model, test).tolist())
+    predictions = predict_fmt_dataset(model, test)
+    total = math.fsum(predictions.tolist())
     assert total == pytest.approx(reference["test_prediction_sum"], rel=1e-12)
+    # The float64 bytes of the holdout predictions, recorded with the
+    # recursive-node tree code that preceded the flat-array one.
+    digest = hashlib.sha256(predictions.tobytes()).hexdigest()
+    assert digest == reference["test_predictions_sha256"]
 
 
 def test_batch_predict_equals_per_row_predict():

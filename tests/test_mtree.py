@@ -7,10 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from fmtree.baselines import treeboost_from_json, treeboost_to_json
 from fmtree.mtree import (
-    LinearModel,
-    ModelTree,
-    Node,
     TreeConfig,
     _best_split,
     build_tree,
@@ -141,7 +139,7 @@ class TestBuildTree:
         config = TreeConfig(min_instances=2, smoothing_k=0.0)
         tree = build_tree(x, x, y, config)
         assert tree.leaf_count() == 2
-        assert tree.root.threshold == 3.5
+        assert tree.threshold[0] == 3.5
         assert predict_one(tree, [2.0], [2.0], config) == pytest.approx(1.0)
         assert predict_one(tree, [5.0], [5.0], config) == pytest.approx(9.0)
 
@@ -162,12 +160,12 @@ class TestBuildTree:
         assert tree.regression_dim == 2
 
         def check(node):
-            assert len(node.model.coefficients) == 2
-            if not node.is_leaf:
-                check(node.left)
-                check(node.right)
+            assert len(node["model"]["coefficients"]) == 2
+            if "feature" in node:
+                check(node["left"])
+                check(node["right"])
 
-        check(tree.root)
+        check(tree_to_json(tree)["root"])
 
     def test_rejects_bad_inputs(self):
         x = np.arange(1.0, 7.0).reshape(-1, 1)
@@ -225,39 +223,32 @@ class TestPrune:
                 return 10.0
             return (n + config.pruning_factor * v) / (n - v)
 
-        def leaf_prediction(node, i):
-            while not node.is_leaf:
-                node = node.left if r[i, node.feature] <= node.threshold else node.right
-            return node.model.intercept + float(np.dot(node.model.coefficients, g[i]))
-
         def walk(node, idx):
-            if node.is_leaf:
+            if "feature" not in node:
                 return v_model
-            mask = r[idx, node.feature] <= node.threshold
-            v = walk(node.left, idx[mask]) + walk(node.right, idx[~mask]) + 1
-            errors = [abs(y[i] - leaf_prediction(node, i)) for i in idx]
+            mask = r[idx, node["feature"]] <= node["threshold"]
+            v = walk(node["left"], idx[mask]) + walk(node["right"], idx[~mask]) + 1
+            errors = [abs(y[i] - reference_leaf_value(node, r[i], g[i])) for i in idx]
             adjusted_subtree = (sum(errors) / len(idx)) * factor(len(idx), v)
-            adjusted_node = node.mae * factor(len(idx), v_model)
+            adjusted_node = node["mae"] * factor(len(idx), v_model)
             assert adjusted_node > adjusted_subtree
             assert adjusted_node > near_zero
             return v
 
-        walk(tree.root, np.arange(len(y)))
+        walk(tree_to_json(tree)["root"], np.arange(len(y)))
+
+
+def m5_node(intercept, count, **split):
+    """A nested-doc M5 node with a constant model; `split` holds a split's four keys."""
+    model = {"intercept": intercept, "coefficients": [0.0]}
+    return {"count": count, "mae": 0.0, "model": model, **split}
 
 
 def manual_two_level_tree():
-    leaf = Node(LinearModel(10.0, (0.0,)), count=4, mae=0.0)
-    right = Node(LinearModel(50.0, (0.0,)), count=6, mae=0.0)
-    root = Node(
-        LinearModel(20.0, (0.0,)),
-        count=10,
-        mae=0.0,
-        feature=0,
-        threshold=0.5,
-        left=leaf,
-        right=right,
+    root = m5_node(
+        20.0, 10, feature=0, threshold=0.5, left=m5_node(10.0, 4), right=m5_node(50.0, 6)
     )
-    return ModelTree(root, routing_dim=1, regression_dim=1)
+    return tree_from_json({"routing_dim": 1, "regression_dim": 1, "root": root})
 
 
 class TestSmoothing:
@@ -278,28 +269,9 @@ class TestSmoothing:
         assert predict_one(tree, [0.5 + 1e-9], [0.0], config) == 50.0
 
     def test_three_level_blend(self):
-        leaf = Node(LinearModel(1.0, (0.0,)), count=2, mae=0.0)
-        sibling = Node(LinearModel(9.0, (0.0,)), count=3, mae=0.0)
-        mid = Node(
-            LinearModel(2.0, (0.0,)),
-            count=5,
-            mae=0.0,
-            feature=0,
-            threshold=0.5,
-            left=leaf,
-            right=sibling,
-        )
-        other = Node(LinearModel(0.0, (0.0,)), count=7, mae=0.0)
-        root = Node(
-            LinearModel(3.0, (0.0,)),
-            count=12,
-            mae=0.0,
-            feature=1,
-            threshold=0.5,
-            left=mid,
-            right=other,
-        )
-        tree = ModelTree(root, routing_dim=2, regression_dim=1)
+        mid = m5_node(2.0, 5, feature=0, threshold=0.5, left=m5_node(1.0, 2), right=m5_node(9.0, 3))
+        root = m5_node(3.0, 12, feature=1, threshold=0.5, left=mid, right=m5_node(0.0, 7))
+        tree = tree_from_json({"routing_dim": 2, "regression_dim": 1, "root": root})
         # leaf 1 -> (2*1 + 15*2)/17 -> (5*(32/17) + 15*3)/20 = 925/340
         got = predict_one(tree, [0.0, 0.0], [0.0], TreeConfig(smoothing_k=15.0))
         assert got == pytest.approx(925.0 / 340.0)
@@ -336,14 +308,34 @@ class TestSerialization:
             prune(restored)
 
 
+def route(node, routing_row):
+    """The nodes of a nested tree doc (either kind) from `node` down to routing_row's leaf."""
+    path = [node]
+    while "feature" in path[-1]:
+        node = path[-1]
+        goes_left = routing_row[node["feature"]] <= node["threshold"]
+        path.append(node["left"] if goes_left else node["right"])
+    return path
+
+
+def model_value(node, regression_row):
+    """A doc node's model on one row, its terms added in column order."""
+    total = 0.0
+    for coefficient, x in zip(node["model"]["coefficients"], regression_row):
+        total += coefficient * x
+    return node["model"]["intercept"] + total
+
+
 def reference_leaf_value(node, routing_row, regression_row):
-    while not node.is_leaf:
-        node = node.left if routing_row[node.feature] <= node.threshold else node.right
-    return node.model.intercept + float(np.dot(node.model.coefficients, regression_row))
+    return model_value(route(node, routing_row)[-1], regression_row)
 
 
 def reference_prune(tree, config):
-    """The per-row pruning pass that preceded the batch one, kept as the oracle."""
+    """The per-row pruning pass that preceded the batch one, kept as the oracle.
+
+    It walks the nested doc of `tree` and returns the pruned tree's doc.
+    """
+    doc = tree_to_json(tree)
     r, g, y = tree.training
     v_model = tree.regression_dim + 1
     near_zero = 1e-5 * float(np.std(y))
@@ -354,39 +346,35 @@ def reference_prune(tree, config):
         return (n + config.pruning_factor * v) / (n - v)
 
     def walk(node, idx):
-        if node.is_leaf:
-            return Node(node.model, node.count, node.mae), v_model
-        mask = r[idx, node.feature] <= node.threshold
-        left, v_left = walk(node.left, idx[mask])
-        right, v_right = walk(node.right, idx[~mask])
+        own = {key: node[key] for key in ("count", "mae", "model")}
+        if "feature" not in node:
+            return own, v_model
+        mask = r[idx, node["feature"]] <= node["threshold"]
+        left, v_left = walk(node["left"], idx[mask])
+        right, v_right = walk(node["right"], idx[~mask])
         v_subtree = v_left + v_right + 1
-        rebuilt = Node(node.model, node.count, node.mae, node.feature, node.threshold, left, right)
+        rebuilt = dict(
+            own, feature=node["feature"], threshold=node["threshold"], left=left, right=right
+        )
         predictions = np.array([reference_leaf_value(rebuilt, r[i], g[i]) for i in idx])
         subtree_err = float(np.mean(np.abs(y[idx] - predictions)))
-        adjusted_node = node.mae * factor(len(idx), v_model)
+        adjusted_node = node["mae"] * factor(len(idx), v_model)
         adjusted_subtree = subtree_err * factor(len(idx), v_subtree)
         if adjusted_node <= adjusted_subtree or adjusted_node <= near_zero:
-            return Node(node.model, node.count, node.mae), v_model
+            return own, v_model
         return rebuilt, v_subtree
 
-    root, _ = walk(tree.root, np.arange(len(y)))
-    return ModelTree(root, tree.routing_dim, tree.regression_dim, tree.training)
+    root, _ = walk(doc["root"], np.arange(len(y)))
+    return dict(doc, root=root)
 
 
-def reference_smooth_predict(tree, routing_row, regression_row, config):
-    """The per-row smoothing walk that preceded the batch one, kept as the oracle."""
-    path = [tree.root]
-    while not path[-1].is_leaf:
-        node = path[-1]
-        path.append(node.left if routing_row[node.feature] <= node.threshold else node.right)
-
-    def value(node):
-        return node.model.intercept + float(np.dot(node.model.coefficients, regression_row))
-
-    p = value(path[-1])
+def reference_smooth_predict(doc, routing_row, regression_row, config):
+    """The per-row smoothing walk over a nested tree doc, kept as the oracle."""
+    path = route(doc["root"], routing_row)
+    p = model_value(path[-1], regression_row)
     for parent, child in zip(path[-2::-1], path[::-1]):
-        p = (child.count * p + config.smoothing_k * value(parent)) / (
-            child.count + config.smoothing_k
+        p = (child["count"] * p + config.smoothing_k * model_value(parent, regression_row)) / (
+            child["count"] + config.smoothing_k
         )
     return p
 
@@ -415,8 +403,8 @@ class TestBatchPaths:
         r, g, y = random_tree_data(*data)
         config = TreeConfig(min_instances=min_instances, pruning_factor=pruning_factor)
         tree = build_tree(r, g, y, config)
-        got = json.dumps(tree_to_json(prune(tree, config)))
-        assert got == json.dumps(tree_to_json(reference_prune(tree, config)))
+        got = json.dumps(tree_to_json(prune(tree, config)), sort_keys=True)
+        assert got == json.dumps(reference_prune(tree, config), sort_keys=True)
 
     @settings(max_examples=40, deadline=None)
     @given(tree_data, st.sampled_from([0.0, 1.0, 15.0]))
@@ -425,8 +413,9 @@ class TestBatchPaths:
         config = TreeConfig(min_instances=2, smoothing_k=smoothing_k)
         tree = prune(build_tree(r, g, y, config), config)
         got = predict_tree(tree, r, g, config)
-        want = [reference_smooth_predict(tree, r[i], g[i], config) for i in range(len(r))]
-        assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        doc = tree_to_json(tree)
+        want = [reference_smooth_predict(doc, r[i], g[i], config) for i in range(len(r))]
+        assert got.tolist() == want
         # a row's prediction does not depend on the rows it is batched with
         order = np.random.default_rng(data[0]).permutation(len(r))
         assert np.array_equal(predict_tree(tree, r[order], g[order], config), got[order])
@@ -463,3 +452,84 @@ def test_from_json_rejects_malformed_trees(change, message):
     change(doc)
     with pytest.raises(ValueError, match=message):
         tree_from_json(doc)
+
+
+# Thresholds and routing values on a half-unit grid, so rows often sit exactly on a threshold.
+half_units = st.integers(-10, 10).map(lambda v: v / 2.0)
+small = st.floats(-100.0, 100.0, allow_nan=False)
+
+
+@st.composite
+def m5_tree_docs(draw):
+    routing_dim = draw(st.integers(1, 3))
+    regression_dim = draw(st.integers(0, 2))
+    own = st.fixed_dictionaries(
+        {
+            "count": st.integers(1, 50),
+            "mae": small,
+            "model": st.fixed_dictionaries(
+                {
+                    "intercept": small,
+                    "coefficients": st.lists(
+                        small, min_size=regression_dim, max_size=regression_dim
+                    ),
+                }
+            ),
+        }
+    )
+
+    def splits(children):
+        return st.builds(
+            lambda node, feature, threshold, left, right: dict(
+                node, feature=feature, threshold=threshold, left=left, right=right
+            ),
+            own,
+            st.integers(0, routing_dim - 1),
+            half_units,
+            children,
+            children,
+        )
+
+    root = draw(st.recursive(own, splits, max_leaves=10))
+    return {"routing_dim": routing_dim, "regression_dim": regression_dim, "root": root}
+
+
+stage_docs = st.recursive(
+    st.builds(lambda value: {"value": value}, small),
+    lambda children: st.builds(
+        lambda feature, threshold, left, right: {
+            "feature": feature, "threshold": threshold, "left": left, "right": right
+        },
+        st.integers(0, 2),
+        half_units,
+        children,
+        children,
+    ),
+    max_leaves=10,
+)
+
+
+class TestCodecProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(m5_tree_docs(), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1.0, 15.0]))
+    def test_m5_docs_round_trip_and_predict_like_the_doc(self, doc, seed, smoothing_k):
+        tree = tree_from_json(doc)
+        assert json.dumps(tree_to_json(tree), sort_keys=True) == json.dumps(doc, sort_keys=True)
+        rng = np.random.default_rng(seed)
+        r = rng.integers(-12, 13, size=(16, doc["routing_dim"])) / 2.0
+        g = rng.uniform(-10.0, 10.0, size=(16, doc["regression_dim"]))
+        config = TreeConfig(smoothing_k=smoothing_k)
+        want = [reference_smooth_predict(doc, r[i], g[i], config) for i in range(len(r))]
+        assert predict_tree(tree, r, g, config).tolist() == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(stage_docs, min_size=1, max_size=3), st.integers(0, 2**32 - 1))
+    def test_stage_docs_round_trip_and_predict_like_the_doc(self, trees, seed):
+        doc = {"kind": "treeboost", "f0": 1.0, "shrinkage": 0.5, "trees": trees}
+        model = treeboost_from_json(doc)
+        got = treeboost_to_json(model)
+        assert json.dumps(got, sort_keys=True) == json.dumps(doc, sort_keys=True)
+        x = np.random.default_rng(seed).integers(-12, 13, size=(16, 3)) / 2.0
+        for stage, stage_doc in zip(model.trees, trees):
+            got = stage.value[stage.apply(x, np.zeros(len(x), dtype=np.intp))]
+            assert got.tolist() == [route(stage_doc, row)[-1]["value"] for row in x]
