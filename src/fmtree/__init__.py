@@ -36,7 +36,6 @@ from .evaluation import (
     evaluate,
     mdmre,
     mmre,
-    mre,
     mre_vector,
     pred,
     wilcoxon_signed_rank,
@@ -106,7 +105,6 @@ __all__ = [
     "mdmre",
     "membership_matrix",
     "mmre",
-    "mre",
     "mre_vector",
     "parse_dataset",
     "pred",

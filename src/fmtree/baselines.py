@@ -22,6 +22,8 @@ from .mtree import SPLIT_KEYS, FlatTree, nodes_from_json, nodes_to_json
 
 MLR_PREDICTORS = ("ln_size", "productivity", "complexity")
 VIF_ALARM = 4.0
+# The p-value at or below which mlr_to_json marks a coefficient significant.
+MLR_ALPHA = 0.05
 # The largest log-space MLR score whose exp is a finite float.
 _MAX_LOG_EFFORT = math.log(np.finfo(float).max)
 
@@ -453,7 +455,7 @@ def predict_mlr_dataset(model: MlrModel, dataset: Dataset) -> np.ndarray:
     return np.array(predictions)
 
 
-def mlr_to_json(model: MlrModel, alpha: float = 0.05) -> dict:
+def mlr_to_json(model: MlrModel) -> dict:
     return {
         "kind": "mlr",
         "coefficients": {
@@ -469,8 +471,8 @@ def mlr_to_json(model: MlrModel, alpha: float = 0.05) -> dict:
             "vif_alarms": {k: v > VIF_ALARM for k, v in model.vif.items()},
             "t_stats": dict(model.t_stats),
             "p_values": dict(model.p_values),
-            "alpha": alpha,
-            "significant": {k: v <= alpha for k, v in model.p_values.items()},
+            "alpha": MLR_ALPHA,
+            "significant": {k: v <= MLR_ALPHA for k, v in model.p_values.items()},
         },
     }
 

@@ -165,15 +165,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     wtl = evaluation.win_tie_loss(mres)
 
     out_dir = Path(args.out_dir)
-    metrics_json = {
-        name: {
-            "mmre": report.mmre,
-            "mdmre": report.mdmre,
-            "pred25": report.pred25,
-            "pred50": report.pred50,
-        }
-        for name, report in reports.items()
-    }
+    metrics_json = {name: report.scores() for name, report in reports.items()}
     metrics_text = evaluation.render_metrics_table(reports)
     wtl_text = evaluation.render_wtl_table(wtl)
     _write_json(out_dir / "metrics.json", metrics_json)

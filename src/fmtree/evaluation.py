@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-DEFAULT_ALPHA = 0.05
+# The significance level of the signed-rank test that gates win_tie_loss.
+ALPHA = 0.05
 # The fewest pairs wilcoxon_signed_rank accepts, so the fewest test rows `compare` can use.
 MIN_PAIRS = 5
 _EXACT_LIMIT = 12
@@ -23,14 +24,8 @@ def _as_vector(values: Sequence[float], name: str = "values") -> np.ndarray:
     return v
 
 
-def mre(actual: float, predicted: float) -> float:
-    """Magnitude of relative error |actual - predicted| / actual."""
-    if actual <= 0:
-        raise ValueError(f"actual must be positive, got {actual}")
-    return abs(actual - predicted) / actual
-
-
 def mre_vector(actuals: Sequence[float], predictions: Sequence[float]) -> np.ndarray:
+    """Magnitude of relative error |actual - predicted| / actual of each pair."""
     a = _as_vector(actuals, "actuals")
     p = _as_vector(predictions, "predictions")
     if a.shape != p.shape:
@@ -54,6 +49,20 @@ def pred(values: Sequence[float], level: float) -> float:
         raise ValueError(f"level must be in (0, 1], got {level}")
     v = _as_vector(values)
     return float(100.0 * np.count_nonzero(v <= level) / v.size)
+
+
+# The four accuracy scores, each mapped to whether a higher value is better.
+SCORES = {"mmre": False, "mdmre": False, "pred25": True, "pred50": True}
+
+
+def scores(mres: Sequence[float]) -> dict[str, float]:
+    """The SCORES of one method's MRE vector."""
+    return {
+        "mmre": mmre(mres),
+        "mdmre": mdmre(mres),
+        "pred25": pred(mres, 0.25),
+        "pred50": pred(mres, 0.50),
+    }
 
 
 @dataclass(frozen=True)
@@ -155,15 +164,13 @@ def _normal_two_sided_p(ranks: np.ndarray, abs_diffs: np.ndarray, w_pos: float) 
     return min(math.erfc(z / math.sqrt(2.0)), 1.0)
 
 
-def wilcoxon_signed_rank(
-    a: Sequence[float], b: Sequence[float], alpha: float = DEFAULT_ALPHA
-) -> WilcoxonResult:
+def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> WilcoxonResult:
     """Two-sided paired signed-rank test on a - b.
 
     Zero differences are dropped and tied magnitudes share averaged ranks.
     Up to 12 effective pairs the p-value comes from full enumeration of the
     2^n sign assignments; beyond that a normal approximation with continuity
-    and tie corrections is used.  `same` means p > alpha.
+    and tie corrections is used.  `same` means p > ALPHA.
     """
     av = _as_vector(a, "a")
     bv = _as_vector(b, "b")
@@ -171,8 +178,6 @@ def wilcoxon_signed_rank(
         raise ValueError(f"length mismatch: {av.size} vs {bv.size}")
     if av.size < MIN_PAIRS:
         raise ValueError(f"need at least {MIN_PAIRS} pairs, got {av.size}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     d = av - bv
     d = d[d != 0.0]
     if d.size == 0:
@@ -184,7 +189,7 @@ def wilcoxon_signed_rank(
         p = _exact_two_sided_p(ranks, w_pos)
     else:
         p = _normal_two_sided_p(ranks, abs_d, w_pos)
-    return WilcoxonResult(same=bool(p > alpha), p_value=p, w_statistic=w_pos)
+    return WilcoxonResult(same=bool(p > ALPHA), p_value=p, w_statistic=w_pos)
 
 
 @dataclass(frozen=True)
@@ -196,12 +201,12 @@ class EvalReport:
     abs_residuals: tuple[float, ...]
     boxplot: BoxplotSummary
 
+    def scores(self) -> dict[str, float]:
+        return {name: getattr(self, name) for name in SCORES}
+
     def to_json(self) -> dict:
         return {
-            "mmre": self.mmre,
-            "mdmre": self.mdmre,
-            "pred25": self.pred25,
-            "pred50": self.pred50,
+            **self.scores(),
             "abs_residuals": list(self.abs_residuals),
             "boxplot": self.boxplot.to_json(),
         }
@@ -212,23 +217,10 @@ def evaluate(actuals: Sequence[float], predictions: Sequence[float]) -> EvalRepo
     errors = mre_vector(actuals, predictions)
     residuals = np.abs(np.asarray(actuals, float) - np.asarray(predictions, float))
     return EvalReport(
-        mmre=mmre(errors),
-        mdmre=mdmre(errors),
-        pred25=pred(errors, 0.25),
-        pred50=pred(errors, 0.50),
+        **scores(errors),
         abs_residuals=tuple(float(r) for r in residuals),
         boxplot=boxplot_summary(residuals),
     )
-
-
-# Scalar measures compared in win_tie_loss: (function, higher-is-better).
-MEASURES: dict[str, tuple[Callable[[np.ndarray], float], bool]] = {
-    "mmre": (mmre, False),
-    "mdmre": (mdmre, False),
-    "pred25": (lambda v: pred(v, 0.25), True),
-    "pred50": (lambda v: pred(v, 0.50), True),
-}
-DEFAULT_MEASURES = ("mmre", "mdmre", "pred25", "pred50")
 
 
 @dataclass(frozen=True)
@@ -241,7 +233,6 @@ class MethodRecord:
 
 @dataclass(frozen=True)
 class WtlTable:
-    methods: tuple[str, ...]
     records: dict[str, MethodRecord]
 
     def to_json(self) -> dict:
@@ -256,69 +247,48 @@ class WtlTable:
         }
 
 
-def win_tie_loss(
-    mre_by_method: Mapping[str, Sequence[float]],
-    measures: Sequence[str] = DEFAULT_MEASURES,
-    alpha: float = DEFAULT_ALPHA,
-) -> WtlTable:
-    """Pairwise scoreboard over scalar measures, gated by the signed-rank test.
+def win_tie_loss(mre_by_method: Mapping[str, Sequence[float]]) -> WtlTable:
+    """Pairwise scoreboard over the SCORES, gated by the signed-rank test.
 
     For each method pair the Wilcoxon test runs once on the MRE vectors; if it
-    cannot distinguish them every measure is a tie for both.  Otherwise each
-    measure awards a win and a loss (or a tie when the values are exactly
-    equal).  Ranks order methods by descending win - loss, equal differences
-    sharing a rank.
+    cannot distinguish them every score is a tie for both.  Otherwise each
+    score awards a win and a loss (or a tie when the values are exactly
+    equal).  A method's rank is 1 plus the number of methods with a larger
+    win - loss, so equal differences share a rank.
     """
     methods = list(mre_by_method)
     if len(methods) < 2:
         raise ValueError("need at least 2 methods")
-    unknown = [m for m in measures if m not in MEASURES]
-    if unknown:
-        raise ValueError(f"unknown measure(s): {', '.join(unknown)}")
     vectors = {name: _as_vector(mre_by_method[name], name) for name in methods}
-    sizes = {v.size for v in vectors.values()}
-    if len(sizes) != 1:
+    if len({v.size for v in vectors.values()}) != 1:
         raise ValueError("all MRE vectors must have equal length")
 
-    scores = {
-        name: {meas: MEASURES[meas][0](vec) for meas in measures}
-        for name, vec in vectors.items()
-    }
+    values = {name: scores(vec) for name, vec in vectors.items()}
     win = dict.fromkeys(methods, 0)
     tie = dict.fromkeys(methods, 0)
     loss = dict.fromkeys(methods, 0)
     for i, mi in enumerate(methods):
         for mj in methods[i + 1 :]:
-            verdict = wilcoxon_signed_rank(vectors[mi], vectors[mj], alpha)
-            for meas in measures:
-                vi, vj = scores[mi][meas], scores[mj][meas]
-                if verdict.same or vi == vj:
+            same = wilcoxon_signed_rank(vectors[mi], vectors[mj]).same
+            for score, higher_better in SCORES.items():
+                vi, vj = values[mi][score], values[mj][score]
+                if same or vi == vj:
                     tie[mi] += 1
                     tie[mj] += 1
-                    continue
-                higher_better = MEASURES[meas][1]
-                i_better = (vi > vj) if higher_better else (vi < vj)
-                if i_better:
+                elif (vi > vj) == higher_better:
                     win[mi] += 1
                     loss[mj] += 1
                 else:
                     win[mj] += 1
                     loss[mi] += 1
 
-    ordered = sorted(methods, key=lambda m: loss[m] - win[m])
-    ranks: dict[str, int] = {}
-    for position, name in enumerate(ordered, start=1):
-        delta = win[name] - loss[name]
-        previous = ordered[position - 2] if position > 1 else None
-        if previous is not None and win[previous] - loss[previous] == delta:
-            ranks[name] = ranks[previous]
-        else:
-            ranks[name] = position
-    records = {
-        name: MethodRecord(win[name], tie[name], loss[name], ranks[name])
+    delta = {name: win[name] - loss[name] for name in methods}
+    return WtlTable({
+        name: MethodRecord(
+            win[name], tie[name], loss[name], 1 + sum(d > delta[name] for d in delta.values())
+        )
         for name in methods
-    }
-    return WtlTable(tuple(methods), records)
+    })
 
 
 def render_metrics_table(reports: Mapping[str, EvalReport]) -> str:
@@ -336,7 +306,6 @@ def render_metrics_table(reports: Mapping[str, EvalReport]) -> str:
 def render_wtl_table(table: WtlTable) -> str:
     header = f"{'Model':<12} {'Win':>5} {'Tie':>5} {'Loss':>5} {'Rank':>5}"
     lines = [header, "-" * len(header)]
-    for name in table.methods:
-        rec = table.records[name]
+    for name, rec in table.records.items():
         lines.append(f"{name:<12} {rec.win:>5} {rec.tie:>5} {rec.loss:>5} {rec.rank:>5}")
     return "\n".join(lines) + "\n"

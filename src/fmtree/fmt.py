@@ -31,7 +31,6 @@ class FmtModel:
     tree: ModelTree
     fcm_config: FcmConfig
     tree_config: TreeConfig
-    feature_names: tuple[str, ...] = FEATURE_NAMES
 
 
 def train_fmt(
@@ -79,7 +78,7 @@ def predict_fmt_dataset(model: FmtModel, dataset: Dataset) -> np.ndarray:
 def fmt_to_json(model: FmtModel) -> dict:
     return {
         "kind": "fmt",
-        "feature_names": list(model.feature_names),
+        "feature_names": list(FEATURE_NAMES),
         "fcm_config": {
             "k": model.fcm_config.k,
             "fuzzifier_m": model.fcm_config.fuzzifier_m,

@@ -13,17 +13,15 @@ _MARGIN_TOP = 40
 _MARGIN_BOTTOM = 50
 _PLOT_HEIGHT = 320
 _BOX_WIDTH = 46
+_TITLE = "Absolute residuals by model"
+_Y_LABEL = "absolute residual (PH)"
 
 
 def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def render_boxplot_svg(
-    summaries: Mapping[str, BoxplotSummary],
-    title: str = "Absolute residuals by model",
-    y_label: str = "absolute residual (PH)",
-) -> str:
+def render_boxplot_svg(summaries: Mapping[str, BoxplotSummary]) -> str:
     """Render one whiskered box per entry; outliers become dots."""
     if not summaries:
         raise ValueError("nothing to plot")
@@ -44,10 +42,10 @@ def render_boxplot_svg(
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        f'font-family="sans-serif" font-size="14">{_TITLE}</text>',
         f'<text x="16" y="{_MARGIN_TOP + _PLOT_HEIGHT / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {_MARGIN_TOP + _PLOT_HEIGHT / 2:.1f})">{y_label}</text>',
+        f'transform="rotate(-90 16 {_MARGIN_TOP + _PLOT_HEIGHT / 2:.1f})">{_Y_LABEL}</text>',
     ]
     axis_x = _MARGIN_LEFT - 14
     parts.append(

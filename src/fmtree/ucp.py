@@ -126,14 +126,12 @@ def use_case_model_from_json(doc: dict) -> UseCaseModel:
     not_lists = [key for key in required if not isinstance(doc[key], list)]
     if not_lists:
         raise ValueError(f"{', '.join(not_lists)} must be JSON list(s)")
-    try:
-        technical = tuple(int(r) if float(r) == int(r) else r for r in doc["technical"])
-        environmental = tuple(int(r) if float(r) == int(r) else r for r in doc["environmental"])
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError("factor ratings must be integers") from None
+    ratings = doc["technical"] + doc["environmental"]
+    if not all(isinstance(r, int) and not isinstance(r, bool) for r in ratings):
+        raise ValueError("factor ratings must be integers")
     return UseCaseModel(
         tuple(str(a).strip().lower() for a in doc["actors"]),
         tuple(str(u).strip().lower() for u in doc["use_cases"]),
-        technical,
-        environmental,
+        doc["technical"],
+        doc["environmental"],
     )

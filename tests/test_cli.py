@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -6,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from fmtree.data import (
     render_dataset,
     split_holdout,
 )
+from fmtree.evaluation import MIN_PAIRS
 
 UCP_MODEL = {
     "actors": ["simple", "simple", "complex"],
@@ -128,6 +131,9 @@ class TestUcpCommand:
             (dict(UCP_MODEL, technical=None, environmental="3"),
              "technical, environmental must be JSON list(s)"),
             (dict(UCP_MODEL, technical=[math.inf] * 13), "factor ratings must be integers"),
+            (dict(UCP_MODEL, technical=[True] + [3] * 12), "factor ratings must be integers"),
+            (dict(UCP_MODEL, technical=["3"] + [3] * 12), "factor ratings must be integers"),
+            (dict(UCP_MODEL, environmental=[3.0] + [3] * 7), "factor ratings must be integers"),
         ],
     )
     def test_malformed_use_case_file_exits_2(self, tmp_path, capsys, doc, message):
@@ -364,20 +370,25 @@ TABLE_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("bad_file", ["projects.csv", "pred.csv"])
-@pytest.mark.parametrize("make, message", TABLE_ERRORS)
-def test_evaluate_reports_table_errors_in_either_file(tmp_path, capsys, bad_file, make, message):
+def valid_tables():
+    """The pinned dataset and its exact efforts as predictions: name -> (header, rows)."""
     dataset = piecewise_dataset()
-    tables = {
-        "projects.csv": (CSV_COLUMNS, [
+    return {
+        "projects.csv": (list(CSV_COLUMNS), [
             line.split(",") for line in render_dataset(dataset).splitlines()[1:]
         ]),
-        "pred.csv": (PREDICTION_COLUMNS, [
+        "pred.csv": (list(PREDICTION_COLUMNS), [
             [pid, repr(effort)] for pid, effort in zip(dataset.ids, dataset.efforts.tolist())
         ]),
     }
+
+
+@pytest.mark.parametrize("bad_file", ["projects.csv", "pred.csv"])
+@pytest.mark.parametrize("make, message", TABLE_ERRORS)
+def test_evaluate_reports_table_errors_in_either_file(tmp_path, capsys, bad_file, make, message):
+    tables = valid_tables()
     for name, (header, rows) in tables.items():
-        text = make(list(header), rows) if name == bad_file else csv_lines(header, *rows)
+        text = make(header, rows) if name == bad_file else csv_lines(header, *rows)
         (tmp_path / name).write_text(text, encoding="utf-8")
     header = tables[bad_file][0]
     expected = message.format(last=header[-1], width=len(header), short=len(header) - 1)
@@ -387,6 +398,185 @@ def test_evaluate_reports_table_errors_in_either_file(tmp_path, capsys, bad_file
     assert code == 2
     assert f"{bad_file}: {expected}" in capsys.readouterr().err
     assert not report.exists()
+
+
+# Flag values outside what each option accepts, written as `--flag=value` so
+# that a leading minus is read as a value.  `compare` and `train` check every
+# model's flags before they read any data.
+BAD_FLAGS = {
+    "--clusters": st.integers(max_value=0).map(str) | st.sampled_from(["1.5", "x", ""]),
+    "--fuzzifier": st.floats(max_value=1.0).map(repr) | st.just("nan"),
+    "--trees": st.integers(max_value=0).map(str) | st.sampled_from(["2.5", "x", ""]),
+    "--shrinkage": st.floats(max_value=0.0).map(repr)
+    | st.floats(min_value=1.0, exclude_min=True).map(repr) | st.just("nan"),
+    "--ratio": st.floats(max_value=0.0).map(repr) | st.sampled_from(["inf", "nan"]),
+    "--seed": st.integers(max_value=-1).map(str) | st.sampled_from(["1.5", "x", ""]),
+}
+DATA_COMMANDS = {
+    "compare": ["compare", "--data", "@projects.csv", "--out-dir", "@out"],
+    "train": ["train", "--model", "fmt", "--data", "@projects.csv", "--out", "@out"],
+    "predict": ["predict", "--model-file", "@model.json", "--data", "@projects.csv",
+                "--out", "@out"],
+    "evaluate": ["evaluate", "--predictions", "@pred.csv", "--data", "@projects.csv",
+                 "--out", "@out"],
+}
+# Cell text with no digit, comma, quote or line break: never a number, always one cell.
+NOT_A_NUMBER = st.text(st.characters(codec="ascii", categories=["L", "P", "S", "Zs"],
+                                     exclude_characters=',"'), max_size=6)
+NOT_JSON_OBJECT = st.none() | st.booleans() | st.integers() | st.text() | st.lists(st.integers())
+
+
+@pytest.fixture(scope="module")
+def valid_inputs():
+    """Input files that every command accepts; each bad case breaks one part of them."""
+    train, _ = split_holdout(piecewise_dataset(), 59, seed=2014)
+    args = build_parser().parse_args(["compare", "--data", "-", "--out-dir", "-", "--trees", "30"])
+    models = {name: kind.to_json(kind.fit(train, kind.config(args)))
+              for name, kind in KINDS.items()}
+    return valid_tables(), models
+
+
+@st.composite
+def bad_table(draw, header, rows, faults):
+    """CSV text of the table with one of `faults` drawn in it."""
+    rows = [list(row) for row in rows]
+    fault = draw(st.sampled_from(["layout", "not-a-number", *faults]))
+    if fault == "layout":
+        make = draw(st.sampled_from([case.values[0] for case in TABLE_ERRORS]))
+        return make(header, rows)
+    row = draw(st.sampled_from(rows))
+    if fault == "not-a-number":
+        row[draw(st.integers(1, len(header) - 1))] = draw(NOT_A_NUMBER)
+    elif fault == "not-positive":
+        row[draw(st.sampled_from([1, len(header) - 1]))] = repr(draw(st.floats(max_value=0.0)))
+    elif fault == "unknown-id":
+        row[0] = "zz" + draw(NOT_A_NUMBER)
+    else:
+        rows.remove(row)
+    return csv_lines(header, *rows)
+
+
+@st.composite
+def bad_cli_case(draw, tables, models):
+    """(argv, files): a command line whose flags or input files hold one fault.
+
+    argv names files as "@name"; files maps names to text.  Valid files are
+    given for every input the command reads but the broken one.
+    """
+    files = {name: csv_lines(header, *rows) for name, (header, rows) in tables.items()}
+    model_kind = draw(st.sampled_from(sorted(models)))
+    files["model.json"] = json.dumps(models[model_kind])
+    files["usecases.json"] = json.dumps(UCP_MODEL)
+    target = draw(st.sampled_from(["flag", "projects.csv", "pred.csv", "model.json",
+                                   "usecases.json"]))
+    if target == "flag":
+        command = draw(st.sampled_from(["compare", "train", "synth"]))
+        if command == "synth":
+            argv = ["synth", "edu", "20", "--out", "@out"]
+            if draw(st.booleans()):
+                argv[2] = draw(st.integers(max_value=1).map(str) | st.just("x"))
+                return argv, files
+            flags = {"--seed": BAD_FLAGS["--seed"]}
+        else:
+            argv = DATA_COMMANDS[command]
+            flags = dict(BAD_FLAGS)
+            if command == "compare":
+                too_many = len(tables["projects.csv"][1]) - MIN_PAIRS + 1
+                flags["--train-count"] = (st.integers(max_value=0)
+                                          | st.integers(min_value=too_many)).map(str)
+        flag = draw(st.sampled_from(sorted(flags)))
+        return argv + [f"{flag}={draw(flags[flag])}"], files
+    if target == "usecases.json":
+        files[target] = draw(bad_use_case())
+        return ["ucp", "@usecases.json"], files
+    if target == "model.json":
+        argv = DATA_COMMANDS["predict"]
+        if draw(st.booleans()):
+            other = draw(st.sampled_from(sorted(set(KINDS) - {model_kind})))
+            return argv + ["--model", other], files
+        files[target] = draw(bad_model(models[model_kind]))
+        return argv, files
+    header, rows = tables[target]
+    if target == "pred.csv":
+        files[target] = draw(bad_table(header, rows, ["unknown-id", "missing-id"]))
+        return DATA_COMMANDS["evaluate"], files
+    files[target] = draw(bad_table(header, rows, ["not-positive"]))
+    argv = DATA_COMMANDS[draw(st.sampled_from(sorted(DATA_COMMANDS)))]
+    if argv[0] == "train":
+        argv = argv[:2] + [draw(st.sampled_from(["fmt", "mlr", "treeboost"]))] + argv[3:]
+    return argv, files
+
+
+@st.composite
+def bad_model(draw, doc):
+    """Model file text with one fault: kind, a wrong-typed field, truncation, not an object."""
+    fault = draw(st.sampled_from(["kind", "field", "truncated", "not-an-object"]))
+    doc = dict(doc)
+    if fault == "kind":
+        doc["kind"] = draw(st.text().filter(lambda name: name not in KINDS))
+    elif fault == "field":
+        key = draw(st.sampled_from(sorted(set(doc) - {"kind"})))
+        doc[key] = draw(st.none() | st.booleans() | st.text())
+    elif fault == "truncated":
+        text = json.dumps(doc)
+        return text[: draw(st.integers(0, len(text) - 1))]
+    else:
+        return json.dumps(draw(NOT_JSON_OBJECT))
+    return json.dumps(doc)
+
+
+@st.composite
+def bad_use_case(draw):
+    """Use-case file text with one fault in a class, a rating, a list or the whole file."""
+    doc = json.loads(json.dumps(UCP_MODEL))
+    fault = draw(st.sampled_from(["class", "rating", "count", "key", "not-a-list",
+                                  "no-use-case", "truncated", "not-an-object"]))
+    if fault == "class":
+        key = draw(st.sampled_from(["actors", "use_cases"]))
+        doc[key][0] = draw(st.text().filter(
+            lambda c: c.strip().lower() not in ("simple", "average", "complex")))
+    elif fault == "rating":
+        key = draw(st.sampled_from(["technical", "environmental"]))
+        doc[key][draw(st.integers(0, len(doc[key]) - 1))] = draw(
+            st.none() | st.booleans() | st.text() | st.floats()
+            | st.integers(max_value=-1) | st.integers(min_value=6))
+    elif fault == "count":
+        key = draw(st.sampled_from(["technical", "environmental"]))
+        doc[key] = doc[key][1:] if draw(st.booleans()) else doc[key] + [3]
+    elif fault == "key":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif fault == "not-a-list":
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(
+            st.none() | st.text() | st.integers() | st.dictionaries(st.text(), st.integers()))
+    elif fault == "no-use-case":
+        doc["use_cases"] = []
+    elif fault == "truncated":
+        text = json.dumps(doc)
+        return text[: draw(st.integers(0, len(text) - 1))]
+    else:
+        return json.dumps(draw(NOT_JSON_OBJECT))
+    return json.dumps(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_every_bad_input_exits_2_and_writes_nothing(valid_inputs, data):
+    """A bad flag value or input file exits 2 with an error line and no output file."""
+    argv, files = data.draw(bad_cli_case(*valid_inputs))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        argv = [str(Path(tmp, a[1:])) if a.startswith("@") else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code == 2, err.getvalue()
+        assert "error: " in err.getvalue()
+        assert out.getvalue() == ""
+        assert sorted(os.listdir(tmp)) == sorted(files)
 
 
 @settings(max_examples=8, deadline=None)

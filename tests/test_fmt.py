@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import functools
 import hashlib
+import importlib
 import json
 import logging
 import math
@@ -153,6 +155,23 @@ def test_tracer_hooks_see_one_build_and_one_prune(monkeypatch):
     assert calls["build_tree"][0].leaf_count() >= model.tree.leaf_count() > 0
 
 
+def test_tracer_layers_name_existing_attributes():
+    """Every (module, attribute) the benchmark's tracer wraps exists.  LAYERS is
+    read with ast: importing perfbench/tracer.py would run its timed import."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    (layers,) = [
+        node.value
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["LAYERS"]
+    ]
+    pairs = [(ast.literal_eval(entry.elts[0]), ast.literal_eval(entry.elts[1]))
+             for entry in layers.elts]
+    assert ("fmtree.evaluation", "win_tie_loss") in pairs
+    for module, attribute in pairs:
+        assert callable(getattr(importlib.import_module(module), attribute, None)), attribute
+
+
 def test_serialization_round_trip():
     data = piecewise_dataset()
     train, test = split_holdout(data, 59, seed=7)
@@ -160,7 +179,6 @@ def test_serialization_round_trip():
     restored = fmt_from_json(json.loads(json.dumps(fmt_to_json(model))))
     assert restored.fcm_config == model.fcm_config
     assert restored.tree_config == model.tree_config
-    assert restored.feature_names == model.feature_names
     assert_allclose(
         predict_fmt_dataset(restored, test), predict_fmt_dataset(model, test), rtol=0
     )

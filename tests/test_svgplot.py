@@ -22,12 +22,6 @@ def test_output_is_deterministic():
     assert render_boxplot_svg(summaries) == render_boxplot_svg(summaries)
 
 
-def test_custom_title_and_label():
-    svg = render_boxplot_svg({"m": boxplot_summary([1.0])}, title="T", y_label="L")
-    assert ">T<" in svg
-    assert "L" in svg
-
-
 def test_empty_rejected():
     with pytest.raises(ValueError, match="nothing to plot"):
         render_boxplot_svg({})
