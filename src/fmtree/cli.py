@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -49,8 +50,16 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
+def _dataclass_fields(obj) -> dict:
+    """json.dumps' `default`: a dataclass instance is written as the dict of its fields.
+
+    Unlike dataclasses.asdict this copies no field value; json encodes each in turn.
+    """
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
 def _write_json(path: Path, doc) -> None:
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True, default=_dataclass_fields) + "\n")
 
 
 def _load(path: str, parse: Callable[[str], Any]) -> Any:
@@ -126,7 +135,7 @@ def _configs(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    profile = PROFILES[args.profile.lower()]
+    profile = PROFILES[args.profile]
     dataset = generate_synthetic(profile, args.count, args.seed)
     text = render_dataset(dataset)
     _write_text(Path(args.out), text)
@@ -170,7 +179,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     wtl_text = evaluation.render_wtl_table(wtl)
     _write_json(out_dir / "metrics.json", metrics_json)
     _write_text(out_dir / "metrics.txt", metrics_text)
-    _write_json(out_dir / "win_tie_loss.json", wtl.to_json())
+    _write_json(out_dir / "win_tie_loss.json", wtl.records)
     _write_text(out_dir / "win_tie_loss.txt", wtl_text)
     boxes = {name: report.boxplot for name, report in reports.items()}
     _write_text(out_dir / "residuals.svg", svgplot.render_boxplot_svg(boxes))
@@ -234,7 +243,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
     predictions = [predicted[pid] for pid in dataset.ids]
     report = evaluation.evaluate(dataset.efforts, predictions)
-    _write_json(Path(args.out), report.to_json())
+    _write_json(Path(args.out), report)
     print(evaluation.render_metrics_table({"model": report}))
     print(f"report written to {args.out}")
     return 0
@@ -244,7 +253,7 @@ def cmd_ucp(args: argparse.Namespace) -> int:
     model = _load(args.model_json, lambda text: ucp.use_case_model_from_json(json.loads(text)))
     breakdown = ucp.compute_ucp(model)
     effort = ucp.classical_effort(breakdown.ucp, args.ratio)
-    for key, value in breakdown.to_json().items():
+    for key, value in _dataclass_fields(breakdown).items():
         print(f"{key:>6}: {value:.4f}")
     print(f"effort: {effort:.2f} PH (at {args.ratio:g} PH/UCP)")
     return 0
@@ -328,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--data is required unless --model ucp")
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -76,18 +76,6 @@ class BoxplotSummary:
     whisker_high: float
     outliers: tuple[float, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "minimum": self.minimum,
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-            "maximum": self.maximum,
-            "whisker_low": self.whisker_low,
-            "whisker_high": self.whisker_high,
-            "outliers": list(self.outliers),
-        }
-
 
 def boxplot_summary(values: Sequence[float]) -> BoxplotSummary:
     """Five-number summary with Tukey hinges and 1.5*IQR whiskers.
@@ -204,13 +192,6 @@ class EvalReport:
     def scores(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in SCORES}
 
-    def to_json(self) -> dict:
-        return {
-            **self.scores(),
-            "abs_residuals": list(self.abs_residuals),
-            "boxplot": self.boxplot.to_json(),
-        }
-
 
 def evaluate(actuals: Sequence[float], predictions: Sequence[float]) -> EvalReport:
     """Summarize prediction accuracy for one model on one test set."""
@@ -234,17 +215,6 @@ class MethodRecord:
 @dataclass(frozen=True)
 class WtlTable:
     records: dict[str, MethodRecord]
-
-    def to_json(self) -> dict:
-        return {
-            name: {
-                "win": rec.win,
-                "tie": rec.tie,
-                "loss": rec.loss,
-                "rank": rec.rank,
-            }
-            for name, rec in self.records.items()
-        }
 
 
 def win_tie_loss(mre_by_method: Mapping[str, Sequence[float]]) -> WtlTable:

@@ -177,30 +177,19 @@ def _squared_distances_t(xt: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return d2t
 
 
-def _memberships_from_sqdist(d2: np.ndarray, fuzzifier_m: float) -> np.ndarray:
-    """(n, k) memberships from (n, k) squared distances."""
-    u = np.empty_like(d2)
-    zero_rows = d2.min(axis=1) == 0.0
-    if np.any(zero_rows):
-        # A point sitting exactly on a center gets full membership there.
-        u[zero_rows] = 0.0
-        rows = np.nonzero(zero_rows)[0]
-        u[rows, np.argmax(d2[rows] == 0.0, axis=1)] = 1.0
-    regular = ~zero_rows
-    if np.any(regular):
-        d2r = d2[regular]
-        ratio = d2r / d2r.min(axis=1, keepdims=True)
-        w = ratio ** (-1.0 / (fuzzifier_m - 1.0))
-        u[regular] = w / w.sum(axis=1, keepdims=True)
-    return u
-
-
 def _memberships_t(d2t: np.ndarray, fuzzifier_m: float) -> np.ndarray:
-    """_memberships_from_sqdist on the (k, n) layout."""
+    """(k, n) memberships from (k, n) squared distances.
+
+    A point sitting exactly on a center gets full membership at the first such
+    center; its column then sums to exactly 1.0 in the normalization.
+    """
     nearest = d2t.min(axis=0)
-    if not nearest.all():
-        return _memberships_from_sqdist(_row_major(d2t), fuzzifier_m).T
-    w = (d2t / nearest) ** (-1.0 / (fuzzifier_m - 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = (d2t / nearest) ** (-1.0 / (fuzzifier_m - 1.0))
+    on_center = np.flatnonzero(nearest == 0.0)
+    if on_center.size:
+        w[:, on_center] = 0.0
+        w[np.argmax(d2t[:, on_center] == 0.0, axis=0), on_center] = 1.0
     w /= _row_major(w).sum(axis=1)
     return w
 

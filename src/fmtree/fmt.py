@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -79,19 +79,8 @@ def fmt_to_json(model: FmtModel) -> dict:
     return {
         "kind": "fmt",
         "feature_names": list(FEATURE_NAMES),
-        "fcm_config": {
-            "k": model.fcm_config.k,
-            "fuzzifier_m": model.fcm_config.fuzzifier_m,
-            "tolerance": model.fcm_config.tolerance,
-            "max_iterations": model.fcm_config.max_iterations,
-            "seed": model.fcm_config.seed,
-        },
-        "tree_config": {
-            "min_instances": model.tree_config.min_instances,
-            "sd_fraction": model.tree_config.sd_fraction,
-            "smoothing_k": model.tree_config.smoothing_k,
-            "pruning_factor": model.tree_config.pruning_factor,
-        },
+        "fcm_config": asdict(model.fcm_config),
+        "tree_config": asdict(model.tree_config),
         "fuzzy": model.fuzzy.to_json(),
         "tree": tree_to_json(model.tree),
     }

@@ -67,16 +67,6 @@ class UcpBreakdown:
     ef: float
     ucp: float
 
-    def to_json(self) -> dict:
-        return {
-            "uwa": self.uwa,
-            "uuc": self.uuc,
-            "uucp": self.uucp,
-            "tcf": self.tcf,
-            "ef": self.ef,
-            "ucp": self.ucp,
-        }
-
 
 def compute_uucp(model: UseCaseModel) -> tuple[float, float, float]:
     """Return (UWA, UUC, UUCP): weighted actors, weighted use cases, their sum."""
@@ -126,9 +116,6 @@ def use_case_model_from_json(doc: dict) -> UseCaseModel:
     not_lists = [key for key in required if not isinstance(doc[key], list)]
     if not_lists:
         raise ValueError(f"{', '.join(not_lists)} must be JSON list(s)")
-    ratings = doc["technical"] + doc["environmental"]
-    if not all(isinstance(r, int) and not isinstance(r, bool) for r in ratings):
-        raise ValueError("factor ratings must be integers")
     return UseCaseModel(
         tuple(str(a).strip().lower() for a in doc["actors"]),
         tuple(str(u).strip().lower() for u in doc["use_cases"]),

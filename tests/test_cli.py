@@ -130,10 +130,14 @@ class TestUcpCommand:
             (dict(UCP_MODEL, actors=5), "actors must be JSON list(s)"),
             (dict(UCP_MODEL, technical=None, environmental="3"),
              "technical, environmental must be JSON list(s)"),
-            (dict(UCP_MODEL, technical=[math.inf] * 13), "factor ratings must be integers"),
-            (dict(UCP_MODEL, technical=[True] + [3] * 12), "factor ratings must be integers"),
-            (dict(UCP_MODEL, technical=["3"] + [3] * 12), "factor ratings must be integers"),
-            (dict(UCP_MODEL, environmental=[3.0] + [3] * 7), "factor ratings must be integers"),
+            (dict(UCP_MODEL, technical=[math.inf] * 13),
+             "technical ratings must be integers, got inf"),
+            (dict(UCP_MODEL, technical=[True] + [3] * 12),
+             "technical ratings must be integers, got True"),
+            (dict(UCP_MODEL, technical=["3"] + [3] * 12),
+             "technical ratings must be integers, got '3'"),
+            (dict(UCP_MODEL, environmental=[3.0] + [3] * 7),
+             "environmental ratings must be integers, got 3.0"),
         ],
     )
     def test_malformed_use_case_file_exits_2(self, tmp_path, capsys, doc, message):

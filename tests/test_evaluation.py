@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from fmtree.cli import _dataclass_fields
 from fmtree.evaluation import (
     average_ranks,
     boxplot_summary,
@@ -23,6 +26,14 @@ from fmtree.evaluation import (
 )
 
 SAMPLE_ERRORS = [0.1, 0.2, 0.3, 0.6]
+BOXPLOT_KEYS = {
+    "minimum", "q1", "median", "q3", "maximum", "whisker_low", "whisker_high", "outliers",
+}
+
+
+def encoded(obj):
+    """obj as the CLI writes it to a JSON file, read back."""
+    return json.loads(json.dumps(obj, default=_dataclass_fields))
 
 
 class TestPointMetrics:
@@ -98,11 +109,9 @@ class TestBoxplot:
             boxplot_summary([])
 
     def test_json_fields(self):
-        doc = boxplot_summary([1.0, 2.0, 3.0]).to_json()
-        assert set(doc) == {
-            "minimum", "q1", "median", "q3", "maximum",
-            "whisker_low", "whisker_high", "outliers",
-        }
+        doc = encoded(boxplot_summary([1.0, 2.0, 3.0, 4.0, 100.0]))
+        assert set(doc) == BOXPLOT_KEYS
+        assert doc["outliers"] == [100.0]
 
 
 @given(st.lists(st.integers(-5, 5), min_size=1, max_size=40))
@@ -205,8 +214,13 @@ class TestEvaluate:
         assert report.scores() == scores(mre_vector(actuals, predictions))
 
     def test_json_round_trip_fields(self):
-        doc = evaluate([100.0, 200.0], [110.0, 150.0]).to_json()
+        report = evaluate([100.0, 200.0], [110.0, 150.0])
+        doc = encoded(report)
+        assert doc == encoded(dataclasses.asdict(report))
         assert set(doc) == {"mmre", "mdmre", "pred25", "pred50", "abs_residuals", "boxplot"}
+        assert doc["abs_residuals"] == [10.0, 50.0]
+        assert set(doc["boxplot"]) == BOXPLOT_KEYS
+        assert doc["boxplot"]["outliers"] == []
 
 
 class TestWinTieLoss:

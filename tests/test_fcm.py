@@ -80,10 +80,8 @@ def test_determinism_per_seed():
 
 
 def test_zero_distance_guard():
-    from fmtree.fcm import _memberships_from_sqdist
-
     d2 = np.array([[0.0, 4.0], [4.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
-    u = _memberships_from_sqdist(d2, 2.0)
+    u = fcm._memberships_t(d2.T, 2.0).T
     assert_allclose(u[0], [1.0, 0.0])
     assert_allclose(u[1], [0.0, 1.0])
     assert_allclose(u[2], [0.5, 0.5])
@@ -293,19 +291,19 @@ def test_fcm_matches_reference_bit_for_bit(data):
 
 def test_point_on_a_center_takes_the_zero_distance_branch(monkeypatch):
     calls = []
-    original = fcm._memberships_from_sqdist
+    original = fcm._memberships_t
 
-    def spy(d2, fuzzifier_m):
-        calls.append(d2.min(axis=1).min())
-        return original(d2, fuzzifier_m)
+    def spy(d2t, fuzzifier_m):
+        calls.append(bool((d2t == 0.0).any()))
+        return original(d2t, fuzzifier_m)
 
-    monkeypatch.setattr(fcm, "_memberships_from_sqdist", spy)
+    monkeypatch.setattr(fcm, "_memberships_t", spy)
     # symmetric integer rows put the single center exactly on the middle row
     x = np.array([[-2.0, 1.0], [0.0, 0.0], [2.0, -1.0], [1.0, 3.0], [-1.0, -3.0]])
     assert_same_partition(x, FcmConfig(k=1))
     x = np.array([[0.0, 0.0], [5.0, 5.0], [0.0, 5.0]])
     assert_same_partition(x, FcmConfig(k=3, seed=3, tolerance=1e-12))
-    assert len(calls) == 2 and max(calls) == 0.0
+    assert sum(calls) == 2
 
 
 @settings(max_examples=60, deadline=None)
