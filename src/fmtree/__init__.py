@@ -31,7 +31,6 @@ from .data import (
 from .evaluation import (
     BoxplotSummary,
     EvalReport,
-    WtlTable,
     boxplot_summary,
     evaluate,
     mdmre,
@@ -89,7 +88,6 @@ __all__ = [
     "TreeboostModel",
     "UcpBreakdown",
     "UseCaseModel",
-    "WtlTable",
     "boxplot_summary",
     "build_fuzzy_model",
     "build_tree",

@@ -16,11 +16,15 @@ from .data import (
     Dataset,
     check_field_types,
     finite_number,
+    json_number,
+    json_object,
 )
 from .fmt import EFFORT_FLOOR_PH
 from .mtree import SPLIT_KEYS, FlatTree, nodes_from_json, nodes_to_json
 
 MLR_PREDICTORS = ("ln_size", "productivity", "complexity")
+# The names of MlrModel.coefficients, in the order of the design matrix's columns.
+MLR_TERMS = ("intercept",) + MLR_PREDICTORS
 VIF_ALARM = 4.0
 # The p-value at or below which mlr_to_json marks a coefficient significant.
 MLR_ALPHA = 0.05
@@ -274,15 +278,13 @@ def predict_treeboost_dataset(model: TreeboostModel, dataset: Dataset) -> np.nda
     return np.maximum(model.f0 + model.shrinkage * total, EFFORT_FLOOR_PH)
 
 
-def _stage_payload(node: dict, path: str) -> tuple[tuple, bool]:
-    if set(node) == {"value"}:
-        return (finite_number(node["value"], f"{path}.value"),), False
-    if set(node) != SPLIT_KEYS:
+def _stage_payload(node: dict, path: str, splits: bool) -> tuple:
+    if set(node) != (SPLIT_KEYS if splits else {"value"}):
         raise ValueError(
             f"{path} must hold either 'value' or 'feature', 'threshold', 'left' "
             f"and 'right', got keys {sorted(node)}"
         )
-    return (0.0,), True
+    return (0.0,) if splits else (finite_number(node["value"], f"{path}.value"),)
 
 
 def treeboost_to_json(model: TreeboostModel) -> dict:
@@ -326,10 +328,7 @@ def treeboost_from_json(doc: dict) -> TreeboostModel:
 class MlrModel:
     """Log-space linear regression with collinearity and significance diagnostics."""
 
-    intercept: float
-    coef_ln_size: float
-    coef_productivity: float
-    coef_complexity: float
+    coefficients: dict[str, float]  # keyed by MLR_TERMS
     adjusted_r2: float
     vif: dict[str, float]
     t_stats: dict[str, float]
@@ -410,9 +409,9 @@ def fit_mlr(train: Dataset) -> MlrModel:
     covariance = sigma2 * np.linalg.inv(x.T @ x)
     se = np.sqrt(np.diag(covariance))
     t_all = beta / se
-    names = ("intercept",) + MLR_PREDICTORS
-    t_stats = {name: float(t_all[i]) for i, name in enumerate(names)}
-    p_values = {name: t_two_sided_p(float(t_all[i]), dof) for i, name in enumerate(names)}
+    coefficients = {name: float(beta[i]) for i, name in enumerate(MLR_TERMS)}
+    t_stats = {name: float(t_all[i]) for i, name in enumerate(MLR_TERMS)}
+    p_values = {name: t_two_sided_p(float(t_all[i]), dof) for i, name in enumerate(MLR_TERMS)}
 
     vif: dict[str, float] = {}
     for i, name in enumerate(MLR_PREDICTORS, start=1):
@@ -421,16 +420,7 @@ def fit_mlr(train: Dataset) -> MlrModel:
         _, aux_r2 = _ols(aux, x[:, i])
         vif[name] = float("inf") if aux_r2 >= 1.0 else 1.0 / (1.0 - aux_r2)
 
-    return MlrModel(
-        float(beta[0]),
-        float(beta[1]),
-        float(beta[2]),
-        float(beta[3]),
-        float(adjusted_r2),
-        vif,
-        t_stats,
-        p_values,
-    )
+    return MlrModel(coefficients, float(adjusted_r2), vif, t_stats, p_values)
 
 
 def predict_mlr_dataset(model: MlrModel, dataset: Dataset) -> np.ndarray:
@@ -439,14 +429,10 @@ def predict_mlr_dataset(model: MlrModel, dataset: Dataset) -> np.ndarray:
     math.log and math.exp run row by row: numpy's vectorized exp and log can
     round differently in the last bit.
     """
+    b0, b1, b2, b3 = (model.coefficients[name] for name in MLR_TERMS)
     predictions = []
     for pid, (size, productivity, complexity) in zip(dataset.ids, dataset.features.tolist()):
-        score = (
-            model.intercept
-            + model.coef_ln_size * math.log(size)
-            + model.coef_productivity * productivity
-            + model.coef_complexity * complexity
-        )
+        score = b0 + b1 * math.log(size) + b2 * productivity + b3 * complexity
         if not score <= _MAX_LOG_EFFORT:
             raise ValueError(
                 f"mlr prediction for project {pid!r} overflows: log-space score {score!r}"
@@ -458,12 +444,7 @@ def predict_mlr_dataset(model: MlrModel, dataset: Dataset) -> np.ndarray:
 def mlr_to_json(model: MlrModel) -> dict:
     return {
         "kind": "mlr",
-        "coefficients": {
-            "intercept": model.intercept,
-            "ln_size": model.coef_ln_size,
-            "productivity": model.coef_productivity,
-            "complexity": model.coef_complexity,
-        },
+        "coefficients": dict(model.coefficients),
         "diagnostics": {
             "adjusted_r2": model.adjusted_r2,
             "vif": dict(model.vif),
@@ -479,11 +460,7 @@ def mlr_to_json(model: MlrModel) -> dict:
 
 def _number_map(value, what: str) -> dict[str, float]:
     """A JSON object of name -> number; diagnostics may be infinite or NaN."""
-    if not isinstance(value, dict) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value.values()
-    ):
-        raise ValueError(f"{what} must map names to numbers, got {value!r}")
-    return {k: float(v) for k, v in value.items()}
+    return {k: json_number(v, f"{what} {k}") for k, v in json_object(value, what).items()}
 
 
 def mlr_from_json(doc: dict) -> MlrModel:
@@ -491,19 +468,12 @@ def mlr_from_json(doc: dict) -> MlrModel:
     if doc.get("kind") != "mlr":
         raise ValueError(f"expected model kind 'mlr', got {doc.get('kind')!r}")
     coef = doc.get("coefficients")
-    names = ("intercept",) + MLR_PREDICTORS
-    if not isinstance(coef, dict) or sorted(coef) != sorted(names):
-        raise ValueError(f"mlr coefficients must name exactly {', '.join(names)}, got {coef!r}")
-    coefficients = [finite_number(coef[name], f"mlr coefficient {name}") for name in names]
-    diag = doc.get("diagnostics")
-    if not isinstance(diag, dict):
-        raise ValueError(f"mlr diagnostics must be a JSON object, got {diag!r}")
-    adjusted_r2 = diag.get("adjusted_r2")
-    if isinstance(adjusted_r2, bool) or not isinstance(adjusted_r2, (int, float)):
-        raise ValueError(f"mlr adjusted_r2 must be a number, got {adjusted_r2!r}")
+    if not isinstance(coef, dict) or sorted(coef) != sorted(MLR_TERMS):
+        raise ValueError(f"mlr coefficients must name exactly {', '.join(MLR_TERMS)}, got {coef!r}")
+    diag = json_object(doc.get("diagnostics"), "mlr diagnostics")
     return MlrModel(
-        *coefficients,
-        float(adjusted_r2),
+        {name: finite_number(coef[name], f"mlr coefficient {name}") for name in MLR_TERMS},
+        json_number(diag.get("adjusted_r2"), "mlr adjusted_r2"),
         _number_map(diag.get("vif"), "mlr vif"),
         _number_map(diag.get("t_stats"), "mlr t_stats"),
         _number_map(diag.get("p_values"), "mlr p_values"),

@@ -63,9 +63,9 @@ def _write_json(path: Path, doc) -> None:
 
 
 def _load(path: str, parse: Callable[[str], Any]) -> Any:
-    """parse() the text of the file at path; a ValueError's message starts with the path."""
+    """parse() the file's UTF-8 text, a BOM dropped; a ValueError's message starts with the path."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        return parse(Path(path).read_text(encoding="utf-8-sig"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     except RecursionError:
@@ -129,6 +129,18 @@ KINDS: dict[str, Kind] = {
 }
 
 
+def _predict(kind: Kind, model, dataset: Dataset) -> np.ndarray:
+    """kind.predict(model, dataset); ValueError at the first prediction that is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        predictions = kind.predict(model, dataset)
+    finite = np.isfinite(predictions)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise ValueError(f"{kind.label} prediction for project {dataset.ids[i]!r} is not "
+                         f"finite: {predictions[i]}")
+    return predictions
+
+
 def _configs(args: argparse.Namespace) -> dict[str, Any]:
     """Every kind's configuration, so that each knob is checked before data is read."""
     return {name: kind.config(args) for name, kind in KINDS.items()}
@@ -167,7 +179,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     models = {name: kind.fit(train, configs[name]) for name, kind in KINDS.items()}
     actuals = test.efforts
     predictions = {
-        kind.label: kind.predict(models[name], test) for name, kind in KINDS.items()
+        kind.label: _predict(kind, models[name], test) for name, kind in KINDS.items()
     }
     reports = {name: evaluation.evaluate(actuals, preds) for name, preds in predictions.items()}
     mres = {name: evaluation.mre_vector(actuals, preds) for name, preds in predictions.items()}
@@ -179,7 +191,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     wtl_text = evaluation.render_wtl_table(wtl)
     _write_json(out_dir / "metrics.json", metrics_json)
     _write_text(out_dir / "metrics.txt", metrics_text)
-    _write_json(out_dir / "win_tie_loss.json", wtl.records)
+    _write_json(out_dir / "win_tie_loss.json", wtl)
     _write_text(out_dir / "win_tie_loss.txt", wtl_text)
     boxes = {name: report.boxplot for name, report in reports.items()}
     _write_text(out_dir / "residuals.svg", svgplot.render_boxplot_svg(boxes))
@@ -216,7 +228,7 @@ def _parse_model(text: str, expected: str | None) -> tuple[Kind, Any]:
 def cmd_predict(args: argparse.Namespace) -> int:
     kind, model = _load(args.model_file, lambda text: _parse_model(text, args.model))
     dataset = _load(args.data, parse_dataset)
-    predictions = kind.predict(model, dataset)
+    predictions = _predict(kind, model, dataset)
     rows = zip(dataset.ids, map(repr, predictions.tolist()))
     _write_text(Path(args.out), render_table(PREDICTION_COLUMNS, rows))
     print(f"wrote {len(dataset)} predictions to {args.out}")

@@ -86,13 +86,26 @@ class Dataset:
         return Dataset(ids, self.features[rows], self.efforts[rows])
 
 
-def finite_number(value, what: str) -> float:
-    """A number read from JSON: an int or float (not a bool) that is finite."""
+def json_number(value, what: str) -> float:
+    """A number read from JSON: an int or float, not a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{what} must be finite, got {value!r}")
     return float(value)
+
+
+def finite_number(value, what: str) -> float:
+    """A json_number that is finite."""
+    number = json_number(value, what)
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return number
+
+
+def json_object(value, what: str) -> dict:
+    """An object read from JSON."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value
 
 
 def json_int(value, what: str, low: int, high: int | None = None) -> int:

@@ -212,19 +212,15 @@ class MethodRecord:
     rank: int
 
 
-@dataclass(frozen=True)
-class WtlTable:
-    records: dict[str, MethodRecord]
-
-
-def win_tie_loss(mre_by_method: Mapping[str, Sequence[float]]) -> WtlTable:
+def win_tie_loss(mre_by_method: Mapping[str, Sequence[float]]) -> dict[str, MethodRecord]:
     """Pairwise scoreboard over the SCORES, gated by the signed-rank test.
 
     For each method pair the Wilcoxon test runs once on the MRE vectors; if it
     cannot distinguish them every score is a tie for both.  Otherwise each
     score awards a win and a loss (or a tie when the values are exactly
     equal).  A method's rank is 1 plus the number of methods with a larger
-    win - loss, so equal differences share a rank.
+    win - loss, so equal differences share a rank.  The records are keyed by
+    method, in the input's order.
     """
     methods = list(mre_by_method)
     if len(methods) < 2:
@@ -253,12 +249,12 @@ def win_tie_loss(mre_by_method: Mapping[str, Sequence[float]]) -> WtlTable:
                     loss[mi] += 1
 
     delta = {name: win[name] - loss[name] for name in methods}
-    return WtlTable({
+    return {
         name: MethodRecord(
             win[name], tie[name], loss[name], 1 + sum(d > delta[name] for d in delta.values())
         )
         for name in methods
-    })
+    }
 
 
 def render_metrics_table(reports: Mapping[str, EvalReport]) -> str:
@@ -273,9 +269,9 @@ def render_metrics_table(reports: Mapping[str, EvalReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_wtl_table(table: WtlTable) -> str:
+def render_wtl_table(records: Mapping[str, MethodRecord]) -> str:
     header = f"{'Model':<12} {'Win':>5} {'Tie':>5} {'Loss':>5} {'Rank':>5}"
     lines = [header, "-" * len(header)]
-    for name, rec in table.records.items():
+    for name, rec in records.items():
         lines.append(f"{name:<12} {rec.win:>5} {rec.tie:>5} {rec.loss:>5} {rec.rank:>5}")
     return "\n".join(lines) + "\n"

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_field_types, finite_numbers
+from .data import check_field_types, finite_numbers, json_object
 
 _SIGMA_FLOOR_SCALE = 1e-6
 
@@ -76,8 +76,7 @@ class Standardization:
     @classmethod
     def from_json(cls, doc: dict, features: int) -> "Standardization":
         """Rebuild from to_json output for `features` features; ValueError if malformed."""
-        if not isinstance(doc, dict):
-            raise ValueError(f"standardization must be a JSON object, got {doc!r}")
+        json_object(doc, "standardization")
         mean = finite_numbers(doc.get("mean"), "standardization mean", features)
         scale = finite_numbers(doc.get("scale"), "standardization scale", features)
         if min(scale) <= 0:
@@ -117,8 +116,7 @@ class FuzzyInferenceModel:
     @classmethod
     def from_json(cls, doc: dict) -> "FuzzyInferenceModel":
         """Rebuild from to_json output; ValueError on any malformed part."""
-        if not isinstance(doc, dict):
-            raise ValueError(f"fuzzy model must be a JSON object, got {doc!r}")
+        json_object(doc, "fuzzy model")
         centers = _matrix_from_json(doc.get("centers"), "fuzzy centers")
         sigmas = _matrix_from_json(doc.get("sigmas"), "fuzzy sigmas")
         if sigmas.shape != centers.shape:

@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import FEATURE_NAMES, Dataset
+from .data import FEATURE_NAMES, Dataset, json_object
 from .fcm import (
     FcmConfig,
     FuzzyInferenceModel,
@@ -87,10 +87,8 @@ def fmt_to_json(model: FmtModel) -> dict:
 
 
 def _config_from_json(cls, doc, what: str):
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
     try:
-        return cls(**doc)
+        return cls(**json_object(doc, what))
     except TypeError as exc:
         raise ValueError(f"malformed {what}: {exc}") from None
 

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import check_field_types, finite_number, finite_numbers, json_int
+from .data import check_field_types, finite_number, finite_numbers, json_int, json_object
 
 # Error-inflation fallback for nodes with no spare degrees of freedom (n <= v).
 _SMALL_NODE_FACTOR = 10.0
@@ -325,24 +325,27 @@ SPLIT_KEYS = {"feature", "threshold", "left", "right"}
 
 
 def nodes_from_json(
-    doc, path: str, feature_bound: int, read_payload: Callable[[dict, str], tuple[tuple, bool]]
+    doc, path: str, feature_bound: int, read_payload: Callable[[dict, str, bool], tuple]
 ) -> list[list]:
     """Preorder node rows of a nested JSON tree; ValueError on any malformed node.
 
-    read_payload(node, path) checks a node object's own keys and returns its
-    payload and whether the node splits; a split's feature must lie in
-    [0, feature_bound).
+    A node that holds any of SPLIT_KEYS splits, and must then hold all four;
+    its feature must lie in [0, feature_bound).  read_payload(node, path,
+    splits) checks the node's own keys and returns its payload.
     """
     rows: list[list] = []
 
     def add(node, where: str) -> int:
-        if not isinstance(node, dict):
-            raise ValueError(f"{where} must be a JSON object, got {node!r}")
+        splits = SPLIT_KEYS & json_object(node, where).keys()
+        if splits and splits != SPLIT_KEYS:
+            raise ValueError(
+                f"{where} must hold all or none of 'feature', 'threshold', 'left' and 'right', "
+                f"got keys {sorted(node)}"
+            )
         index = len(rows)
         row = [-1, 0.0, -1, -1]
         rows.append(row)
-        payload, splits = read_payload(node, where)
-        row.extend(payload)
+        row.extend(read_payload(node, where, bool(splits)))
         if splits:
             row[0] = json_int(node["feature"], f"{where}.feature", 0, feature_bound)
             row[1] = finite_number(node["threshold"], f"{where}.threshold")
@@ -374,28 +377,19 @@ def tree_to_json(tree: ModelTree) -> dict:
 
 def tree_from_json(doc: dict) -> ModelTree:
     """Rebuild a tree from tree_to_json output; ValueError on any malformed part."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"tree must be a JSON object, got {doc!r}")
+    json_object(doc, "tree")
     routing_dim = json_int(doc.get("routing_dim"), "tree routing_dim", 0)
     regression_dim = json_int(doc.get("regression_dim"), "tree regression_dim", 0)
 
-    def read_payload(node: dict, path: str) -> tuple[tuple, bool]:
-        model = node.get("model")
-        if not isinstance(model, dict):
-            raise ValueError(f"{path}.model must be a JSON object, got {model!r}")
+    def read_payload(node: dict, path: str, splits: bool) -> tuple:
+        model = json_object(node.get("model"), f"{path}.model")
         intercept = finite_number(model.get("intercept"), f"{path}.model.intercept")
         coefficients = finite_numbers(
             model.get("coefficients"), f"{path}.model.coefficients", regression_dim
         )
         count = json_int(node.get("count"), f"{path}.count", 1)
         mae = finite_number(node.get("mae"), f"{path}.mae")
-        split = SPLIT_KEYS & set(node)
-        if split and split != SPLIT_KEYS:
-            raise ValueError(
-                f"{path} must hold all or none of 'feature', 'threshold', 'left' and 'right', "
-                f"got keys {sorted(node)}"
-            )
-        return (count, mae, [intercept, *coefficients]), bool(split)
+        return count, mae, [intercept, *coefficients]
 
     rows = nodes_from_json(doc.get("root"), "tree.root", routing_dim, read_payload)
     return ModelTree.from_rows(rows, routing_dim, regression_dim)

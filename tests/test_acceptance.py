@@ -178,15 +178,13 @@ def test_win_tie_loss_bookkeeping(capsys):
                 f"m{k}": rng.uniform(0.0, 1.0, n) * rng.uniform(0.1, 4.0)
                 for k in range(n_methods)
             }
-            table = win_tie_loss(vectors)
-            records = table.records
+            records = win_tie_loss(vectors)
             assert sum(r.win for r in records.values()) == sum(
                 r.loss for r in records.values()
             )
             per_pair = 4 * (n_methods - 1)
             assert all(r.win + r.tie + r.loss == per_pair for r in records.values())
-            reversed_table = win_tie_loss(dict(reversed(list(vectors.items()))))
-            assert reversed_table.records == records
+            assert win_tie_loss(dict(reversed(list(vectors.items())))) == records
 
 
 def test_mlr_recovery(capsys):
@@ -200,10 +198,10 @@ def test_mlr_recovery(capsys):
         features = np.column_stack([size, productivity, complexity])
         exact = Dataset(tuple(f"e{i}" for i in range(n)), features, np.exp(log_effort))
         model = fit_mlr(exact)
-        assert abs(model.intercept - 1.8) < 1e-6
-        assert abs(model.coef_ln_size - 1.24) < 1e-6
-        assert abs(model.coef_productivity - 0.007) < 1e-6
-        assert abs(model.coef_complexity - 0.12) < 1e-6
+        assert abs(model.coefficients["intercept"] - 1.8) < 1e-6
+        assert abs(model.coefficients["ln_size"] - 1.24) < 1e-6
+        assert abs(model.coefficients["productivity"] - 0.007) < 1e-6
+        assert abs(model.coefficients["complexity"] - 0.12) < 1e-6
 
         noisy_log = log_effort + rng.normal(0.0, 0.2, n)
         noisy = Dataset(tuple(f"n{i}" for i in range(n)), features, np.exp(noisy_log))

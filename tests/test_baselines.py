@@ -13,6 +13,7 @@ from scipy.special import stdtr
 
 from conftest import BENCHMARK_TRAIN, piecewise_dataset
 from fmtree.baselines import (
+    MLR_TERMS,
     MlrModel,
     StageTree,
     TreeboostConfig,
@@ -254,7 +255,7 @@ class TestTreeboost:
             ({"trees": [3]}, r"trees\[0\] must be a JSON object"),
             ({"trees": [{"value": "5"}]}, r"trees\[0\].value must be a number"),
             ({"trees": [{"feature": 0, "threshold": 1.0, "left": {"value": 1.0}}]},
-             "must hold either"),
+             "all or none"),
             ({"trees": [{"feature": 7, "threshold": 1.0, "left": {"value": 1.0},
                          "right": {"value": 2.0}}]}, r"trees\[0\].feature must be an integer"),
             ({"trees": [{"feature": True, "threshold": 1.0, "left": {"value": 1.0},
@@ -329,30 +330,30 @@ class TestTTail:
 class TestMlr:
     def test_recovers_exact_log_linear_coefficients(self):
         model = fit_mlr(log_linear_dataset())
-        assert model.intercept == pytest.approx(1.2, abs=1e-6)
-        assert model.coef_ln_size == pytest.approx(0.9, abs=1e-6)
-        assert model.coef_productivity == pytest.approx(0.015, abs=1e-6)
-        assert model.coef_complexity == pytest.approx(0.08, abs=1e-6)
+        assert model.coefficients["intercept"] == pytest.approx(1.2, abs=1e-6)
+        assert model.coefficients["ln_size"] == pytest.approx(0.9, abs=1e-6)
+        assert model.coefficients["productivity"] == pytest.approx(0.015, abs=1e-6)
+        assert model.coefficients["complexity"] == pytest.approx(0.08, abs=1e-6)
         assert model.adjusted_r2 == pytest.approx(1.0, abs=1e-9)
 
     def test_prediction_is_exp_of_score(self):
         model = fit_mlr(log_linear_dataset())
         project = Dataset(("q",), [[180.0, 22.0, 4.0]], [1.0])
         score = (
-            model.intercept
-            + model.coef_ln_size * math.log(180.0)
-            + model.coef_productivity * 22.0
-            + model.coef_complexity * 4.0
+            model.coefficients["intercept"]
+            + model.coefficients["ln_size"] * math.log(180.0)
+            + model.coefficients["productivity"] * 22.0
+            + model.coefficients["complexity"] * 4.0
         )
         assert predict_mlr_dataset(model, project)[0] == math.exp(score)
 
     def test_intercept_only_model(self):
-        model = MlrModel(1.8, 0.0, 0.0, 0.0, 0.0, {}, {}, {})
+        model = MlrModel(dict(zip(MLR_TERMS, (1.8, 0.0, 0.0, 0.0))), 0.0, {}, {}, {})
         probe = Dataset(("q",), [[50.0, 15.0, 2.0]], [1.0])
         assert predict_mlr_dataset(model, probe)[0] == 6.0496474644129465
 
     def test_hand_coefficients_evaluated(self):
-        model = MlrModel(1.8, 1.24, 0.007, 0.12, 0.0, {}, {}, {})
+        model = MlrModel(dict(zip(MLR_TERMS, (1.8, 1.24, 0.007, 0.12))), 0.0, {}, {}, {})
         probe = Dataset(("q",), [[100.0, 10.0, 2.0]], [1.0])
         assert predict_mlr_dataset(model, probe)[0] == pytest.approx(2490.929045779924)
 
@@ -363,9 +364,7 @@ class TestMlr:
         x = np.column_stack(
             [np.ones(len(data)), np.log(features[:, 0]), features[:, 1], features[:, 2]]
         )
-        beta = np.array(
-            [model.intercept, model.coef_ln_size, model.coef_productivity, model.coef_complexity]
-        )
+        beta = np.array([model.coefficients[name] for name in MLR_TERMS])
         residuals = np.log(data.efforts) - x @ beta
         assert_allclose(x.T @ residuals, 0.0, atol=1e-8)
 

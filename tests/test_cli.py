@@ -36,6 +36,19 @@ UCP_MODEL = {
 }
 
 
+# The keys of model-file weights: the ucp ratio, mlr coefficients, tree leaf values and models.
+WEIGHT_KEYS = {"ratio", "f0", "value", "intercept", "coefficients"}
+
+
+def overflowing(doc, weight=False):
+    """A copy of model file `doc` with every weight 1e308, so that its predictions overflow."""
+    if isinstance(doc, dict):
+        return {k: overflowing(v, weight or k in WEIGHT_KEYS) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [overflowing(v, weight) for v in doc]
+    return 1e308 if weight else doc
+
+
 def deep_tree_model(depth):
     """An fmt model file whose tree is a chain of `depth` splits, too deep to read."""
     node = {"count": 5, "mae": 0.0, "model": {"intercept": 1.0, "coefficients": [0, 0, 0]}}
@@ -201,6 +214,45 @@ class TestTrainPredictEvaluate:
         assert code == 2
         assert "ratio must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("kind, label", [("ucp", "UCP"), ("fmt", "FMT"),
+                                             ("treeboost", "Treeboost")])
+    def test_predictions_that_are_not_finite_exit_2(self, tmp_path, dataset_csv, capsys,
+                                                    kind, label):
+        model = tmp_path / "model.json"
+        out = tmp_path / "p.csv"
+        assert main(["train", "--model", kind, "--data", str(dataset_csv), "--trees", "5",
+                     "--out", str(model)]) == 0
+        doc = overflowing(json.loads(model.read_text(encoding="utf-8")))
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["predict", "--model-file", str(model), "--data", str(dataset_csv),
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {label} prediction for project 'p001' is not finite: inf\n"
+        )
+        assert not out.exists()
+
+    def test_byte_order_mark_in_dataset_is_read(self, tmp_path, dataset_csv):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + dataset_csv.read_bytes())
+        for name, data in (("plain", dataset_csv), ("bom", bom)):
+            assert main(["train", "--model", "mlr", "--data", str(data),
+                         "--out", str(tmp_path / f"{name}.json")]) == 0
+        assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+    def test_byte_order_mark_in_model_file_is_read(self, tmp_path, dataset_csv):
+        model = tmp_path / "plain.json"
+        assert main(["train", "--model", "ucp", "--out", str(model)]) == 0
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + model.read_bytes())
+        for name in ("plain", "bom"):
+            assert main(["predict", "--model-file", str(tmp_path / f"{name}.json"),
+                         "--data", str(dataset_csv), "--out", str(tmp_path / f"{name}.csv")]) == 0
+        assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
     def test_predict_kind_mismatch_exits_2(self, tmp_path, dataset_csv, capsys):
         model = tmp_path / "ucp.json"
@@ -513,10 +565,13 @@ def bad_cli_case(draw, tables, models):
 
 @st.composite
 def bad_model(draw, doc):
-    """Model file text with one fault: kind, a wrong-typed field, truncation, not an object."""
-    fault = draw(st.sampled_from(["kind", "field", "truncated", "not-an-object"]))
+    """Model file text with one fault: kind, a wrong-typed field, truncation, not an object,
+    or weights whose predictions overflow."""
+    fault = draw(st.sampled_from(["kind", "field", "truncated", "not-an-object", "overflow"]))
     doc = dict(doc)
-    if fault == "kind":
+    if fault == "overflow":
+        doc = overflowing(doc)
+    elif fault == "kind":
         doc["kind"] = draw(st.text().filter(lambda name: name not in KINDS))
     elif fault == "field":
         key = draw(st.sampled_from(sorted(set(doc) - {"kind"})))
@@ -687,6 +742,15 @@ class TestCompare:
                          "--trees", "5", "--out-dir", str(tmp_path / "r")])
         assert code == 2
         assert "fuzzifier_m=1e+308 is too large" in capsys.readouterr().err
+
+    def test_prediction_that_is_not_finite_is_named(self, tmp_path, dataset_csv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["compare", "--data", str(dataset_csv), "--ratio", "1e308",
+                         "--trees", "5", "--out-dir", str(tmp_path / "r")])
+        assert code == 2
+        assert "error: UCP prediction for project " in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_missing_data_file_exits_2(self, tmp_path, capsys):
         code = main(["compare", "--data", str(tmp_path / "absent.csv"),

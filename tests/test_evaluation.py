@@ -228,17 +228,17 @@ class TestWinTieLoss:
         rng = np.random.default_rng(2)
         a = rng.uniform(0.01, 0.05, 20)
         table = win_tie_loss({"good": a, "bad": a * 20.0})
-        assert table.records["good"].win == 4
-        assert table.records["good"].loss == 0
-        assert table.records["good"].rank == 1
-        assert table.records["bad"].win == 0
-        assert table.records["bad"].loss == 4
-        assert table.records["bad"].rank == 2
+        assert table["good"].win == 4
+        assert table["good"].loss == 0
+        assert table["good"].rank == 1
+        assert table["bad"].win == 0
+        assert table["bad"].loss == 4
+        assert table["bad"].rank == 2
 
     def test_identical_methods_all_tie(self):
         a = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
         table = win_tie_loss({"one": a, "two": list(a)})
-        for record in table.records.values():
+        for record in table.values():
             assert (record.win, record.tie, record.loss) == (0, 4, 0)
             assert record.rank == 1
 
@@ -247,19 +247,19 @@ class TestWinTieLoss:
         b = a + 0.01
         # both stay under the pred cutoffs, so pred25/pred50 match exactly
         table = win_tie_loss({"a": a, "b": b})
-        assert table.records["a"].win == 2
-        assert table.records["a"].tie == 2
-        assert table.records["b"].loss == 2
-        assert table.records["b"].tie == 2
+        assert table["a"].win == 2
+        assert table["a"].tie == 2
+        assert table["b"].loss == 2
+        assert table["b"].tie == 2
 
     def test_three_way_chain_ranks(self):
         rng = np.random.default_rng(4)
         base = rng.uniform(0.01, 0.04, 25)
         table = win_tie_loss({"best": base, "mid": base * 15.0, "worst": base * 100.0})
-        assert [table.records[m].rank for m in ("best", "mid", "worst")] == [1, 2, 3]
-        assert table.records["best"].win == 8
-        assert table.records["mid"].win == table.records["mid"].loss == 4
-        assert table.records["worst"].loss == 8
+        assert [table[m].rank for m in ("best", "mid", "worst")] == [1, 2, 3]
+        assert table["best"].win == 8
+        assert table["mid"].win == table["mid"].loss == 4
+        assert table["worst"].loss == 8
 
     def test_bookkeeping_invariants(self):
         rng = np.random.default_rng(7)
@@ -270,9 +270,8 @@ class TestWinTieLoss:
                 f"m{k}": rng.uniform(0.0, 1.0, n) * rng.uniform(0.2, 3.0)
                 for k in range(n_methods)
             }
-            table = win_tie_loss(vectors)
-            assert tuple(table.records) == tuple(vectors)
-            records = table.records
+            records = win_tie_loss(vectors)
+            assert tuple(records) == tuple(vectors)
             per_pair = 4 * (n_methods - 1)
             assert all(r.win + r.tie + r.loss == per_pair for r in records.values())
             assert sum(r.win for r in records.values()) == sum(r.loss for r in records.values())

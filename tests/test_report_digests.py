@@ -1,7 +1,8 @@
 """Every byte the CLI writes on the pinned set, against recorded sha256 digests.
 
-Each command runs in-process on the pinned 84-row benchmark. Every file it
-writes and everything it prints is hashed, with the run's directory replaced
+Each command runs in-process on the pinned 84-row benchmark, and `synth`
+writes 200 rows of each profile. Every file a command writes and everything
+it prints is hashed, with the run's directory replaced
 by "OUT" so that the digests do not depend on where the test runs. After a
 deliberate change of output, re-record with
 
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from conftest import BENCHMARK_SEED, piecewise_dataset
 from fmtree.cli import KINDS, main
-from fmtree.data import render_dataset
+from fmtree.data import PROFILES, render_dataset
 
 FIXTURE = Path(__file__).parent / "fixtures" / "report_digests.json"
 
@@ -43,6 +44,9 @@ def pinned_digests(root: Path) -> dict[str, str]:
     seed = str(BENCHMARK_SEED)
     commands = {"compare": ["compare", "--data", str(data), "--seed", seed,
                             "--out-dir", str(root / "compare")]}
+    for profile in PROFILES:
+        commands[f"synth {profile}"] = ["synth", profile, "200", "--seed", seed,
+                                        "--out", str(root / f"synth-{profile}.csv")]
     for kind in KINDS:
         model, predictions = root / f"{kind}.json", root / f"{kind}.csv"
         commands[f"train {kind}"] = ["train", "--model", kind, "--data", str(data),
