@@ -267,7 +267,7 @@ def _forest(trees: list[StageTree]) -> tuple[StageTree, np.ndarray]:
 
 
 def predict_treeboost_dataset(model: TreeboostModel, dataset: Dataset) -> np.ndarray:
-    """Predict every project; the stages are added one at a time, in tree order."""
+    """Predict every project, adding stages in tree order; finite outputs are floored at 1 PH."""
     x = dataset.features
     total = np.zeros(len(x))
     if model.trees:
@@ -275,7 +275,8 @@ def predict_treeboost_dataset(model: TreeboostModel, dataset: Dataset) -> np.nda
         leaves = forest.apply(x, np.broadcast_to(roots[:, None], (len(roots), len(x))))
         for stage_values in forest.value[leaves]:
             total += stage_values
-    return np.maximum(model.f0 + model.shrinkage * total, EFFORT_FLOOR_PH)
+    predictions = model.f0 + model.shrinkage * total
+    return np.maximum(predictions, EFFORT_FLOOR_PH, out=predictions, where=np.isfinite(predictions))
 
 
 def _stage_payload(node: dict, path: str, splits: bool) -> tuple:
@@ -424,20 +425,16 @@ def fit_mlr(train: Dataset) -> MlrModel:
 
 
 def predict_mlr_dataset(model: MlrModel, dataset: Dataset) -> np.ndarray:
-    """exp of each project's log-space score; ValueError when it overflows.
+    """exp of each project's log-space score; inf where that overflows.
 
     math.log and math.exp run row by row: numpy's vectorized exp and log can
     round differently in the last bit.
     """
     b0, b1, b2, b3 = (model.coefficients[name] for name in MLR_TERMS)
     predictions = []
-    for pid, (size, productivity, complexity) in zip(dataset.ids, dataset.features.tolist()):
+    for size, productivity, complexity in dataset.features.tolist():
         score = b0 + b1 * math.log(size) + b2 * productivity + b3 * complexity
-        if not score <= _MAX_LOG_EFFORT:
-            raise ValueError(
-                f"mlr prediction for project {pid!r} overflows: log-space score {score!r}"
-            )
-        predictions.append(math.exp(score))
+        predictions.append(math.inf if score > _MAX_LOG_EFFORT else math.exp(score))
     return np.array(predictions)
 
 

@@ -289,10 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_seed, default=0, help="RNG seed, >= 0 (default 0)")
 
     def add_model_knobs(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--clusters", type=int, default=3, help="FCM cluster count")
-        p.add_argument("--fuzzifier", type=float, default=2.0, help="FCM fuzzifier m")
-        p.add_argument("--trees", type=int, default=1000, help="boosting rounds")
-        p.add_argument("--shrinkage", type=float, default=0.1, help="boosting shrinkage")
+        fcm, boost = FcmConfig(), baselines.TreeboostConfig()
+        p.add_argument("--clusters", type=int, default=fcm.k, help="FCM cluster count")
+        p.add_argument("--fuzzifier", type=float, default=fcm.fuzzifier_m, help="FCM fuzzifier m")
+        p.add_argument("--trees", type=int, default=boost.n_trees, help="boosting rounds")
+        p.add_argument("--shrinkage", type=float, default=boost.shrinkage, help="boosting shrinkage")
+        p.add_argument("--ratio", type=float, default=ucp.DEFAULT_EFFORT_RATIO,
+                       help="PH per UCP for the classical baseline")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset CSV")
     p_synth.add_argument("profile", choices=sorted(PROFILES), help="source profile")
@@ -306,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--train-count", type=int, default=59, help="training rows")
     add_seed(p_compare)
     add_model_knobs(p_compare)
-    p_compare.add_argument("--ratio", type=float, default=ucp.DEFAULT_EFFORT_RATIO,
-                           help="PH per UCP for the classical baseline")
     p_compare.add_argument("--out-dir", required=True, help="report directory")
     p_compare.set_defaults(func=cmd_compare)
 
@@ -316,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--data", help="dataset CSV (not needed for ucp)")
     add_seed(p_train)
     add_model_knobs(p_train)
-    p_train.add_argument("--ratio", type=float, default=ucp.DEFAULT_EFFORT_RATIO)
     p_train.add_argument("--out", required=True, help="model JSON path")
     p_train.set_defaults(func=cmd_train)
 

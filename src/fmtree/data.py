@@ -87,10 +87,13 @@ class Dataset:
 
 
 def json_number(value, what: str) -> float:
-    """A number read from JSON: an int or float, not a bool."""
+    """A number read from JSON: an int or float, not a bool, that a float can hold."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} does not fit a float: {len(str(abs(value)))} digits") from None
 
 
 def finite_number(value, what: str) -> float:

@@ -68,11 +68,11 @@ def train_fmt(
 
 
 def predict_fmt_dataset(model: FmtModel, dataset: Dataset) -> np.ndarray:
-    """Estimate effort (PH) for every project; outputs are floored at 1 PH."""
+    """Estimate effort (PH) for every project; finite outputs are floored at 1 PH."""
     features = dataset.features
     memberships = membership_matrix(model.fuzzy, features)
     predictions = predict_tree(model.tree, memberships, features, model.tree_config)
-    return np.maximum(predictions, EFFORT_FLOOR_PH)
+    return np.maximum(predictions, EFFORT_FLOOR_PH, out=predictions, where=np.isfinite(predictions))
 
 
 def fmt_to_json(model: FmtModel) -> dict:

@@ -91,7 +91,7 @@ class ModelTree(FlatTree):
     beta: np.ndarray
     routing_dim: int
     regression_dim: int
-    # (routing, regression, targets) retained from build_tree; prune needs them.
+    # (routing, regression, targets), kept by build_tree alone; prune needs them.
     training: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def node_values(self, node: np.ndarray | int, g: np.ndarray) -> np.ndarray:
@@ -232,11 +232,11 @@ def prune(tree: ModelTree, config: TreeConfig = TreeConfig()) -> ModelTree:
 
     Mean absolute error is inflated by (n + pruning_factor*v) / (n - v), with v
     the parameter count (per model: regression width + 1; per subtree: leaf
-    models plus one per split).  Works bottom-up on the retained training rows,
-    re-emitting the kept nodes in preorder.
+    models plus one per split).  Works bottom-up on the training rows that
+    build_tree kept, re-emitting the kept nodes in preorder; the result keeps no rows.
     """
     if tree.training is None:
-        raise ValueError("tree has no retained training data (deserialized trees cannot be pruned)")
+        raise ValueError("only a tree returned by build_tree can be pruned, not a deserialized one")
     r, g, y = tree.training
     v_model = tree.regression_dim + 1
     near_zero = _NEAR_ZERO_ERROR_FRACTION * _popsd(y)
@@ -265,7 +265,7 @@ def prune(tree: ModelTree, config: TreeConfig = TreeConfig()) -> ModelTree:
         return v_model
 
     walk(0, np.arange(len(y)))
-    return ModelTree.from_rows(rows, tree.routing_dim, tree.regression_dim, tree.training)
+    return ModelTree.from_rows(rows, tree.routing_dim, tree.regression_dim)
 
 
 def predict_tree(
@@ -387,7 +387,7 @@ def tree_from_json(doc: dict) -> ModelTree:
         coefficients = finite_numbers(
             model.get("coefficients"), f"{path}.model.coefficients", regression_dim
         )
-        count = json_int(node.get("count"), f"{path}.count", 1)
+        count = json_int(node.get("count"), f"{path}.count", 1, 2**53)  # exact as a float
         mae = finite_number(node.get("mae"), f"{path}.mae")
         return count, mae, [intercept, *coefficients]
 

@@ -225,6 +225,12 @@ class TestTreeboost:
         model = TreeboostModel(f0=0.25, shrinkage=0.1)
         probe = Dataset(("p",), [[100.0, 20.0, 3.0]], [1.0])
         assert predict_treeboost_dataset(model, probe)[0] == 1.0
+        # Only finite values are floored: -inf is returned for the caller to refuse.
+        doc = {"kind": "treeboost", "f0": -1e308, "shrinkage": 1.0,
+               "trees": [{"feature": 0, "threshold": 1.0, "left": {"value": -1e308},
+                          "right": {"value": -1e308}}]}
+        with np.errstate(over="ignore"):
+            assert predict_treeboost_dataset(treeboost_from_json(doc), probe)[0] == -math.inf
 
     def test_too_few_projects(self):
         with pytest.raises(ValueError, match="at least 10"):
@@ -346,6 +352,11 @@ class TestMlr:
             + model.coefficients["complexity"] * 4.0
         )
         assert predict_mlr_dataset(model, project)[0] == math.exp(score)
+
+    def test_overflowing_score_predicts_inf(self):
+        model = MlrModel(dict(zip(MLR_TERMS, (0.0, 1000.0, 0.0, 0.0))), 0.0, {}, {}, {})
+        probe = Dataset(("q", "r"), [[50.0, 15.0, 2.0], [1.0, 15.0, 2.0]], [1.0, 1.0])
+        assert predict_mlr_dataset(model, probe).tolist() == [math.inf, 1.0]
 
     def test_intercept_only_model(self):
         model = MlrModel(dict(zip(MLR_TERMS, (1.8, 0.0, 0.0, 0.0))), 0.0, {}, {}, {})

@@ -40,13 +40,14 @@ UCP_MODEL = {
 WEIGHT_KEYS = {"ratio", "f0", "value", "intercept", "coefficients"}
 
 
-def overflowing(doc, weight=False):
-    """A copy of model file `doc` with every weight 1e308, so that its predictions overflow."""
+def overflowing(doc, value=1e308, weight=False):
+    """A copy of model file `doc` with every weight set to `value`; at the default, 1e308,
+    its predictions overflow."""
     if isinstance(doc, dict):
-        return {k: overflowing(v, weight or k in WEIGHT_KEYS) for k, v in doc.items()}
+        return {k: overflowing(v, value, weight or k in WEIGHT_KEYS) for k, v in doc.items()}
     if isinstance(doc, list):
-        return [overflowing(v, weight) for v in doc]
-    return 1e308 if weight else doc
+        return [overflowing(v, value, weight) for v in doc]
+    return value if weight else doc
 
 
 def deep_tree_model(depth):
@@ -215,15 +216,18 @@ class TestTrainPredictEvaluate:
         assert "ratio must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
-    @pytest.mark.parametrize("kind, label", [("ucp", "UCP"), ("fmt", "FMT"),
-                                             ("treeboost", "Treeboost")])
+    @pytest.mark.parametrize("kind, label, weight", [
+        ("ucp", "UCP", 1e308), ("fmt", "FMT", 1e308), ("treeboost", "Treeboost", 1e308),
+        ("mlr", "MLR", 1e308), ("fmt", "FMT", -1e308), ("treeboost", "Treeboost", -1e308),
+    ], ids=["ucp-UCP", "fmt-FMT", "treeboost-Treeboost", "mlr-MLR", "fmt-FMT-negative",
+            "treeboost-Treeboost-negative"])
     def test_predictions_that_are_not_finite_exit_2(self, tmp_path, dataset_csv, capsys,
-                                                    kind, label):
+                                                    kind, label, weight):
         model = tmp_path / "model.json"
         out = tmp_path / "p.csv"
         assert main(["train", "--model", kind, "--data", str(dataset_csv), "--trees", "5",
                      "--out", str(model)]) == 0
-        doc = overflowing(json.loads(model.read_text(encoding="utf-8")))
+        doc = overflowing(json.loads(model.read_text(encoding="utf-8")), weight)
         model.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
         with warnings.catch_warnings():
@@ -231,8 +235,9 @@ class TestTrainPredictEvaluate:
             code = main(["predict", "--model-file", str(model), "--data", str(dataset_csv),
                          "--out", str(out)])
         assert code == 2
+        shown = "inf" if weight > 0 else "-inf"
         assert capsys.readouterr().err == (
-            f"error: {label} prediction for project 'p001' is not finite: inf\n"
+            f"error: {label} prediction for project 'p001' is not finite: {shown}\n"
         )
         assert not out.exists()
 
@@ -347,7 +352,9 @@ class TestTrainPredictEvaluate:
              ' 0, "complexity": 1}, "diagnostics": {}}', "adjusted_r2 must be a number"),
             ('{"kind": "mlr", "coefficients": {"intercept": 0, "ln_size": 1000, "productivity":'
              ' 0, "complexity": 0}, "diagnostics": {"adjusted_r2": 0, "vif": {}, "t_stats": {},'
-             ' "p_values": {}}}', "mlr prediction for project 'p001' overflows"),
+             ' "p_values": {}}}', "MLR prediction for project 'p001' is not finite: inf"),
+            pytest.param('{"kind": "ucp", "ratio": 1' + "0" * 400 + "}",
+                         "ucp ratio does not fit a float: 401 digits", id="ucp-ratio-401-digits"),
             ('{"kind": "fmt", "feature_names": null}', "feature_names"),
             ('{"kind": "fmt", "feature_names": ["size_ucp", "productivity", "complexity"],'
              ' "fuzzy": {"centers": [[0], [0], [0]], "sigmas": [[1], [1], [0]]}}',
@@ -358,6 +365,13 @@ class TestTrainPredictEvaluate:
              ' "mae": 0.0, "model": {"intercept": 1.0, "coefficients": [0, 0, 0]},'
              ' "feature": 3, "threshold": 0.5, "left": {}, "right": {}}}}',
              "tree.root.feature must be an integer in [0, 3)"),
+            pytest.param('{"kind": "fmt", "feature_names": ["size_ucp", "productivity",'
+                         ' "complexity"], "fuzzy": {"centers": [[0], [0], [0]], "sigmas":'
+                         ' [[1], [1], [1]]}, "tree": {"routing_dim": 3, "regression_dim": 3,'
+                         ' "root": {"count": 1' + "0" * 400 + ', "mae": 0.0, "model":'
+                         ' {"intercept": 1.0, "coefficients": [0, 0, 0]}}}}',
+                         "tree.root.count must be an integer in [1, 9007199254740992)",
+                         id="fmt-count-401-digits"),
         ],
     )
     def test_predict_rejects_malformed_model_json(self, tmp_path, dataset_csv, capsys,
@@ -566,11 +580,14 @@ def bad_cli_case(draw, tables, models):
 @st.composite
 def bad_model(draw, doc):
     """Model file text with one fault: kind, a wrong-typed field, truncation, not an object,
-    or weights whose predictions overflow."""
-    fault = draw(st.sampled_from(["kind", "field", "truncated", "not-an-object", "overflow"]))
+    weights whose predictions overflow, or weights too large for a float."""
+    fault = draw(st.sampled_from(["kind", "field", "truncated", "not-an-object", "overflow",
+                                  "huge-integer"]))
     doc = dict(doc)
     if fault == "overflow":
         doc = overflowing(doc)
+    elif fault == "huge-integer":
+        doc = overflowing(doc, 10**400)
     elif fault == "kind":
         doc["kind"] = draw(st.text().filter(lambda name: name not in KINDS))
     elif fault == "field":

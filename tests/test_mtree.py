@@ -210,11 +210,11 @@ class TestPrune:
             raw = build_tree(x, x, y, config)
             pruned = prune(raw, config)
             assert pruned.leaf_count() <= raw.leaf_count()
-            self.assert_no_prunable_node_left(pruned, config)
+            self.assert_no_prunable_node_left(pruned, raw.training, config)
 
     @staticmethod
-    def assert_no_prunable_node_left(tree, config):
-        r, g, y = tree.training
+    def assert_no_prunable_node_left(tree, training, config):
+        r, g, y = training
         v_model = tree.regression_dim + 1
         near_zero = 1e-5 * pop_sd(y)
 
@@ -306,6 +306,12 @@ class TestSerialization:
         restored = tree_from_json(tree_to_json(tree))
         with pytest.raises(ValueError, match="deserialized"):
             prune(restored)
+
+    def test_pruned_tree_keeps_no_training_rows(self):
+        tree, _ = self.build_sample()
+        assert tree.training is None
+        with pytest.raises(ValueError, match="only a tree returned by build_tree"):
+            prune(tree)
 
 
 def route(node, routing_row):
@@ -436,7 +442,8 @@ def sample_tree_doc():
     [
         (lambda d: d.update(routing_dim="1"), "routing_dim must be an integer"),
         (lambda d: d.update(root=None), "tree.root must be a JSON object"),
-        (lambda d: d["root"].update(count=0), "tree.root.count must be an integer >= 1"),
+        (lambda d: d["root"].update(count=0),
+         r"tree.root.count must be an integer in \[1, 9007199254740992\)"),
         (lambda d: d["root"].update(mae=float("nan")), "tree.root.mae must be finite"),
         (lambda d: d["root"].pop("model"), "tree.root.model must be a JSON object"),
         (lambda d: d["root"]["model"].update(coefficients=[1.0, 2.0]), "list of 1 numbers"),
