@@ -20,8 +20,7 @@ from .data import (
     PROFILES,
     Dataset,
     parse_dataset,
-    parse_number,
-    read_table,
+    read_numbers,
     render_dataset,
     render_table,
     finite_number,
@@ -236,9 +235,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _parse_predictions(text: str) -> dict[str, float]:
-    """Parse a predictions CSV with the columns PREDICTION_COLUMNS (see data.read_table)."""
-    rows = read_table(text, PREDICTION_COLUMNS)
-    return {pid: parse_number(value, "predicted_ph", number) for number, pid, (value,) in rows}
+    """Parse a predictions CSV with the columns PREDICTION_COLUMNS (see data.read_numbers)."""
+    _, ids, values = read_numbers(text, PREDICTION_COLUMNS)
+    return dict(zip(ids, values[:, 0].tolist()))
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

@@ -206,15 +206,40 @@ def render_table(columns: tuple[str, ...], rows: Iterable[Iterable[str]]) -> str
     return buffer.getvalue()
 
 
-def parse_dataset(csv_text: str) -> Dataset:
-    """Parse a project CSV with the columns CSV_COLUMNS into a Dataset (see read_table)."""
-    names = CSV_COLUMNS[1:]
+def read_numbers(text: str, columns: tuple[str, ...]) -> tuple[list[int], list[str], np.ndarray]:
+    """Row numbers, ids and the (rows, len(columns) - 1) array of the other cells
+    of a CSV table (see read_table); each cell must pass parse_number.
+
+    Each row's cells go through float() as the row is read.  If that pass
+    meets a fault, the table is read again a cell at a time, so that the
+    first fault in row order is reported as parse_number and read_table word it.
+    """
     numbers, ids, values = [], [], []
-    for number, pid, cells in read_table(csv_text, CSV_COLUMNS):
+    try:
+        for number, row_id, row in read_table(text, columns):
+            # float() also reads '_' between digits, and 'inf' and 'nan'; parse_number does not.
+            if "_" in "".join(row):
+                break
+            numbers.append(number)
+            ids.append(row_id)
+            values.extend(map(float, row))
+        else:
+            table = np.array(values).reshape(len(ids), -1)
+            if np.isfinite(table).all():
+                return numbers, ids, table
+    except (ValueError, csv.Error):
+        pass
+    numbers, ids, rows = [], [], []
+    for number, row_id, row in read_table(text, columns):
         numbers.append(number)
-        ids.append(pid)
-        values.append([parse_number(cell, name, number) for name, cell in zip(names, cells)])
-    table = np.array(values)
+        ids.append(row_id)
+        rows.append([parse_number(cell, name, number) for name, cell in zip(columns[1:], row)])
+    return numbers, ids, np.array(rows)
+
+
+def parse_dataset(csv_text: str) -> Dataset:
+    """Parse a project CSV with the columns CSV_COLUMNS into a Dataset (see read_numbers)."""
+    numbers, ids, table = read_numbers(csv_text, CSV_COLUMNS)
     try:
         return Dataset(tuple(ids), table[:, :3], table[:, 3])
     except _ProjectError as exc:

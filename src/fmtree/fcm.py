@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -62,9 +63,23 @@ class Standardization:
     scale: np.ndarray
 
     @classmethod
-    def fit(cls, features: np.ndarray) -> "Standardization":
+    def fit(cls, features: np.ndarray, names: Sequence[str] = ()) -> "Standardization":
+        """Column means and population sds, 1 for a constant column.
+
+        ValueError if a column's sd is not finite, naming it by `names`, if
+        given, or else by its index.
+        """
         x = np.asarray(features, dtype=float)
-        sd = x.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, as a ValueError
+            sd = x.std(axis=0)
+        finite = np.isfinite(sd)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            name = names[j] if names else f"feature {j}"
+            raise ValueError(
+                f"cannot standardize {name}: its standard deviation is not finite ({sd[j]}); "
+                "its values are too large in magnitude"
+            )
         return cls(x.mean(axis=0), np.where(sd > 0, sd, 1.0))
 
     def apply(self, features: np.ndarray) -> np.ndarray:

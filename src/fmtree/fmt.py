@@ -50,7 +50,7 @@ def train_fmt(
             f"k={fcm_config.k} / min_instances={tree_config.min_instances}"
         )
     features = train.features
-    standardization = Standardization.fit(features)
+    standardization = Standardization.fit(features, FEATURE_NAMES)
     z = standardization.apply(features)
     partition = fcm_cluster(z, fcm_config)
     if not partition.converged:

@@ -22,6 +22,9 @@ _SMALL_NODE_FACTOR = 10.0
 _NEAR_ZERO_ERROR_FRACTION = 1e-5
 _RIDGE_JITTER = 1e-8
 _COND_LIMIT = 1e12
+# Nodes of at most this many rows scan all routing columns in one 2-D pass;
+# larger ones scan a column at a time, which bounds the scan's temporaries.
+_SCAN_WIDTH = 2048
 
 
 @dataclass(frozen=True)
@@ -108,20 +111,39 @@ class ModelTree(FlatTree):
         return beta[..., 0] + total
 
 
-def _fit_linear(g: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least squares via normal equations; jitter the diagonal when singular."""
-    x = np.hstack([np.ones((len(y), 1)), g])
-    a = x.T @ x
-    b = x.T @ y
-    try:
-        cond = np.linalg.cond(a)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        a = a + _RIDGE_JITTER * np.eye(a.shape[0])
-    beta = np.linalg.solve(a, b)
+def _fit_nodes(
+    g: np.ndarray, y: np.ndarray, members: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's least-squares model of y on g over its rows `members[i]`, and its mae.
+
+    The normal equations are solved together; a node's diagonal is jittered
+    when its matrix is singular or ill-conditioned.  ValueError if any normal
+    equation overflows.
+    """
+    p = g.shape[1] + 1
+    a = np.empty((len(members), p, p))
+    b = np.empty((len(members), p))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, as a ValueError
+        for i, idx in enumerate(members):
+            x = np.hstack([np.ones((len(idx), 1)), g[idx]])
+            a[i] = x.T @ x
+            b[i] = x.T @ y[idx]
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError(
+            "the node models' normal equations overflow: regression features and targets "
+            "are too large in magnitude"
+        )
+    cond = np.linalg.cond(a)
+    jitter = ~np.isfinite(cond) | (cond > _COND_LIMIT)
+    # np.where, not a boolean index: that would run numpy indexing code that nothing
+    # else here does, about 0.1 MB more resident memory in every process.
+    a = np.where(jitter[:, None, None], a + _RIDGE_JITTER * np.eye(p), a)
+    beta = np.linalg.solve(a, b[..., None])[..., 0]
     # The stored mae keeps the bits of this matrix product, not node_values'.
-    mae = float(np.mean(np.abs(y - (float(beta[0]) + g @ beta[1:]))))
+    mae = np.array([
+        float(np.mean(np.abs(y[idx] - (float(beta[i, 0]) + g[idx] @ beta[i, 1:]))))
+        for i, idx in enumerate(members)
+    ])
     return beta, mae
 
 
@@ -130,41 +152,53 @@ def _popsd(y: np.ndarray) -> float:
 
 
 def _best_split(
-    routing: np.ndarray, y: np.ndarray, min_instances: int, parent_sd: float
+    routing: np.ndarray, y: np.ndarray, order: np.ndarray, min_instances: int, parent_sd: float
 ) -> tuple[float, int, float] | None:
     """Maximize SDR over midpoints of consecutive distinct routing values.
 
-    parent_sd is the population sd of y.  Ties break toward the lowest
-    feature index, then the lowest threshold.  Both children must keep at
-    least min_instances rows.
+    order[f] lists the node's rows (indices into routing and y) sorted by
+    routing column f, equal values in ascending row order.  parent_sd is the
+    population sd of the node's y.  Ties break toward the lowest feature
+    index, then the lowest threshold.  Both children must keep at least
+    min_instances rows.
     """
-    n = len(y)
-    cuts = np.arange(min_instances, n - min_instances + 1)
-    if cuts.size == 0:
+    d, n = order.shape
+    # A cut after the first c sorted rows, for c in [lo, hi).
+    lo, hi = min_instances, n - min_instances + 1
+    if hi <= lo:
         return None
-    best: tuple[float, int, float] | None = None
-    for f in range(routing.shape[1]):
-        values = routing[:, f]
-        order = np.argsort(values, kind="stable")
-        vs = values[order]
-        ys = y[order]
-        cum = np.cumsum(ys)
-        cum2 = np.cumsum(ys * ys)
-        total, total2 = cum[-1], cum2[-1]
-        nl = cuts.astype(float)
-        nr = n - nl
-        sl, sl2 = cum[cuts - 1], cum2[cuts - 1]
+    nl = np.arange(lo, hi, dtype=float)
+    nr = n - nl
+    gains = np.empty(d)
+    cuts = np.empty(d, dtype=np.intp)
+    # Values are gathered through one flat index array: indexing with a pair of
+    # arrays runs numpy code that nothing else here does, about 0.1 MB more
+    # resident memory in every process.
+    flat = routing.ravel()
+    step = d if n <= _SCAN_WIDTH else 1
+    for first in range(0, d, step):
+        columns = slice(first, first + step)
+        block = order[columns]
+        vs = flat[block * d + np.arange(d)[columns, None]]
+        ys = y[block]
+        cum = np.cumsum(ys, axis=1)
+        cum2 = np.cumsum(ys * ys, axis=1)
+        total, total2 = cum[:, -1:], cum2[:, -1:]
+        sl, sl2 = cum[:, lo - 1 : hi - 1], cum2[:, lo - 1 : hi - 1]
         var_l = np.maximum(sl2 / nl - (sl / nl) ** 2, 0.0)
         var_r = np.maximum((total2 - sl2) / nr - ((total - sl) / nr) ** 2, 0.0)
         sdr = parent_sd - (nl / n) * np.sqrt(var_l) - (nr / n) * np.sqrt(var_r)
-        sdr[vs[cuts] == vs[cuts - 1]] = -np.inf
-        j = int(np.argmax(sdr))
-        if not np.isfinite(sdr[j]):
-            continue
-        if best is None or sdr[j] > best[0]:
-            threshold = float((vs[cuts[j] - 1] + vs[cuts[j]]) / 2.0)
-            best = (float(sdr[j]), f, threshold)
-    return best
+        sdr[vs[:, lo:hi] == vs[:, lo - 1 : hi - 1]] = -np.inf
+        cut = sdr.argmax(axis=1)
+        cuts[columns] = cut
+        gains[columns] = sdr.ravel()[np.arange(len(cut)) * sdr.shape[1] + cut]
+    usable = np.isfinite(gains)
+    if not usable.any():
+        return None
+    feature = int(np.where(usable, gains, -np.inf).argmax())
+    c = lo + cuts[feature]
+    below, above = flat[order[feature, c - 1 : c + 1] * d + feature]
+    return float(gains[feature]), feature, float((below + above) / 2.0)
 
 
 def build_tree(
@@ -177,7 +211,9 @@ def build_tree(
 
     Growth stops when a node's target standard deviation falls below
     sd_fraction of the whole sample's, when fewer than 2*min_instances rows
-    remain, or when no split improves SDR.
+    remain, or when no split improves SDR.  The routing columns are sorted
+    once; each node's split search reads its rows' slice of those orders, and
+    every node's model is fitted after growth, in one batched solve.
     """
     r = np.asarray(routing, dtype=float)
     g = np.asarray(regression, dtype=float)
@@ -195,13 +231,25 @@ def build_tree(
             f"need at least min_instances={config.min_instances} rows, got {len(y)}"
         )
     global_sd = _popsd(y)
+    d = r.shape[1]
+    # Preorder node rows [feature, threshold, left, right, count], and each node's rows.
     rows: list[list] = []
+    members: list[np.ndarray] = []
+    in_child = np.zeros(len(y), dtype=bool)
 
-    def grow(idx: np.ndarray) -> int:
-        beta, mae = _fit_linear(g[idx], y[idx])
+    def child_order(order: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """The rows `idx` of `order`, each column keeping its sorted order."""
+        in_child[idx] = True
+        kept = order[in_child[order]].reshape(d, -1)
+        in_child[idx] = False
+        return kept
+
+    def grow(idx: np.ndarray, order: np.ndarray) -> int:
+        """Grow the subtree of the rows `idx` (ascending), sorted per column in `order`."""
         node = len(rows)
-        row = [-1, 0.0, -1, -1, len(idx), mae, beta]
+        row = [-1, 0.0, -1, -1, len(idx)]
         rows.append(row)
+        members.append(idx)
         node_sd = _popsd(y[idx])
         if (
             len(idx) < 2 * config.min_instances
@@ -209,16 +257,31 @@ def build_tree(
             or node_sd < config.sd_fraction * global_sd
         ):
             return node
-        found = _best_split(r[idx], y[idx], config.min_instances, node_sd)
+        found = _best_split(r, y, order, config.min_instances, node_sd)
         if found is None or found[0] <= 0.0:
             return node
         _, feature, threshold = found
-        left_mask = r[idx, feature] <= threshold
-        row[:4] = feature, threshold, grow(idx[left_mask]), grow(idx[~left_mask])
+        go_left = r[idx, feature] <= threshold
+        left, right = idx[go_left], idx[~go_left]
+        # The right child's orders are built once the left subtree is grown,
+        # so that a level holds one child's orders at a time.
+        row[:4] = (
+            feature,
+            threshold,
+            grow(left, child_order(order, left)),
+            grow(right, child_order(order, right)),
+        )
         return node
 
-    grow(np.arange(len(y)))
-    return ModelTree.from_rows(rows, r.shape[1], g.shape[1], (r, g, y))
+    # Stable sorts: equal routing values keep ascending row order, as each node's own would.
+    # Row indices stay intp: int32 would halve the orders and row sets, but its
+    # index casts add numpy code pages to the resident set of every fit, however small.
+    grow(np.arange(len(y)), np.argsort(r.T, axis=1, kind="stable"))
+    # grow refers to itself: dropping it lets the row sets go on return, not at
+    # the next garbage collection.
+    del grow
+    beta, mae = _fit_nodes(g, y, members)
+    return ModelTree.from_rows(rows, mae, beta, d, g.shape[1], (r, g, y))
 
 
 def _adjust_factor(n: int, v: int, config: TreeConfig) -> float:

@@ -127,7 +127,9 @@ def test_model_tree_oracle(capsys):
 
         routing = np.arange(1.0, 7.0).reshape(-1, 1)
         targets = np.array([1.0, 1.0, 1.0, 9.0, 9.0, 9.0])
-        sdr, feature, threshold = _best_split(routing, targets, 1, float(np.std(targets)))
+        sdr, feature, threshold = _best_split(
+            routing, targets, routing.T.argsort(kind="stable"), 1, float(np.std(targets))
+        )
         assert (feature, threshold) == (0, 3.5)
         assert sdr == 4.0
 

@@ -570,6 +570,13 @@ def bad_cli_case(draw, tables, models):
     if target == "pred.csv":
         files[target] = draw(bad_table(header, rows, ["unknown-id", "missing-id"]))
         return DATA_COMMANDS["evaluate"], files
+    if draw(st.integers(0, 4)) == 0:
+        # Ten sizes whose spread overflows a float: only training FMT must refuse them.
+        start = draw(st.integers(0, len(rows) - 10))
+        rows = [[row[0], "1e160", *row[2:]] if start <= i < start + 10 else row
+                for i, row in enumerate(rows)]
+        files[target] = csv_lines(header, *rows)
+        return DATA_COMMANDS[draw(st.sampled_from(["compare", "train"]))], files
     files[target] = draw(bad_table(header, rows, ["not-positive"]))
     argv = DATA_COMMANDS[draw(st.sampled_from(sorted(DATA_COMMANDS)))]
     if argv[0] == "train":

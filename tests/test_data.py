@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import math
 
@@ -7,16 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from fmtree.cli import _parse_predictions
 from fmtree.data import (
     CSV_COLUMNS,
     EDU,
     IND1,
     IND2,
+    PREDICTION_COLUMNS,
     PROFILES,
     Dataset,
     SourceProfile,
+    _ProjectError,
     generate_synthetic,
     parse_dataset,
+    parse_number,
+    read_table,
     render_dataset,
     render_table,
     split_holdout,
@@ -241,6 +247,74 @@ def test_parse_names_a_bad_cell_with_its_row(column, bad, data):
     with pytest.raises(ValueError) as excinfo:
         parse_dataset(text)
     assert str(excinfo.value) == f"{message} at row {row_number}"
+
+
+def reference_parse_dataset(csv_text):
+    """The parse that read each cell as its row came, kept as the oracle."""
+    names = CSV_COLUMNS[1:]
+    numbers, ids, values = [], [], []
+    for number, pid, cells in read_table(csv_text, CSV_COLUMNS):
+        numbers.append(number)
+        ids.append(pid)
+        values.append([parse_number(cell, name, number) for name, cell in zip(names, cells)])
+    table = np.array(values)
+    try:
+        return Dataset(tuple(ids), table[:, :3], table[:, 3])
+    except _ProjectError as exc:
+        raise ValueError(f"{exc} at row {numbers[exc.index]}") from None
+
+
+def reference_parse_predictions(text):
+    """The predictions parse that read each cell as its row came, kept as the oracle."""
+    rows = read_table(text, PREDICTION_COLUMNS)
+    return {pid: parse_number(value, "predicted_ph", number) for number, pid, (value,) in rows}
+
+
+# Pieces of cell text that float() and parse_number may read differently: signs,
+# exponents, overflow, underscores, inf and nan, non-ASCII digits and spaces.
+NUMBER_PIECES = ["", "+", "-", "0", "7", "12", ".", ".5", "e", "E-", "e+3", "e999", "_",
+                 "inf", "nan", "Infinity", " ", "\t", "\r", "\x1c", "\u00a0", "\u2003", "\u0663",
+                 "\u0d6c", "\uff11", "x"]
+cell_text = st.one_of(
+    positive.map(repr),
+    st.floats().map(repr),
+    st.sampled_from(["1_000", "1e999", "-1e-999", " 2\u2003", "\u0663.5", "+.5E+3", "nan"]),
+    st.lists(st.sampled_from(NUMBER_PIECES), max_size=5).map("".join),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def table_texts(draw, columns):
+    """CSV text of a header and up to 6 rows of drawn cells, with blank lines and repeated ids."""
+    ids = st.sampled_from(["a", "b", " c ", ""]) | project_id
+    lines = [",".join(columns)]
+    for _ in range(draw(st.integers(1, 6))):
+        cells = draw(st.lists(cell_text, min_size=len(columns) - 1, max_size=len(columns) - 1))
+        lines.extend([""] * draw(st.integers(0, 1)) + [",".join([draw(ids), *cells])])
+    return "\n".join(lines) + "\n"
+
+
+def outcome(parse, text):
+    """What parse(text) gives, in bits: ids and values, or the error's type and message."""
+    try:
+        result = parse(text)
+    except (ValueError, csv.Error) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, Dataset):
+        return result.ids, result.features.tobytes(), result.efforts.tobytes()
+    return [(pid, value.hex()) for pid, value in result.items()]
+
+
+@pytest.mark.parametrize("parse, reference, columns", [
+    (parse_dataset, reference_parse_dataset, CSV_COLUMNS),
+    (_parse_predictions, reference_parse_predictions, PREDICTION_COLUMNS),
+], ids=["dataset", "predictions"])
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_parse_matches_per_cell_reference(parse, reference, columns, data):
+    text = data.draw(table_texts(columns))
+    assert outcome(parse, text) == outcome(reference, text)
 
 
 def test_split_holdout_partitions():

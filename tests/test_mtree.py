@@ -9,6 +9,8 @@ from numpy.testing import assert_allclose
 
 from fmtree.baselines import treeboost_from_json, treeboost_to_json
 from fmtree.mtree import (
+    _SCAN_WIDTH,
+    ModelTree,
     TreeConfig,
     _best_split,
     build_tree,
@@ -28,6 +30,11 @@ def pop_sd(values):
     values = list(values)
     mean = sum(values) / len(values)
     return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+
+
+def presorted(routing):
+    """Each routing column's stable argsort, one row per column: _best_split's `order`."""
+    return np.argsort(routing.T, axis=1, kind="stable")
 
 
 def oracle_best_split(routing, y, min_instances):
@@ -80,7 +87,7 @@ class TestBestSplit:
         #   4.5, 5.5 mirror 2.5, 1.5
         routing = np.arange(1.0, 7.0).reshape(-1, 1)
         y = np.array([1.0, 1.0, 1.0, 9.0, 9.0, 9.0])
-        sdr, feature, threshold = _best_split(routing, y, 1, float(np.std(y)))
+        sdr, feature, threshold = _best_split(routing, y, presorted(routing), 1, float(np.std(y)))
         assert feature == 0
         assert threshold == 3.5
         assert_allclose(sdr, 4.0)
@@ -89,7 +96,7 @@ class TestBestSplit:
         routing = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([0.0, 1.0, 1.0, 0.0])
         # cuts at 1.5 and 3.5 give identical SDR by symmetry
-        sdr, feature, threshold = _best_split(routing, y, 1, float(np.std(y)))
+        sdr, feature, threshold = _best_split(routing, y, presorted(routing), 1, float(np.std(y)))
         assert threshold == 1.5
         assert_allclose(sdr, 0.5 - 0.75 * pop_sd([1.0, 1.0, 0.0]))
 
@@ -97,7 +104,7 @@ class TestBestSplit:
         column = np.arange(1.0, 7.0)
         routing = np.column_stack([column, column])
         y = np.array([1.0, 1.0, 1.0, 9.0, 9.0, 9.0])
-        _, feature, threshold = _best_split(routing, y, 1, float(np.std(y)))
+        _, feature, threshold = _best_split(routing, y, presorted(routing), 1, float(np.std(y)))
         assert feature == 0
         assert threshold == 3.5
 
@@ -106,7 +113,7 @@ class TestBestSplit:
             rng = np.random.default_rng(seed)
             routing = rng.uniform(0.0, 10.0, size=(30, 3))
             y = rng.uniform(0.0, 100.0, size=30)
-            got = _best_split(routing, y, 3, float(np.std(y)))
+            got = _best_split(routing, y, presorted(routing), 3, float(np.std(y)))
             want = oracle_best_split(routing, y, 3)
             assert got is not None
             assert got[1] == want[1]
@@ -116,12 +123,12 @@ class TestBestSplit:
     def test_respects_min_instances(self):
         routing = np.arange(1.0, 7.0).reshape(-1, 1)
         y = np.array([1.0, 1.0, 1.0, 9.0, 9.0, 9.0])
-        assert _best_split(routing, y, 4, float(np.std(y))) is None
+        assert _best_split(routing, y, presorted(routing), 4, float(np.std(y))) is None
 
     def test_no_cut_between_equal_values(self):
         routing = np.array([[1.0], [1.0], [1.0], [1.0]])
         y = np.array([0.0, 1.0, 2.0, 3.0])
-        assert _best_split(routing, y, 1, float(np.std(y))) is None
+        assert _best_split(routing, y, presorted(routing), 1, float(np.std(y))) is None
 
 
 class TestBuildTree:
@@ -180,6 +187,8 @@ class TestBuildTree:
             build_tree(np.array([[np.inf]] * 6), x, y)
         with pytest.raises(ValueError, match="at least min_instances"):
             build_tree(x[:3], x[:3], y[:3])
+        with pytest.raises(ValueError, match="normal equations overflow"):
+            build_tree(x, x * 1e300, y)
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
@@ -430,6 +439,141 @@ class TestBatchPaths:
     def test_empty_batch(self):
         tree = manual_two_level_tree()
         assert predict_tree(tree, np.empty((0, 1)), np.empty((0, 1))).shape == (0,)
+
+
+def reference_fit_linear(g, y, jittered):
+    """The per-node fit that preceded the batched one, kept as the oracle.
+
+    Appends to `jittered` whether the node's diagonal was jittered.
+    """
+    x = np.hstack([np.ones((len(y), 1)), g])
+    a = x.T @ x
+    b = x.T @ y
+    try:
+        cond = np.linalg.cond(a)
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    jittered.append(not np.isfinite(cond) or cond > 1e12)
+    if jittered[-1]:
+        a = a + 1e-8 * np.eye(a.shape[0])
+    beta = np.linalg.solve(a, b)
+    mae = float(np.mean(np.abs(y - (float(beta[0]) + g @ beta[1:]))))
+    return beta, mae
+
+
+def reference_best_split(routing, y, min_instances, parent_sd):
+    """The split search that sorted each column at each node, kept as the oracle."""
+    n = len(y)
+    cuts = np.arange(min_instances, n - min_instances + 1)
+    if cuts.size == 0:
+        return None
+    best = None
+    for f in range(routing.shape[1]):
+        values = routing[:, f]
+        order = np.argsort(values, kind="stable")
+        vs = values[order]
+        ys = y[order]
+        cum = np.cumsum(ys)
+        cum2 = np.cumsum(ys * ys)
+        total, total2 = cum[-1], cum2[-1]
+        nl = cuts.astype(float)
+        nr = n - nl
+        sl, sl2 = cum[cuts - 1], cum2[cuts - 1]
+        var_l = np.maximum(sl2 / nl - (sl / nl) ** 2, 0.0)
+        var_r = np.maximum((total2 - sl2) / nr - ((total - sl) / nr) ** 2, 0.0)
+        sdr = parent_sd - (nl / n) * np.sqrt(var_l) - (nr / n) * np.sqrt(var_r)
+        sdr[vs[cuts] == vs[cuts - 1]] = -np.inf
+        j = int(np.argmax(sdr))
+        if not np.isfinite(sdr[j]):
+            continue
+        if best is None or sdr[j] > best[0]:
+            threshold = float((vs[cuts[j] - 1] + vs[cuts[j]]) / 2.0)
+            best = (float(sdr[j]), f, threshold)
+    return best
+
+
+def reference_build_tree(r, g, y, config):
+    """The growth that fitted each node as it went, kept as the oracle.
+
+    Returns the tree and, per node, whether its model was jittered.
+    """
+    global_sd = float(np.std(y))
+    rows, jittered = [], []
+
+    def grow(idx):
+        beta, mae = reference_fit_linear(g[idx], y[idx], jittered)
+        node = len(rows)
+        row = [-1, 0.0, -1, -1, len(idx), mae, beta]
+        rows.append(row)
+        node_sd = float(np.std(y[idx]))
+        if (
+            len(idx) < 2 * config.min_instances
+            or node_sd == 0.0
+            or node_sd < config.sd_fraction * global_sd
+        ):
+            return node
+        found = reference_best_split(r[idx], y[idx], config.min_instances, node_sd)
+        if found is None or found[0] <= 0.0:
+            return node
+        _, feature, threshold = found
+        left_mask = r[idx, feature] <= threshold
+        row[:4] = feature, threshold, grow(idx[left_mask]), grow(idx[~left_mask])
+        return node
+
+    grow(np.arange(len(y)))
+    return ModelTree.from_rows(rows, r.shape[1], g.shape[1], (r, g, y)), jittered
+
+
+def tie_heavy_data(seed, n, routing_dim, regression_dim, levels, collinear):
+    """Routing values on a grid of `levels` steps, integer regression columns and
+    targets rounded to 0.1; `collinear` makes the last regression column
+    dependent on the first (constant if it is the only one)."""
+    rng = np.random.default_rng(seed)
+    r = rng.integers(0, levels, size=(n, routing_dim)) / levels
+    g = rng.integers(0, 10, size=(n, regression_dim)).astype(float)
+    if collinear:
+        g[:, -1] = 2.0 * g[:, 0] if regression_dim > 1 else 3.0
+    y = np.where(r[:, 0] < 0.5, 3.0 * g[:, 0] + 7.0, 40.0 - 2.0 * g[:, 0])
+    return r, g, np.round(y + rng.normal(0.0, 2.0, size=n), 1)
+
+
+def tree_text(tree):
+    """The tree's JSON, one value a line, so that pytest's diff of two trees stays quick."""
+    return json.dumps(tree_to_json(tree), indent=1)
+
+
+class TestGrowthMatchesReference:
+    """Presorted growth with batched fits gives the trees of the per-node reference, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(8, 240),
+        st.integers(1, 9),
+        st.integers(1, 3),
+        st.sampled_from([2, 5, 20, 1000]),
+        st.booleans(),
+        st.integers(2, 6),
+    )
+    def test_raw_and_pruned_trees_match(
+        self, seed, n, routing_dim, regression_dim, levels, collinear, min_instances
+    ):
+        r, g, y = tie_heavy_data(seed, n, routing_dim, regression_dim, levels, collinear)
+        config = TreeConfig(min_instances=min_instances)
+        want, _ = reference_build_tree(r, g, y, config)
+        got = build_tree(r, g, y, config)
+        assert tree_text(got) == tree_text(want)
+        assert tree_text(prune(got, config)) == tree_text(prune(want, config))
+
+    def test_nodes_wider_than_the_scan_width_and_jittered_models(self):
+        r, g, y = tie_heavy_data(7, 3000, 4, 2, 50, collinear=True)
+        assert len(y) > _SCAN_WIDTH
+        config = TreeConfig(min_instances=3)
+        want, jittered = reference_build_tree(r, g, y, config)
+        assert any(jittered)
+        got = build_tree(r, g, y, config)
+        assert tree_text(got) == tree_text(want)
+        assert tree_text(prune(got, config)) == tree_text(prune(want, config))
 
 
 def sample_tree_doc():
