@@ -160,39 +160,46 @@ def read_table(text: str, columns: tuple[str, ...]) -> Iterator[tuple[int, str, 
 
     The header names exactly `columns` (id first) in any order and case.  Rows
     are numbered from 1 at the first line, blank lines included, so errors
-    match editor line numbers.  Ids must be non-empty and unique.
+    match editor line numbers.  Ids must be non-empty and unique.  A row that
+    the csv module cannot read, such as one with a cell longer than its field
+    size limit, is a ValueError naming the row.
     """
     records = enumerate(csv.reader(io.StringIO(text)), 1)
-    for _, header in records:
-        if header:
-            break
-    else:
-        raise ValueError("empty input: missing header row")
-    names = [cell.strip().lower() for cell in header]
-    missing = [c for c in columns if c not in names]
-    if missing:
-        raise ValueError(f"missing column(s): {', '.join(missing)}")
-    unexpected = [c for c in names if c not in columns]
-    if unexpected:
-        raise ValueError(f"unexpected column(s): {', '.join(unexpected)}")
-    if len(names) != len(set(names)):
-        raise ValueError("repeated column in header")
-    # One itemgetter call per row: a generator per row slowed large parses markedly.
-    pick = operator.itemgetter(*(names.index(c) for c in columns))
-    seen: set[str] = set()
-    for number, row in records:
-        if not row:
-            continue
-        if len(row) != len(names):
-            raise ValueError(f"expected {len(names)} fields, found {len(row)} at row {number}")
-        raw_id, *cells = pick(row)
-        row_id = raw_id.strip()
-        if not row_id:
-            raise ValueError(f"empty id at row {number}")
-        if row_id in seen:
-            raise ValueError(f"duplicate id {row_id!r} at row {number}")
-        seen.add(row_id)
-        yield number, row_id, cells
+    number = 0
+    try:
+        for number, header in records:
+            if header:
+                break
+        else:
+            raise ValueError("empty input: missing header row")
+        names = [cell.strip().lower() for cell in header]
+        missing = [c for c in columns if c not in names]
+        if missing:
+            raise ValueError(f"missing column(s): {', '.join(missing)}")
+        unexpected = [c for c in names if c not in columns]
+        if unexpected:
+            raise ValueError(f"unexpected column(s): {', '.join(unexpected)}")
+        if len(names) != len(set(names)):
+            raise ValueError("repeated column in header")
+        # One itemgetter call per row: a generator per row slowed large parses markedly.
+        pick = operator.itemgetter(*(names.index(c) for c in columns))
+        seen: set[str] = set()
+        for number, row in records:
+            if not row:
+                continue
+            if len(row) != len(names):
+                raise ValueError(f"expected {len(names)} fields, found {len(row)} at row {number}")
+            raw_id, *cells = pick(row)
+            row_id = raw_id.strip()
+            if not row_id:
+                raise ValueError(f"empty id at row {number}")
+            if row_id in seen:
+                raise ValueError(f"duplicate id {row_id!r} at row {number}")
+            seen.add(row_id)
+            yield number, row_id, cells
+    except csv.Error as exc:
+        # The row that failed is the one after the last row read.
+        raise ValueError(f"{exc} at row {number + 1}") from None
     if not seen:
         raise ValueError("no data rows")
 
@@ -227,7 +234,7 @@ def read_numbers(text: str, columns: tuple[str, ...]) -> tuple[list[int], list[s
             table = np.array(values).reshape(len(ids), -1)
             if np.isfinite(table).all():
                 return numbers, ids, table
-    except (ValueError, csv.Error):
+    except ValueError:
         pass
     numbers, ids, rows = [], [], []
     for number, row_id, row in read_table(text, columns):

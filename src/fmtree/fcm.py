@@ -166,12 +166,21 @@ def _as_feature_matrix(features: np.ndarray) -> np.ndarray:
 
 
 # fcm_cluster keeps squared distances and memberships cluster-major, as (k, n)
-# arrays, so that each elementwise step runs over n contiguous values instead
-# of n rows of k.  Every sum over clusters is still taken in the order the
-# (n, k) layout gives it.  Squared distances add the features one after
-# another, as numpy's broadcast sum does for fewer than 8 features (numpy sums
-# pairwise from 8 terms on), so for such inputs, the 3 features of an FMT
-# included, the results are the same to the last bit as the broadcast loop's.
+# arrays reused by every iteration, so that each elementwise step runs over n
+# contiguous values instead of n rows of k.  Every sum is still taken in the
+# order numpy gives it over the (n, k) layout, so the bits are those of the
+# row-major loop:
+# - Over the k clusters of a point, numpy adds a contiguous row from left to
+#   right below 8 terms and pairwise from 8 on.  The clusters are added one
+#   after another below 8, and a row-major copy is summed from 8 on.  Squared
+#   distances add the features one after another, as numpy's broadcast sum
+#   does below 8 features (the 3 of an FMT included).
+# - Over the n points of a cluster, numpy adds a strided column from top to
+#   bottom, which is the last entry of np.add.accumulate along the row.  (At
+#   k = 1 the column is contiguous and summed pairwise, but every membership
+#   is then exactly 1.0, so any order gives n.)
+# - The objective's products are written into an (n, k) array through its
+#   transpose and summed whole: the same values in the same layout.
 
 
 def _row_major(at: np.ndarray) -> np.ndarray:
@@ -182,28 +191,47 @@ def _row_major(at: np.ndarray) -> np.ndarray:
     return a
 
 
-def _squared_distances_t(xt: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(k, n) squared distances from each center to each column of the (d, n) xt."""
-    d2t = (xt[0] - centers[:, :1]) ** 2
+def _squared_distances_t(
+    xt: np.ndarray, centers: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(k, n) squared distances from each center to each column of the (d, n) xt.
+
+    Written into `out`, if given.
+    """
+    d2t = np.subtract(xt[0], centers[:, :1], out=out)
+    d2t **= 2
+    term = np.empty_like(d2t)
     for j in range(1, len(xt)):
-        d2t += (xt[j] - centers[:, j : j + 1]) ** 2
+        np.subtract(xt[j], centers[:, j : j + 1], out=term)
+        term **= 2
+        d2t += term
     return d2t
 
 
-def _memberships_t(d2t: np.ndarray, fuzzifier_m: float) -> np.ndarray:
-    """(k, n) memberships from (k, n) squared distances.
+def _memberships_t(
+    d2t: np.ndarray, fuzzifier_m: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(k, n) memberships from (k, n) squared distances, written into `out` if given.
 
     A point sitting exactly on a center gets full membership at the first such
     center; its column then sums to exactly 1.0 in the normalization.
     """
     nearest = d2t.min(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = (d2t / nearest) ** (-1.0 / (fuzzifier_m - 1.0))
+        w = np.divide(d2t, nearest, out=out)
+        w **= -1.0 / (fuzzifier_m - 1.0)
     on_center = np.flatnonzero(nearest == 0.0)
     if on_center.size:
         w[:, on_center] = 0.0
         w[np.argmax(d2t[:, on_center] == 0.0, axis=0), on_center] = 1.0
-    w /= _row_major(w).sum(axis=1)
+    if len(w) < 8:
+        total = nearest  # no longer needed; its memory takes the sum
+        total[:] = w[0]
+        for row in w[1:]:
+            total += row
+    else:
+        total = _row_major(w).sum(axis=1)
+    w /= total
     return w
 
 
@@ -229,20 +257,27 @@ def fcm_cluster(features: np.ndarray, config: FcmConfig = FcmConfig()) -> FuzzyP
 
     m = config.fuzzifier_m
     xt = np.ascontiguousarray(x.T)
-    ut = u.T
-    umt = ut**m
+    # (k, n) work arrays, reused by every iteration; ut and ut_next swap.
+    ut = np.ascontiguousarray(u.T)
+    ut_next, umt, d2t, work = (np.empty_like(ut) for _ in range(4))
+    terms = work.reshape(n, config.k)  # the objective's (n, k) products, in work's memory
+    umt[:] = ut
+    umt **= m
     centers = np.zeros((config.k, d))
     trace: list[float] = []
     for _ in range(config.max_iterations):
-        weights = _row_major(umt).sum(axis=0)
+        weights = np.add.accumulate(umt, axis=1, out=work)[:, -1]
         fresh = weights > 0
         centers[fresh] = (umt[fresh] @ x) / weights[fresh, None]
-        d2t = _squared_distances_t(xt, centers)
-        ut_next = _memberships_t(d2t, m)
-        umt = ut_next**m
-        trace.append(float(_row_major(umt * d2t).sum()))
-        shift = float(np.abs(ut_next - ut).max())
-        ut = ut_next
+        _squared_distances_t(xt, centers, out=d2t)
+        _memberships_t(d2t, m, out=ut_next)
+        umt[:] = ut_next
+        umt **= m
+        np.multiply(umt, d2t, out=terms.T)
+        trace.append(float(terms.sum()))
+        np.subtract(ut_next, ut, out=work)
+        shift = float(np.abs(work, out=work).max())
+        ut, ut_next = ut_next, ut
         if shift < config.tolerance:
             break
     converged = shift < config.tolerance

@@ -226,6 +226,14 @@ def build_tree(
         raise ValueError("non-finite targets")
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(g))):
         raise ValueError("non-finite features")
+    # The split search accumulates the squared targets; if their sum is finite,
+    # so is every partial sum and every node's sd.
+    with np.errstate(over="ignore"):  # reported below, as a ValueError
+        squares = (y * y).sum()
+    if not np.isfinite(squares):
+        raise ValueError(
+            "the targets' sum of squares overflows: targets are too large in magnitude"
+        )
     if len(y) < config.min_instances:
         raise ValueError(
             f"need at least min_instances={config.min_instances} rows, got {len(y)}"

@@ -415,6 +415,10 @@ def csv_lines(*rows):
     return "".join(",".join(row) + "\n" for row in rows)
 
 
+# One cell longer than the csv module reads.
+LONG_CELL = "9" * (csv.field_size_limit() + 1)
+
+
 # Each case makes a bad table from a valid header h and data rows r (lists of
 # cells).  In the message, {last} is the last column's name, {width} the
 # column count and {short} one less.
@@ -434,6 +438,9 @@ TABLE_ERRORS = [
                  "duplicate id 'p001' at row 3", id="duplicate-id"),
     pytest.param(lambda h, r: csv_lines(h, r[0], r[1][:-1] + ["abc"], *r[2:]),
                  "non-numeric {last} 'abc' at row 3", id="bad-number"),
+    pytest.param(lambda h, r: csv_lines(h, r[0], r[1][:-1] + [LONG_CELL], *r[2:]),
+                 f"field larger than field limit ({csv.field_size_limit()}) at row 3",
+                 id="long-cell"),
     pytest.param(lambda h, r: "\n\n" + csv_lines(h) + "\n" + csv_lines(r[0]) + "\n\n"
                  + csv_lines(r[1][:-1] + ["abc"], *r[2:]),
                  "non-numeric {last} 'abc' at row 8", id="blank-lines"),
@@ -510,13 +517,15 @@ def valid_inputs():
 def bad_table(draw, header, rows, faults):
     """CSV text of the table with one of `faults` drawn in it."""
     rows = [list(row) for row in rows]
-    fault = draw(st.sampled_from(["layout", "not-a-number", *faults]))
+    fault = draw(st.sampled_from(["layout", "not-a-number", "long-cell", *faults]))
     if fault == "layout":
         make = draw(st.sampled_from([case.values[0] for case in TABLE_ERRORS]))
         return make(header, rows)
     row = draw(st.sampled_from(rows))
     if fault == "not-a-number":
         row[draw(st.integers(1, len(header) - 1))] = draw(NOT_A_NUMBER)
+    elif fault == "long-cell":
+        row[draw(st.integers(0, len(header) - 1))] = LONG_CELL
     elif fault == "not-positive":
         row[draw(st.sampled_from([1, len(header) - 1]))] = repr(draw(st.floats(max_value=0.0)))
     elif fault == "unknown-id":
@@ -571,9 +580,12 @@ def bad_cli_case(draw, tables, models):
         files[target] = draw(bad_table(header, rows, ["unknown-id", "missing-id"]))
         return DATA_COMMANDS["evaluate"], files
     if draw(st.integers(0, 4)) == 0:
-        # Ten sizes whose spread overflows a float: only training FMT must refuse them.
+        # Ten sizes whose spread, or ten efforts whose squares, overflow a float:
+        # only training FMT must refuse them.  Any ten rows put some in the split
+        # that compare trains on.
         start = draw(st.integers(0, len(rows) - 10))
-        rows = [[row[0], "1e160", *row[2:]] if start <= i < start + 10 else row
+        column, value = draw(st.sampled_from([(1, "1e160"), (len(header) - 1, "1e200")]))
+        rows = [[*row[:column], value, *row[column + 1:]] if start <= i < start + 10 else row
                 for i, row in enumerate(rows)]
         files[target] = csv_lines(header, *rows)
         return DATA_COMMANDS[draw(st.sampled_from(["compare", "train"]))], files

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+from conftest import piecewise_dataset
 from fmtree import fcm
 from fmtree.fcm import (
     FcmConfig,
@@ -293,9 +294,9 @@ def test_point_on_a_center_takes_the_zero_distance_branch(monkeypatch):
     calls = []
     original = fcm._memberships_t
 
-    def spy(d2t, fuzzifier_m):
+    def spy(d2t, fuzzifier_m, out=None):
         calls.append(bool((d2t == 0.0).any()))
-        return original(d2t, fuzzifier_m)
+        return original(d2t, fuzzifier_m, out)
 
     monkeypatch.setattr(fcm, "_memberships_t", spy)
     # symmetric integer rows put the single center exactly on the middle row
@@ -304,6 +305,47 @@ def test_point_on_a_center_takes_the_zero_distance_branch(monkeypatch):
     x = np.array([[0.0, 0.0], [5.0, 5.0], [0.0, 5.0]])
     assert_same_partition(x, FcmConfig(k=3, seed=3, tolerance=1e-12))
     assert sum(calls) == 2
+
+
+@pytest.mark.parametrize("k", [3, 9])
+def test_fcm_matches_reference_bit_for_bit_at_scale(k):
+    # The property above stops at 60 rows; here every iteration runs on
+    # thousands of columns, and k = 9 takes the pairwise normalization.
+    features = piecewise_dataset(3000, seed=2014).features
+    x = Standardization.fit(features).apply(features)
+    assert_same_partition(x, FcmConfig(k=k, seed=5, max_iterations=30, tolerance=1e-12))
+
+
+def test_many_points_on_centers_match_reference(monkeypatch):
+    calls = []
+    original = fcm._memberships_t
+
+    def spy(d2t, fuzzifier_m, out=None):
+        calls.append(int((d2t == 0.0).any(axis=0).sum()))
+        return original(d2t, fuzzifier_m, out)
+
+    monkeypatch.setattr(fcm, "_memberships_t", spy)
+    # 250 copies each of four separated points: the centers land exactly on
+    # them, so whole groups of columns take the zero-distance branch.
+    x = np.repeat(np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]]), 250, axis=0)
+    assert_same_partition(x, FcmConfig(k=4, seed=1, tolerance=1e-12, max_iterations=60))
+    assert max(calls) >= 250
+
+
+def test_each_call_returns_its_own_row_major_arrays():
+    _, points = planted_points()
+    config = FcmConfig(k=3, seed=7, max_iterations=20)
+    a = fcm_cluster(points, config)
+    b = fcm_cluster(points, config)
+    for part in (a, b):
+        assert part.memberships.shape == (len(points), 3)
+        assert part.memberships.flags.c_contiguous and part.memberships.flags.owndata
+        assert part.centers.flags.owndata
+    assert not np.shares_memory(a.memberships, b.memberships)
+    assert not np.shares_memory(a.centers, b.centers)
+    expected = a.memberships.copy()
+    b.memberships[:] = 0.0
+    assert np.array_equal(a.memberships, expected)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,16 @@ class TestBuildTree:
             build_tree(x[:3], x[:3], y[:3])
         with pytest.raises(ValueError, match="normal equations overflow"):
             build_tree(x, x * 1e300, y)
+
+    def test_targets_whose_squares_overflow_are_refused(self):
+        x = np.arange(1.0, 13.0).reshape(-1, 1)
+        y = np.where(x[:, 0] <= 6.0, 1.0, 9.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="targets' sum of squares overflows"):
+                build_tree(x, x, y * 1e200)
+            # Squares of 9e150 and their sum still fit a float: the step is found.
+            assert build_tree(x, x, y * 1e150).leaf_count() == 2
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
