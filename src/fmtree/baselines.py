@@ -20,7 +20,7 @@ from .data import (
     json_object,
 )
 from .fmt import EFFORT_FLOOR_PH
-from .mtree import SPLIT_KEYS, FlatTree, nodes_from_json, nodes_to_json
+from .mtree import SPLIT_KEYS, FlatTree, check_target_squares, nodes_from_json, nodes_to_json
 
 MLR_PREDICTORS = ("ln_size", "productivity", "complexity")
 # The names of MlrModel.coefficients, in the order of the design matrix's columns.
@@ -217,6 +217,7 @@ def fit_treeboost(train: Dataset, config: TreeboostConfig = TreeboostConfig()) -
         raise ValueError(f"need at least 10 training projects, got {len(train)}")
     x = train.features
     y = train.efforts
+    check_target_squares(y)
     f0 = float(np.median(y))
     model = TreeboostModel(f0, config.shrinkage)
     if float(np.ptp(y)) == 0.0:
@@ -224,12 +225,13 @@ def fit_treeboost(train: Dataset, config: TreeboostConfig = TreeboostConfig()) -
     current = np.full(len(y), f0)
     root = np.zeros(len(y), dtype=np.intp)
     rng = np.random.default_rng(config.seed)
+    # Each round's residuals and delta, which also give the previous round's loss.
+    diff = y - current
+    abs_diff = np.abs(diff)
+    delta = _quantile(abs_diff, config.huber_quantile)
     for _ in range(config.n_trees):
-        diff = y - current
-        abs_diff = np.abs(diff)
         if float(abs_diff.max()) == 0.0:
             break
-        delta = _quantile(abs_diff, config.huber_quantile)
         pseudo = np.where(abs_diff <= delta, diff, delta * np.sign(diff))
         keep = np.arange(len(y))
         trim = int(config.influence_trimming * len(y))
@@ -242,8 +244,10 @@ def fit_treeboost(train: Dataset, config: TreeboostConfig = TreeboostConfig()) -
         tree = _grow_stage_tree(x[sub], pseudo[sub], diff[sub], delta, config.max_depth)
         model.trees.append(tree)
         current = current + config.shrinkage * tree.value[tree.apply(x, root)]
-        post_delta = _quantile(np.abs(y - current), config.huber_quantile)
-        model.loss_trace.append(huber_loss(y, current, post_delta))
+        diff = y - current
+        abs_diff = np.abs(diff)
+        delta = _quantile(abs_diff, config.huber_quantile)
+        model.loss_trace.append(huber_loss(y, current, delta))
     return model
 
 

@@ -236,8 +236,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def _parse_predictions(text: str) -> dict[str, float]:
     """Parse a predictions CSV with the columns PREDICTION_COLUMNS (see data.read_numbers)."""
-    _, ids, values = read_numbers(text, PREDICTION_COLUMNS)
-    return dict(zip(ids, values[:, 0].tolist()))
+    rows, values = read_numbers(text, PREDICTION_COLUMNS)
+    return dict(zip(rows, values[:, 0].tolist()))
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

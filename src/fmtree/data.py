@@ -8,7 +8,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -155,17 +155,32 @@ def parse_number(text: str, column: str, row: int) -> float:
     return value
 
 
-def read_table(text: str, columns: tuple[str, ...]) -> Iterator[tuple[int, str, list[str]]]:
-    """Yield (row number, id, other cells in `columns` order) for each data row of a CSV.
+def render_table(columns: tuple[str, ...], rows: Iterable[Iterable[str]]) -> str:
+    """CSV text of a header row and `rows`, one line each, ending in a newline."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def read_numbers(text: str, columns: tuple[str, ...]) -> tuple[dict[str, int], np.ndarray]:
+    """The ids of a CSV table's data rows, each mapped to its row number, and the
+    (rows, len(columns) - 1) array of the other cells in `columns` order.
 
     The header names exactly `columns` (id first) in any order and case.  Rows
     are numbered from 1 at the first line, blank lines included, so errors
-    match editor line numbers.  Ids must be non-empty and unique.  A row that
-    the csv module cannot read, such as one with a cell longer than its field
-    size limit, is a ValueError naming the row.
+    match editor line numbers.  Ids must be non-empty and unique, and each
+    cell must pass parse_number.  Each row is read once: its cells go through
+    float(), and only a row that float() rejects, that reads as non-finite or
+    whose cells hold '_' goes through parse_number, which names the fault.  A
+    row that the csv module cannot read, such as one with a cell longer than
+    its field size limit, is a ValueError naming the row.
     """
     records = enumerate(csv.reader(io.StringIO(text)), 1)
     number = 0
+    rows: dict[str, int] = {}
+    values: list[float] = []
     try:
         for number, header in records:
             if header:
@@ -182,75 +197,49 @@ def read_table(text: str, columns: tuple[str, ...]) -> Iterator[tuple[int, str, 
         if len(names) != len(set(names)):
             raise ValueError("repeated column in header")
         # One itemgetter call per row: a generator per row slowed large parses markedly.
-        pick = operator.itemgetter(*(names.index(c) for c in columns))
-        seen: set[str] = set()
+        # With one value column a slice keeps the cells a list; an index would give the cell.
+        at = names.index(columns[0])
+        positions = [names.index(c) for c in columns[1:]]
+        if len(positions) > 1:
+            pick = operator.itemgetter(*positions)
+        else:
+            pick = operator.itemgetter(slice(positions[0], positions[0] + 1))
+        isfinite = math.isfinite
         for number, row in records:
             if not row:
                 continue
             if len(row) != len(names):
                 raise ValueError(f"expected {len(names)} fields, found {len(row)} at row {number}")
-            raw_id, *cells = pick(row)
-            row_id = raw_id.strip()
+            row_id = row[at].strip()
             if not row_id:
                 raise ValueError(f"empty id at row {number}")
-            if row_id in seen:
+            if row_id in rows:
                 raise ValueError(f"duplicate id {row_id!r} at row {number}")
-            seen.add(row_id)
-            yield number, row_id, cells
+            rows[row_id] = number
+            cells = pick(row)
+            try:
+                row_values = [*map(float, cells)]
+                # float() also reads '_' between digits, and 'inf' and 'nan'; parse_number does not.
+                if "_" in "".join(cells) or not isfinite(sum(row_values)):
+                    raise ValueError
+            except ValueError:
+                row_values = [parse_number(c, name, number) for name, c in zip(columns[1:], cells)]
+            values += row_values
     except csv.Error as exc:
         # The row that failed is the one after the last row read.
         raise ValueError(f"{exc} at row {number + 1}") from None
-    if not seen:
+    if not rows:
         raise ValueError("no data rows")
-
-
-def render_table(columns: tuple[str, ...], rows: Iterable[Iterable[str]]) -> str:
-    """CSV text of a header row and `rows`, one line each, ending in a newline."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def read_numbers(text: str, columns: tuple[str, ...]) -> tuple[list[int], list[str], np.ndarray]:
-    """Row numbers, ids and the (rows, len(columns) - 1) array of the other cells
-    of a CSV table (see read_table); each cell must pass parse_number.
-
-    Each row's cells go through float() as the row is read.  If that pass
-    meets a fault, the table is read again a cell at a time, so that the
-    first fault in row order is reported as parse_number and read_table word it.
-    """
-    numbers, ids, values = [], [], []
-    try:
-        for number, row_id, row in read_table(text, columns):
-            # float() also reads '_' between digits, and 'inf' and 'nan'; parse_number does not.
-            if "_" in "".join(row):
-                break
-            numbers.append(number)
-            ids.append(row_id)
-            values.extend(map(float, row))
-        else:
-            table = np.array(values).reshape(len(ids), -1)
-            if np.isfinite(table).all():
-                return numbers, ids, table
-    except ValueError:
-        pass
-    numbers, ids, rows = [], [], []
-    for number, row_id, row in read_table(text, columns):
-        numbers.append(number)
-        ids.append(row_id)
-        rows.append([parse_number(cell, name, number) for name, cell in zip(columns[1:], row)])
-    return numbers, ids, np.array(rows)
+    return rows, np.array(values).reshape(len(rows), -1)
 
 
 def parse_dataset(csv_text: str) -> Dataset:
     """Parse a project CSV with the columns CSV_COLUMNS into a Dataset (see read_numbers)."""
-    numbers, ids, table = read_numbers(csv_text, CSV_COLUMNS)
+    rows, table = read_numbers(csv_text, CSV_COLUMNS)
     try:
-        return Dataset(tuple(ids), table[:, :3], table[:, 3])
+        return Dataset(tuple(rows), table[:, :3], table[:, 3])
     except _ProjectError as exc:
-        raise ValueError(f"{exc} at row {numbers[exc.index]}") from None
+        raise ValueError(f"{exc} at row {list(rows.values())[exc.index]}") from None
 
 
 def render_dataset(dataset: Dataset) -> str:

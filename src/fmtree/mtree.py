@@ -94,8 +94,8 @@ class ModelTree(FlatTree):
     beta: np.ndarray
     routing_dim: int
     regression_dim: int
-    # (routing, regression, targets), kept by build_tree alone; prune needs them.
-    training: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    # (regression, targets, each node's rows), kept by build_tree alone; prune needs them.
+    training: tuple[np.ndarray, np.ndarray, list[np.ndarray]] | None = None
 
     def node_values(self, node: np.ndarray | int, g: np.ndarray) -> np.ndarray:
         """Evaluate node[i]'s model on row i of g (or one node's on every row).
@@ -201,6 +201,13 @@ def _best_split(
     return float(gains[feature]), feature, float((below + above) / 2.0)
 
 
+def check_target_squares(y: np.ndarray) -> None:
+    """ValueError if the targets' sum of squares, which the split searches accumulate, overflows."""
+    with np.errstate(over="ignore"):  # reported as a ValueError
+        if not np.isfinite((y * y).sum()):
+            raise ValueError("the targets' sum of squares overflows: targets are too large in magnitude")
+
+
 def build_tree(
     routing: np.ndarray,
     regression: np.ndarray,
@@ -226,14 +233,7 @@ def build_tree(
         raise ValueError("non-finite targets")
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(g))):
         raise ValueError("non-finite features")
-    # The split search accumulates the squared targets; if their sum is finite,
-    # so is every partial sum and every node's sd.
-    with np.errstate(over="ignore"):  # reported below, as a ValueError
-        squares = (y * y).sum()
-    if not np.isfinite(squares):
-        raise ValueError(
-            "the targets' sum of squares overflows: targets are too large in magnitude"
-        )
+    check_target_squares(y)
     if len(y) < config.min_instances:
         raise ValueError(
             f"need at least min_instances={config.min_instances} rows, got {len(y)}"
@@ -285,11 +285,11 @@ def build_tree(
     # Row indices stay intp: int32 would halve the orders and row sets, but its
     # index casts add numpy code pages to the resident set of every fit, however small.
     grow(np.arange(len(y)), np.argsort(r.T, axis=1, kind="stable"))
-    # grow refers to itself: dropping it lets the row sets go on return, not at
-    # the next garbage collection.
+    # grow refers to itself: dropping it frees its closure on return, not at the
+    # next garbage collection.
     del grow
     beta, mae = _fit_nodes(g, y, members)
-    return ModelTree.from_rows(rows, mae, beta, d, g.shape[1], (r, g, y))
+    return ModelTree.from_rows(rows, mae, beta, d, g.shape[1], (g, y, members))
 
 
 def _adjust_factor(n: int, v: int, config: TreeConfig) -> float:
@@ -303,28 +303,28 @@ def prune(tree: ModelTree, config: TreeConfig = TreeConfig()) -> ModelTree:
 
     Mean absolute error is inflated by (n + pruning_factor*v) / (n - v), with v
     the parameter count (per model: regression width + 1; per subtree: leaf
-    models plus one per split).  Works bottom-up on the training rows that
-    build_tree kept, re-emitting the kept nodes in preorder; the result keeps no rows.
+    models plus one per split).  Works bottom-up on the node row sets that
+    build_tree recorded, re-emitting the kept nodes in preorder; the result keeps no rows.
     """
     if tree.training is None:
         raise ValueError("only a tree returned by build_tree can be pruned, not a deserialized one")
-    r, g, y = tree.training
+    g, y, members = tree.training
     v_model = tree.regression_dim + 1
     near_zero = _NEAR_ZERO_ERROR_FRACTION * _popsd(y)
     # Each training row's raw prediction by the pruned subtree walked last.
     predictions = np.empty(len(y))
     rows: list[list] = []
 
-    def walk(node: int, idx: np.ndarray) -> int:
+    def walk(node: int) -> int:
         """Emit node's kept subtree and return its parameter count."""
         kept = len(rows)
         rows.append([-1, 0.0, -1, -1, tree.count[node], tree.mae[node], tree.beta[node]])
+        idx = members[node]
         feature, threshold = tree.feature[node], tree.threshold[node]
         if feature >= 0:
-            left_mask = r[idx, feature] <= threshold
-            v_left = walk(tree.left[node], idx[left_mask])
+            v_left = walk(tree.left[node])
             right = len(rows)
-            v_subtree = v_left + walk(tree.right[node], idx[~left_mask]) + 1
+            v_subtree = v_left + walk(tree.right[node]) + 1
             subtree_err = float(np.mean(np.abs(y[idx] - predictions[idx])))
             adjusted_node = tree.mae[node] * _adjust_factor(len(idx), v_model, config)
             adjusted_subtree = subtree_err * _adjust_factor(len(idx), v_subtree, config)
@@ -335,7 +335,7 @@ def prune(tree: ModelTree, config: TreeConfig = TreeConfig()) -> ModelTree:
         predictions[idx] = tree.node_values(node, g[idx])
         return v_model
 
-    walk(0, np.arange(len(y)))
+    walk(0)
     return ModelTree.from_rows(rows, tree.routing_dim, tree.regression_dim)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +236,20 @@ class TestTreeboost:
     def test_too_few_projects(self):
         with pytest.raises(ValueError, match="at least 10"):
             fit_treeboost(step_dataset().take(range(9)))
+
+    def test_targets_whose_squares_overflow_are_refused(self):
+        data = piecewise_dataset()
+        efforts = data.efforts.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            efforts[:10] = 1e200
+            with pytest.raises(ValueError, match="targets' sum of squares overflows"):
+                fit_treeboost(Dataset(data.ids, data.features, efforts))
+            # Squares of ten 1e150 efforts and their sum still fit a float.
+            efforts[:10] = 1e150
+            model = fit_treeboost(Dataset(data.ids, data.features, efforts),
+                                  TreeboostConfig(n_trees=50))
+            assert np.isfinite(predict_treeboost_dataset(model, data)).all()
 
     def test_json_round_trip(self):
         train, test = split_holdout(piecewise_dataset(), 59, seed=2014)

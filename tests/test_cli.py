@@ -581,14 +581,17 @@ def bad_cli_case(draw, tables, models):
         return DATA_COMMANDS["evaluate"], files
     if draw(st.integers(0, 4)) == 0:
         # Ten sizes whose spread, or ten efforts whose squares, overflow a float:
-        # only training FMT must refuse them.  Any ten rows put some in the split
-        # that compare trains on.
+        # training FMT must refuse both, and training Treeboost the efforts.  Any
+        # ten rows put some in the split that compare trains on.
         start = draw(st.integers(0, len(rows) - 10))
         column, value = draw(st.sampled_from([(1, "1e160"), (len(header) - 1, "1e200")]))
         rows = [[*row[:column], value, *row[column + 1:]] if start <= i < start + 10 else row
                 for i, row in enumerate(rows)]
         files[target] = csv_lines(header, *rows)
-        return DATA_COMMANDS[draw(st.sampled_from(["compare", "train"]))], files
+        argv = DATA_COMMANDS[draw(st.sampled_from(["compare", "train"]))]
+        if argv[0] == "train" and value == "1e200" and draw(st.booleans()):
+            argv = argv[:2] + ["treeboost"] + argv[3:]
+        return argv, files
     files[target] = draw(bad_table(header, rows, ["not-positive"]))
     argv = DATA_COMMANDS[draw(st.sampled_from(sorted(DATA_COMMANDS)))]
     if argv[0] == "train":

@@ -1,6 +1,8 @@
 import csv
 import hashlib
+import io
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import fmtree.data
 from fmtree.cli import _parse_predictions
 from fmtree.data import (
     CSV_COLUMNS,
@@ -22,7 +25,6 @@ from fmtree.data import (
     generate_synthetic,
     parse_dataset,
     parse_number,
-    read_table,
     render_dataset,
     render_table,
     split_holdout,
@@ -167,7 +169,7 @@ def test_dataset_names_the_first_fault_of_the_first_bad_project():
 FIELDS = CSV_COLUMNS[1:]
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-# Ids as read_table gives them back: stripped, non-empty, no line breaks or controls.
+# Ids as the reader gives them back: stripped, non-empty, no line breaks or controls.
 project_id = st.text(
     st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), min_size=1, max_size=8
 ).map(str.strip).filter(bool)
@@ -249,11 +251,54 @@ def test_parse_names_a_bad_cell_with_its_row(column, bad, data):
     assert str(excinfo.value) == f"{message} at row {row_number}"
 
 
+def reference_read_table(text, columns):
+    """The row reader that read_numbers folded in, kept as the oracle's own copy.
+
+    Yields (row number, id, other cells in `columns` order) for each data row.
+    """
+    records = enumerate(csv.reader(io.StringIO(text)), 1)
+    number = 0
+    try:
+        for number, header in records:
+            if header:
+                break
+        else:
+            raise ValueError("empty input: missing header row")
+        names = [cell.strip().lower() for cell in header]
+        missing = [c for c in columns if c not in names]
+        if missing:
+            raise ValueError(f"missing column(s): {', '.join(missing)}")
+        unexpected = [c for c in names if c not in columns]
+        if unexpected:
+            raise ValueError(f"unexpected column(s): {', '.join(unexpected)}")
+        if len(names) != len(set(names)):
+            raise ValueError("repeated column in header")
+        pick = operator.itemgetter(*(names.index(c) for c in columns))
+        seen = set()
+        for number, row in records:
+            if not row:
+                continue
+            if len(row) != len(names):
+                raise ValueError(f"expected {len(names)} fields, found {len(row)} at row {number}")
+            raw_id, *cells = pick(row)
+            row_id = raw_id.strip()
+            if not row_id:
+                raise ValueError(f"empty id at row {number}")
+            if row_id in seen:
+                raise ValueError(f"duplicate id {row_id!r} at row {number}")
+            seen.add(row_id)
+            yield number, row_id, cells
+    except csv.Error as exc:
+        raise ValueError(f"{exc} at row {number + 1}") from None
+    if not seen:
+        raise ValueError("no data rows")
+
+
 def reference_parse_dataset(csv_text):
     """The parse that read each cell as its row came, kept as the oracle."""
     names = CSV_COLUMNS[1:]
     numbers, ids, values = [], [], []
-    for number, pid, cells in read_table(csv_text, CSV_COLUMNS):
+    for number, pid, cells in reference_read_table(csv_text, CSV_COLUMNS):
         numbers.append(number)
         ids.append(pid)
         values.append([parse_number(cell, name, number) for name, cell in zip(names, cells)])
@@ -266,7 +311,7 @@ def reference_parse_dataset(csv_text):
 
 def reference_parse_predictions(text):
     """The predictions parse that read each cell as its row came, kept as the oracle."""
-    rows = read_table(text, PREDICTION_COLUMNS)
+    rows = reference_read_table(text, PREDICTION_COLUMNS)
     return {pid: parse_number(value, "predicted_ph", number) for number, pid, (value,) in rows}
 
 
@@ -315,6 +360,46 @@ def outcome(parse, text):
 def test_parse_matches_per_cell_reference(parse, reference, columns, data):
     text = data.draw(table_texts(columns))
     assert outcome(parse, text) == outcome(reference, text)
+
+
+def table(*rows):
+    return "\n".join([",".join(CSV_COLUMNS), *rows]) + "\n"
+
+
+def test_only_a_faulty_row_goes_through_parse_number(monkeypatch):
+    calls = []
+
+    def spy(text, column, row):
+        calls.append(row)
+        return parse_number(text, column, row)
+
+    monkeypatch.setattr(fmtree.data, "parse_number", spy)
+    text = table(*(f"p{i},1,2,3,4" for i in range(999)), "last,1,2,3,1_0")
+    with pytest.raises(ValueError, match="^non-numeric effort_ph '1_0' at row 1001$"):
+        parse_dataset(text)
+    assert calls == [1001] * 4
+
+
+def test_a_row_whose_sum_overflows_is_read_cell_by_cell():
+    ds = parse_dataset(table("p1,1e308,1e308,3,1e308"))
+    assert ds.features.tolist() == [[1e308, 1e308, 3.0]] and ds.efforts.tolist() == [1e308]
+
+
+@pytest.mark.parametrize("rows, message", [
+    (("p1,1,2,3,4", "p2,1,-inf,3,4", "p3,1,2,3,4", "p4,1,2,3"),
+     "non-numeric productivity '-inf' at row 3"),
+    (("p1,1,2,3,4", "p2,1,1e999,3,4", "p3,1,2,3,4", "p4,1,2,3"),
+     "non-finite productivity '1e999' at row 3"),
+    (("p1,1,2,3,4", "p2,1,2,3", "p3,1,2,3,4", "p4,1,nan,3,4"),
+     "expected 5 fields, found 4 at row 3"),
+    (("p1,1,2,3,4", "p2,1,2,3,4", "p3,1,2,3,4", "p2,1,1e999,3,4"),
+     "duplicate id 'p2' at row 5"),
+], ids=["non-finite-before-short-row", "overflow-before-short-row",
+        "short-row-before-non-finite", "duplicate-id-before-overflow"])
+def test_the_first_fault_in_row_order_is_named(rows, message):
+    with pytest.raises(ValueError) as excinfo:
+        parse_dataset(table(*rows))
+    assert str(excinfo.value) == message
 
 
 def test_split_holdout_partitions():

@@ -230,7 +230,7 @@ class TestPrune:
             raw = build_tree(x, x, y, config)
             pruned = prune(raw, config)
             assert pruned.leaf_count() <= raw.leaf_count()
-            self.assert_no_prunable_node_left(pruned, raw.training, config)
+            self.assert_no_prunable_node_left(pruned, (x, x, y), config)
 
     @staticmethod
     def assert_no_prunable_node_left(tree, training, config):
@@ -356,13 +356,14 @@ def reference_leaf_value(node, routing_row, regression_row):
     return model_value(route(node, routing_row)[-1], regression_row)
 
 
-def reference_prune(tree, config):
+def reference_prune(tree, training, config):
     """The per-row pruning pass that preceded the batch one, kept as the oracle.
 
-    It walks the nested doc of `tree` and returns the pruned tree's doc.
+    It walks the nested doc of `tree`, routing the (routing, regression,
+    targets) rows of `training`, and returns the pruned tree's doc.
     """
     doc = tree_to_json(tree)
-    r, g, y = tree.training
+    r, g, y = training
     v_model = tree.regression_dim + 1
     near_zero = 1e-5 * float(np.std(y))
 
@@ -430,7 +431,7 @@ class TestBatchPaths:
         config = TreeConfig(min_instances=min_instances, pruning_factor=pruning_factor)
         tree = build_tree(r, g, y, config)
         got = json.dumps(tree_to_json(prune(tree, config)), sort_keys=True)
-        assert got == json.dumps(reference_prune(tree, config), sort_keys=True)
+        assert got == json.dumps(reference_prune(tree, (r, g, y), config), sort_keys=True)
 
     @settings(max_examples=40, deadline=None)
     @given(tree_data, st.sampled_from([0.0, 1.0, 15.0]))
@@ -446,6 +447,15 @@ class TestBatchPaths:
         order = np.random.default_rng(data[0]).permutation(len(r))
         assert np.array_equal(predict_tree(tree, r[order], g[order], config), got[order])
         assert [predict_one(tree, r[i], g[i], config) for i in range(3)] == list(got[:3])
+
+    def test_prune_reads_the_row_sets_of_growth_not_the_routing_matrix(self):
+        r, g, y = random_tree_data(3, 120, 2, 1, 1.0)
+        config = TreeConfig(min_instances=2)
+        want = tree_text(prune(build_tree(r, g, y, config), config))
+        assert "feature" in want
+        tree = build_tree(r, g, y, config)
+        r[:] = r[:, ::-1].copy()
+        assert tree_text(prune(tree, config)) == want
 
     def test_empty_batch(self):
         tree = manual_two_level_tree()
@@ -509,13 +519,14 @@ def reference_build_tree(r, g, y, config):
     Returns the tree and, per node, whether its model was jittered.
     """
     global_sd = float(np.std(y))
-    rows, jittered = [], []
+    rows, members, jittered = [], [], []
 
     def grow(idx):
         beta, mae = reference_fit_linear(g[idx], y[idx], jittered)
         node = len(rows)
         row = [-1, 0.0, -1, -1, len(idx), mae, beta]
         rows.append(row)
+        members.append(idx)
         node_sd = float(np.std(y[idx]))
         if (
             len(idx) < 2 * config.min_instances
@@ -532,7 +543,7 @@ def reference_build_tree(r, g, y, config):
         return node
 
     grow(np.arange(len(y)))
-    return ModelTree.from_rows(rows, r.shape[1], g.shape[1], (r, g, y)), jittered
+    return ModelTree.from_rows(rows, r.shape[1], g.shape[1], (g, y, members)), jittered
 
 
 def tie_heavy_data(seed, n, routing_dim, regression_dim, levels, collinear):
