@@ -20,7 +20,14 @@ from .data import (
     json_object,
 )
 from .fmt import EFFORT_FLOOR_PH
-from .mtree import SPLIT_KEYS, FlatTree, check_target_squares, nodes_from_json, nodes_to_json
+from .mtree import (
+    SPLIT_KEYS,
+    TARGET_SQUARES_OVERFLOW,
+    FlatTree,
+    check_target_squares,
+    nodes_from_json,
+    nodes_to_json,
+)
 
 MLR_PREDICTORS = ("ln_size", "productivity", "complexity")
 # The names of MlrModel.coefficients, in the order of the design matrix's columns.
@@ -241,7 +248,13 @@ def fit_treeboost(train: Dataset, config: TreeboostConfig = TreeboostConfig()) -
         size = max(1, int(config.stochastic_fraction * len(keep)))
         sub = rng.choice(keep, size=size, replace=False)
         sub.sort()
-        tree = _grow_stage_tree(x[sub], pseudo[sub], diff[sub], delta, config.max_depth)
+        # The split scans square partial sums of the pseudo-residuals, which can
+        # overflow while the targets' own sum of squares does not.
+        try:
+            with np.errstate(over="raise"):
+                tree = _grow_stage_tree(x[sub], pseudo[sub], diff[sub], delta, config.max_depth)
+        except FloatingPointError:
+            raise ValueError(TARGET_SQUARES_OVERFLOW) from None
         model.trees.append(tree)
         current = current + config.shrinkage * tree.value[tree.apply(x, root)]
         diff = y - current

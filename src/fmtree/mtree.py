@@ -22,9 +22,12 @@ _SMALL_NODE_FACTOR = 10.0
 _NEAR_ZERO_ERROR_FRACTION = 1e-5
 _RIDGE_JITTER = 1e-8
 _COND_LIMIT = 1e12
-# Nodes of at most this many rows scan all routing columns in one 2-D pass;
-# larger ones scan a column at a time, which bounds the scan's temporaries.
+# Nodes of at most this many rows are scanned with others of their level, all
+# routing columns at once, in padded blocks of at most _BLOCK_CELLS (node,
+# column, row) cells, or of one node that alone has more; larger ones alone, a
+# column at a time, which bounds the scan's temporaries.
 _SCAN_WIDTH = 2048
+_BLOCK_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -121,11 +124,12 @@ def _fit_nodes(
     equation overflows.
     """
     p = g.shape[1] + 1
+    design = np.hstack([np.ones((len(g), 1)), g])
     a = np.empty((len(members), p, p))
     b = np.empty((len(members), p))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, as a ValueError
         for i, idx in enumerate(members):
-            x = np.hstack([np.ones((len(idx), 1)), g[idx]])
+            x = design[idx]
             a[i] = x.T @ x
             b[i] = x.T @ y[idx]
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -141,14 +145,121 @@ def _fit_nodes(
     beta = np.linalg.solve(a, b[..., None])[..., 0]
     # The stored mae keeps the bits of this matrix product, not node_values'.
     mae = np.array([
-        float(np.mean(np.abs(y[idx] - (float(beta[i, 0]) + g[idx] @ beta[i, 1:]))))
-        for i, idx in enumerate(members)
+        _mean(np.abs(y[idx] - (intercept + g[idx] @ coefficients)))
+        for idx, intercept, coefficients in zip(members, beta[:, 0].tolist(), beta[:, 1:])
     ])
     return beta, mae
 
 
+def _mean(x: np.ndarray) -> float:
+    """np.mean of a 1-D array, bit for bit, without its Python wrapper."""
+    return float(np.add.reduce(x) / len(x))
+
+
 def _popsd(y: np.ndarray) -> float:
-    return float(np.std(y))
+    """np.std of a 1-D array, bit for bit: the same pairwise sums, without its Python wrapper."""
+    deviation = y - _mean(y)
+    return float(np.sqrt(_mean(deviation * deviation)))
+
+
+def _scan(
+    routing: np.ndarray,
+    y: np.ndarray,
+    lanes: np.ndarray,
+    columns: np.ndarray,
+    sizes: np.ndarray,
+    parent_sd: np.ndarray,
+    min_instances: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The SDR gain (-inf if none) and threshold of each lane's best cut, per (node, column).
+
+    lanes[i, j] holds node i's rows sorted by routing column columns[j]: its
+    sizes[i] rows first, then padding, which may be any row index.
+    parent_sd[i] is the population sd of node i's y.  A cut falls between
+    consecutive distinct values and leaves both sides at least min_instances
+    rows; ties break toward the lowest threshold.
+    """
+    k, c, w = lanes.shape
+    d = routing.shape[1]
+    # A cut after the first nl sorted rows, for nl in [lo, hi); a node's own cuts
+    # end at its size - lo.  Prefix sums are sequential, so padding after a lane's rows
+    # never changes them, and its totals are read at its own last row.
+    lo, hi = min_instances, w - min_instances + 1
+    size = sizes[:, None, None]
+    nl = np.arange(lo, hi, dtype=float)
+    nr = size - nl
+    # Values are gathered through one flat index array: indexing with a pair of
+    # arrays runs numpy code that nothing else here does, about 0.1 MB more
+    # resident memory in every process.
+    vs = routing.ravel()[lanes * d + columns[:, None]]
+    ys = y[lanes]
+    lane = np.arange(k * c).reshape(k, c)
+    last = lane * w + sizes[:, None] - 1
+    with np.errstate(all="ignore"):  # padded cuts may overflow or divide by zero; masked below
+        cum = np.cumsum(ys, axis=2)
+        cum2 = np.cumsum(ys * ys, axis=2)
+        total, total2 = cum.ravel()[last][..., None], cum2.ravel()[last][..., None]
+        sl, sl2 = cum[..., lo - 1 : hi - 1], cum2[..., lo - 1 : hi - 1]
+        var_l = np.maximum(sl2 / nl - (sl / nl) ** 2, 0.0)
+        var_r = np.maximum((total2 - sl2) / nr - ((total - sl) / nr) ** 2, 0.0)
+        sdr = (
+            parent_sd[:, None, None] - (nl / size) * np.sqrt(var_l) - (nr / size) * np.sqrt(var_r)
+        )
+    sdr[(vs[..., lo:hi] == vs[..., lo - 1 : hi - 1]) | (nl > size - lo)] = -np.inf
+    cut = sdr.argmax(axis=2)
+    at = lane * w + lo + cut
+    values = vs.ravel()
+    return sdr.ravel()[lane * (hi - lo) + cut], (values[at - 1] + values[at]) / 2.0
+
+
+def _best_splits(
+    routing: np.ndarray, y: np.ndarray, nodes: list[tuple[np.ndarray, float]], min_instances: int
+) -> list[tuple[float, int, float]]:
+    """The best split (gain, feature, threshold) of each node; gain is -inf if it has none.
+
+    `nodes` lists the (order, parent_sd) of nodes of at least 2*min_instances
+    rows, smallest first, each as _best_split takes them.  Nodes of at most
+    _SCAN_WIDTH rows are scanned together, all columns at once, in padded
+    blocks of at most _BLOCK_CELLS cells, or of one node that alone has more;
+    a larger node is scanned alone, a column at a time, which bounds the
+    scan's temporaries.  Ties break toward the lowest feature, then the
+    lowest threshold.
+    """
+    d = routing.shape[1]
+    found: list[tuple[float, int, float]] = []
+    start = 0
+    while start < len(nodes):
+        order, sd = nodes[start]
+        n = order.shape[1]
+        stop = start + 1
+        if n > _SCAN_WIDTH:
+            scans = [
+                _scan(routing, y, order[None, f : f + 1], np.full(1, f), np.full(1, n),
+                      np.full(1, sd), min_instances)
+                for f in range(d)
+            ]
+            gain, threshold = (np.concatenate(part, axis=1) for part in zip(*scans))
+        else:
+            while stop < len(nodes):
+                width = nodes[stop][0].shape[1]
+                if width > _SCAN_WIDTH or (stop + 1 - start) * d * width > _BLOCK_CELLS:
+                    break
+                stop += 1
+            block = nodes[start:stop]
+            width = block[-1][0].shape[1]
+            lanes = np.zeros((len(block), d, width), dtype=np.intp)  # padded with row 0
+            for lane, (rows, _) in zip(lanes, block):
+                lane[:, : rows.shape[1]] = rows
+            sizes = np.array([rows.shape[1] for rows, _ in block])
+            sds = np.array([sd for _, sd in block])
+            gain, threshold = _scan(routing, y, lanes, np.arange(d), sizes, sds, min_instances)
+        # Each node's best column, ties toward the lowest; a non-finite gain is unusable.
+        gain = np.where(np.isfinite(gain), gain, -np.inf)
+        feature = gain.argmax(axis=1)
+        at = np.arange(len(feature)) * d + feature
+        found += zip(gain.ravel()[at].tolist(), feature.tolist(), threshold.ravel()[at].tolist())
+        start = stop
+    return found
 
 
 def _best_split(
@@ -160,52 +271,24 @@ def _best_split(
     routing column f, equal values in ascending row order.  parent_sd is the
     population sd of the node's y.  Ties break toward the lowest feature
     index, then the lowest threshold.  Both children must keep at least
-    min_instances rows.
+    min_instances rows.  This is _best_splits' one-node case.
     """
-    d, n = order.shape
-    # A cut after the first c sorted rows, for c in [lo, hi).
-    lo, hi = min_instances, n - min_instances + 1
-    if hi <= lo:
+    if order.shape[1] < 2 * min_instances:
         return None
-    nl = np.arange(lo, hi, dtype=float)
-    nr = n - nl
-    gains = np.empty(d)
-    cuts = np.empty(d, dtype=np.intp)
-    # Values are gathered through one flat index array: indexing with a pair of
-    # arrays runs numpy code that nothing else here does, about 0.1 MB more
-    # resident memory in every process.
-    flat = routing.ravel()
-    step = d if n <= _SCAN_WIDTH else 1
-    for first in range(0, d, step):
-        columns = slice(first, first + step)
-        block = order[columns]
-        vs = flat[block * d + np.arange(d)[columns, None]]
-        ys = y[block]
-        cum = np.cumsum(ys, axis=1)
-        cum2 = np.cumsum(ys * ys, axis=1)
-        total, total2 = cum[:, -1:], cum2[:, -1:]
-        sl, sl2 = cum[:, lo - 1 : hi - 1], cum2[:, lo - 1 : hi - 1]
-        var_l = np.maximum(sl2 / nl - (sl / nl) ** 2, 0.0)
-        var_r = np.maximum((total2 - sl2) / nr - ((total - sl) / nr) ** 2, 0.0)
-        sdr = parent_sd - (nl / n) * np.sqrt(var_l) - (nr / n) * np.sqrt(var_r)
-        sdr[vs[:, lo:hi] == vs[:, lo - 1 : hi - 1]] = -np.inf
-        cut = sdr.argmax(axis=1)
-        cuts[columns] = cut
-        gains[columns] = sdr.ravel()[np.arange(len(cut)) * sdr.shape[1] + cut]
-    usable = np.isfinite(gains)
-    if not usable.any():
-        return None
-    feature = int(np.where(usable, gains, -np.inf).argmax())
-    c = lo + cuts[feature]
-    below, above = flat[order[feature, c - 1 : c + 1] * d + feature]
-    return float(gains[feature]), feature, float((below + above) / 2.0)
+    (found,) = _best_splits(routing, y, [(order, parent_sd)], min_instances)
+    return None if found[0] == -np.inf else found
+
+
+TARGET_SQUARES_OVERFLOW = (
+    "the targets' sum of squares overflows: targets are too large in magnitude"
+)
 
 
 def check_target_squares(y: np.ndarray) -> None:
     """ValueError if the targets' sum of squares, which the split searches accumulate, overflows."""
     with np.errstate(over="ignore"):  # reported as a ValueError
         if not np.isfinite((y * y).sum()):
-            raise ValueError("the targets' sum of squares overflows: targets are too large in magnitude")
+            raise ValueError(TARGET_SQUARES_OVERFLOW)
 
 
 def build_tree(
@@ -219,10 +302,13 @@ def build_tree(
     Growth stops when a node's target standard deviation falls below
     sd_fraction of the whole sample's, when fewer than 2*min_instances rows
     remain, or when no split improves SDR.  The routing columns are sorted
-    once; each node's split search reads its rows' slice of those orders, and
-    every node's model is fitted after growth, in one batched solve.
+    once, and the tree grows a level at a time: the level's nodes of at most
+    _SCAN_WIDTH rows are scanned together, smallest first, in padded blocks
+    of their orders, and each larger node alone.  Every node's model is
+    fitted after growth, in one batched solve.
     """
-    r = np.asarray(routing, dtype=float)
+    # C order, so that each scan's raveled routing matrix is a view, not a copy.
+    r = np.ascontiguousarray(routing, dtype=float)
     g = np.asarray(regression, dtype=float)
     y = np.asarray(targets, dtype=float)
     if r.ndim != 2 or g.ndim != 2:
@@ -240,54 +326,61 @@ def build_tree(
         )
     global_sd = _popsd(y)
     d = r.shape[1]
-    # Preorder node rows [feature, threshold, left, right, count], and each node's rows.
-    rows: list[list] = []
+    m = config.min_instances
+    # Node rows [feature, threshold, left, right, count] in growth order, and each node's rows.
+    nodes: list[list] = []
     members: list[np.ndarray] = []
-    in_child = np.zeros(len(y), dtype=bool)
+    in_left = np.zeros(len(y), dtype=bool)
 
-    def child_order(order: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """The rows `idx` of `order`, each column keeping its sorted order."""
-        in_child[idx] = True
-        kept = order[in_child[order]].reshape(d, -1)
-        in_child[idx] = False
-        return kept
-
-    def grow(idx: np.ndarray, order: np.ndarray) -> int:
-        """Grow the subtree of the rows `idx` (ascending), sorted per column in `order`."""
-        node = len(rows)
-        row = [-1, 0.0, -1, -1, len(idx)]
-        rows.append(row)
+    def add(idx: np.ndarray) -> int:
+        nodes.append([-1, 0.0, -1, -1, len(idx)])
         members.append(idx)
-        node_sd = _popsd(y[idx])
-        if (
-            len(idx) < 2 * config.min_instances
-            or node_sd == 0.0
-            or node_sd < config.sd_fraction * global_sd
-        ):
-            return node
-        found = _best_split(r, y, order, config.min_instances, node_sd)
-        if found is None or found[0] <= 0.0:
-            return node
-        _, feature, threshold = found
-        go_left = r[idx, feature] <= threshold
-        left, right = idx[go_left], idx[~go_left]
-        # The right child's orders are built once the left subtree is grown,
-        # so that a level holds one child's orders at a time.
-        row[:4] = (
-            feature,
-            threshold,
-            grow(left, child_order(order, left)),
-            grow(right, child_order(order, right)),
-        )
-        return node
+        return len(nodes) - 1
 
+    # Each node of the level: (node, its rows ascending, those rows sorted per column).
     # Stable sorts: equal routing values keep ascending row order, as each node's own would.
     # Row indices stay intp: int32 would halve the orders and row sets, but its
     # index casts add numpy code pages to the resident set of every fit, however small.
-    grow(np.arange(len(y)), np.argsort(r.T, axis=1, kind="stable"))
-    # grow refers to itself: dropping it frees its closure on return, not at the
-    # next garbage collection.
-    del grow
+    root = np.arange(len(y))
+    level = [(add(root), root, np.argsort(r.T, axis=1, kind="stable"))]
+    while level:
+        # The nodes that may split, smallest first: (node, rows, orders, target sd).
+        open_nodes = []
+        for node, idx, order in level:
+            if len(idx) < 2 * m:
+                continue
+            sd = _popsd(y[idx])
+            if sd > 0.0 and sd >= config.sd_fraction * global_sd:
+                open_nodes.append((node, idx, order, sd))
+        open_nodes.sort(key=lambda entry: len(entry[1]))
+        found = _best_splits(r, y, [(order, sd) for _, _, order, sd in open_nodes], m)
+        level = []
+        while open_nodes:
+            # Taken off the list, a node's orders are freed once its children's are built.
+            (node, idx, order, _), (gain, feature, threshold) = open_nodes.pop(), found.pop()
+            if gain <= 0.0:
+                continue
+            go_left = r[idx, feature] <= threshold
+            left, right = idx[go_left], idx[~go_left]
+            # One mask gives both children's orders, each column keeping its sorted order.
+            in_left[idx] = go_left
+            to_left = in_left[order]
+            nodes[node][:4] = feature, threshold, add(left), add(right)
+            level.append((nodes[node][2], left, order[to_left].reshape(d, -1)))
+            level.append((nodes[node][3], right, order[~to_left].reshape(d, -1)))
+    # Renumber the nodes to preorder, the layout of FlatTree: a stack walk, left child first.
+    preorder, stack = [], [0]
+    while stack:
+        node = stack.pop()
+        preorder.append(node)
+        if nodes[node][0] >= 0:
+            stack += nodes[node][3], nodes[node][2]
+    rank = dict(zip(preorder, range(len(preorder))))
+    rows = [
+        [f, t, rank[a], rank[b], n] if f >= 0 else [f, t, a, b, n]
+        for f, t, a, b, n in (nodes[node] for node in preorder)
+    ]
+    members = [members[node] for node in preorder]
     beta, mae = _fit_nodes(g, y, members)
     return ModelTree.from_rows(rows, mae, beta, d, g.shape[1], (g, y, members))
 
@@ -311,27 +404,34 @@ def prune(tree: ModelTree, config: TreeConfig = TreeConfig()) -> ModelTree:
     g, y, members = tree.training
     v_model = tree.regression_dim + 1
     near_zero = _NEAR_ZERO_ERROR_FRACTION * _popsd(y)
-    # Each training row's raw prediction by the pruned subtree walked last.
-    predictions = np.empty(len(y))
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+    left, right = tree.left.tolist(), tree.right.tolist()
+    count, node_mae = tree.count.tolist(), tree.mae.tolist()
+    # Each training row's raw prediction by the pruned subtree walked last, starting
+    # from its raw leaf's: node_values gives a row the same bits in any batch.
+    leaf = np.empty(len(y), dtype=np.intp)
+    for node in np.flatnonzero(tree.feature < 0).tolist():
+        leaf[members[node]] = node
+    predictions = tree.node_values(leaf, g)
     rows: list[list] = []
 
     def walk(node: int) -> int:
         """Emit node's kept subtree and return its parameter count."""
         kept = len(rows)
-        rows.append([-1, 0.0, -1, -1, tree.count[node], tree.mae[node], tree.beta[node]])
+        rows.append([-1, 0.0, -1, -1, count[node], node_mae[node], tree.beta[node]])
+        if feature[node] < 0:
+            return v_model
+        v_left = walk(left[node])
+        right_kept = len(rows)
+        v_subtree = v_left + walk(right[node]) + 1
         idx = members[node]
-        feature, threshold = tree.feature[node], tree.threshold[node]
-        if feature >= 0:
-            v_left = walk(tree.left[node])
-            right = len(rows)
-            v_subtree = v_left + walk(tree.right[node]) + 1
-            subtree_err = float(np.mean(np.abs(y[idx] - predictions[idx])))
-            adjusted_node = tree.mae[node] * _adjust_factor(len(idx), v_model, config)
-            adjusted_subtree = subtree_err * _adjust_factor(len(idx), v_subtree, config)
-            if not (adjusted_node <= adjusted_subtree or adjusted_node <= near_zero):
-                rows[kept][:4] = feature, threshold, kept + 1, right
-                return v_subtree
-            del rows[kept + 1 :]
+        subtree_err = _mean(np.abs(y[idx] - predictions[idx]))
+        adjusted_node = node_mae[node] * _adjust_factor(len(idx), v_model, config)
+        adjusted_subtree = subtree_err * _adjust_factor(len(idx), v_subtree, config)
+        if not (adjusted_node <= adjusted_subtree or adjusted_node <= near_zero):
+            rows[kept][:4] = feature[node], threshold[node], kept + 1, right_kept
+            return v_subtree
+        del rows[kept + 1 :]
         predictions[idx] = tree.node_values(node, g[idx])
         return v_model
 

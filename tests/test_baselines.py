@@ -245,11 +245,18 @@ class TestTreeboost:
             efforts[:10] = 1e200
             with pytest.raises(ValueError, match="targets' sum of squares overflows"):
                 fit_treeboost(Dataset(data.ids, data.features, efforts))
-            # Squares of ten 1e150 efforts and their sum still fit a float.
-            efforts[:10] = 1e150
-            model = fit_treeboost(Dataset(data.ids, data.features, efforts),
-                                  TreeboostConfig(n_trees=50))
-            assert np.isfinite(predict_treeboost_dataset(model, data)).all()
+            # The efforts' sum of squares fits a float, but a split scan's squared
+            # partial sums of the pseudo-residuals do not.
+            for value in (3e153, 4e153):
+                efforts[:10] = value
+                with pytest.raises(ValueError, match="targets' sum of squares overflows"):
+                    fit_treeboost(Dataset(data.ids, data.features, efforts))
+            # Squares of ten 1e150 or 2e153 efforts, and every sum of them, still fit a float.
+            for value in (1e150, 2e153):
+                efforts[:10] = value
+                model = fit_treeboost(Dataset(data.ids, data.features, efforts),
+                                      TreeboostConfig(n_trees=50))
+                assert np.isfinite(predict_treeboost_dataset(model, data)).all()
 
     def test_json_round_trip(self):
         train, test = split_holdout(piecewise_dataset(), 59, seed=2014)

@@ -582,14 +582,19 @@ def bad_cli_case(draw, tables, models):
     if draw(st.integers(0, 4)) == 0:
         # Ten sizes whose spread, or ten efforts whose squares, overflow a float:
         # training FMT must refuse both, and training Treeboost the efforts.  Any
-        # ten rows put some in the split that compare trains on.
+        # ten rows put some in the split that compare trains on.  The squares of
+        # ten 4e153 efforts sum to a float, but wherever the ten rows are, squared
+        # partial sums in Treeboost's split scans overflow: training it must refuse them.
         start = draw(st.integers(0, len(rows) - 10))
-        column, value = draw(st.sampled_from([(1, "1e160"), (len(header) - 1, "1e200")]))
+        column, value = draw(st.sampled_from(
+            [(1, "1e160"), (len(header) - 1, "1e200"), (len(header) - 1, "4e153")]
+        ))
         rows = [[*row[:column], value, *row[column + 1:]] if start <= i < start + 10 else row
                 for i, row in enumerate(rows)]
         files[target] = csv_lines(header, *rows)
-        argv = DATA_COMMANDS[draw(st.sampled_from(["compare", "train"]))]
-        if argv[0] == "train" and value == "1e200" and draw(st.booleans()):
+        command = "train" if value == "4e153" else draw(st.sampled_from(["compare", "train"]))
+        argv = DATA_COMMANDS[command]
+        if value == "4e153" or argv[0] == "train" and value == "1e200" and draw(st.booleans()):
             argv = argv[:2] + ["treeboost"] + argv[3:]
         return argv, files
     files[target] = draw(bad_table(header, rows, ["not-positive"]))

@@ -10,10 +10,13 @@ from numpy.testing import assert_allclose
 
 from fmtree.baselines import treeboost_from_json, treeboost_to_json
 from fmtree.mtree import (
+    _BLOCK_CELLS,
     _SCAN_WIDTH,
     ModelTree,
     TreeConfig,
     _best_split,
+    _mean,
+    _popsd,
     build_tree,
     predict_tree,
     prune,
@@ -596,6 +599,67 @@ class TestGrowthMatchesReference:
         got = build_tree(r, g, y, config)
         assert tree_text(got) == tree_text(want)
         assert tree_text(prune(got, config)) == tree_text(prune(want, config))
+
+    def test_levels_that_span_several_padded_blocks(self):
+        r, g, y = tie_heavy_data(11, 6000, 9, 2, 1000, collinear=False)
+        config = TreeConfig(min_instances=3)
+        want, _ = reference_build_tree(r, g, y, config)
+        # The root is scanned a column at a time, and the internal nodes of at most
+        # _SCAN_WIDTH rows of some level already fill more than one padded block.
+        assert len(y) > _SCAN_WIDTH
+        assert any(
+            len(sizes) * r.shape[1] * max(sizes) > _BLOCK_CELLS
+            for sizes in internal_sizes_by_depth(want).values()
+        )
+        got = build_tree(r, g, y, config)
+        for name in ("feature", "threshold", "left", "right", "count", "beta", "mae"):
+            assert_same_bits(getattr(got, name), getattr(want, name))
+        assert len(got.training[2]) == len(want.training[2])
+        for rows, want_rows in zip(got.training[2], want.training[2]):
+            assert_same_bits(rows, want_rows)
+        assert tree_text(prune(got, config)) == tree_text(prune(want, config))
+
+
+def internal_sizes_by_depth(tree):
+    """Depth -> the row counts of that depth's internal nodes of at most _SCAN_WIDTH rows."""
+    sizes, stack = {}, [(0, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if tree.feature[node] >= 0:
+            if tree.count[node] <= _SCAN_WIDTH:
+                sizes.setdefault(depth, []).append(int(tree.count[node]))
+            stack += (tree.left[node], depth + 1), (tree.right[node], depth + 1)
+    return sizes
+
+
+def assert_same_bits(got, want):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def float_bits(value):
+    return np.float64(value).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 9) | st.integers(127, 129) | st.integers(1, 5000),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1e-3, 1.0, 1e6, 1e150]),
+    st.booleans(),
+)
+def test_reductions_equal_numpys_bit_for_bit(n, seed, scale, repeated):
+    """_popsd and _mean skip np.std's and np.mean's wrappers, not their pairwise sums.
+
+    Lengths 1-9 and 127-129 sit at the edges of numpy's pairwise-sum blocks.
+    """
+    rng = np.random.default_rng(seed)
+    if repeated:
+        y = rng.choice(rng.normal(100.0, 1.0, size=3), size=n) * scale
+    else:
+        y = rng.normal(100.0, 1.0, size=n) * scale
+    assert float_bits(_popsd(y)) == float_bits(np.std(y))
+    assert float_bits(_mean(y)) == float_bits(np.mean(y))
 
 
 def sample_tree_doc():
