@@ -5,114 +5,44 @@ early effort estimation, alongside three reference estimators (Huber-loss
 stochastic gradient boosting, log-space multiple linear regression, and the
 classical fixed-ratio UCP rule) and the evaluation protocol used to compare
 them (MMRE/MdMRE/pred, residual boxplots, Wilcoxon-gated win-tie-loss ranks).
+
+Importing the package loads no numpy: each name below imports its module on
+first use (PEP 562), so `fmtree.cli` can set up the process before numpy loads.
 """
 
-from .baselines import (
-    MlrModel,
-    TreeboostConfig,
-    TreeboostModel,
-    fit_mlr,
-    fit_treeboost,
-    predict_mlr_dataset,
-    predict_treeboost_dataset,
-)
-from .data import (
-    EDU,
-    IND1,
-    IND2,
-    PROFILES,
-    Dataset,
-    SourceProfile,
-    generate_synthetic,
-    parse_dataset,
-    render_dataset,
-    split_holdout,
-)
-from .evaluation import (
-    BoxplotSummary,
-    EvalReport,
-    boxplot_summary,
-    evaluate,
-    mdmre,
-    mmre,
-    mre_vector,
-    pred,
-    wilcoxon_signed_rank,
-    win_tie_loss,
-)
-from .fcm import (
-    FcmConfig,
-    FuzzyInferenceModel,
-    FuzzyPartition,
-    Standardization,
-    build_fuzzy_model,
-    fcm_cluster,
-    membership_matrix,
-)
-from .fmt import FmtModel, predict_fmt_dataset, train_fmt
-from .mtree import (
-    ModelTree,
-    TreeConfig,
-    build_tree,
-    prune,
-)
-from .ucp import (
-    UcpBreakdown,
-    UseCaseModel,
-    classical_effort,
-    compute_adjustment_factors,
-    compute_ucp,
-    compute_uucp,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoxplotSummary",
-    "Dataset",
-    "EDU",
-    "EvalReport",
-    "FcmConfig",
-    "FmtModel",
-    "FuzzyInferenceModel",
-    "FuzzyPartition",
-    "IND1",
-    "IND2",
-    "MlrModel",
-    "ModelTree",
-    "PROFILES",
-    "SourceProfile",
-    "Standardization",
-    "TreeConfig",
-    "TreeboostConfig",
-    "TreeboostModel",
-    "UcpBreakdown",
-    "UseCaseModel",
-    "boxplot_summary",
-    "build_fuzzy_model",
-    "build_tree",
-    "classical_effort",
-    "compute_adjustment_factors",
-    "compute_ucp",
+_MODULES = {
+    "baselines": "MlrModel TreeboostConfig TreeboostModel fit_mlr fit_treeboost "
+    "predict_mlr_dataset predict_treeboost_dataset",
+    "data": "EDU IND1 IND2 PROFILES Dataset SourceProfile generate_synthetic parse_dataset "
+    "render_dataset split_holdout",
+    "evaluation": "BoxplotSummary EvalReport boxplot_summary evaluate mdmre mmre mre_vector "
+    "pred wilcoxon_signed_rank win_tie_loss",
+    "fcm": "FcmConfig FuzzyInferenceModel FuzzyPartition Standardization build_fuzzy_model "
+    "fcm_cluster membership_matrix",
+    "fmt": "FmtModel predict_fmt_dataset train_fmt",
+    "mtree": "ModelTree TreeConfig build_tree prune",
+    "ucp": "UcpBreakdown UseCaseModel classical_effort compute_adjustment_factors compute_ucp "
     "compute_uucp",
-    "evaluate",
-    "fcm_cluster",
-    "fit_mlr",
-    "fit_treeboost",
-    "generate_synthetic",
-    "mdmre",
-    "membership_matrix",
-    "mmre",
-    "mre_vector",
-    "parse_dataset",
-    "pred",
-    "predict_fmt_dataset",
-    "predict_mlr_dataset",
-    "predict_treeboost_dataset",
-    "prune",
-    "render_dataset",
-    "split_holdout",
-    "train_fmt",
-    "wilcoxon_signed_rank",
-    "win_tie_loss",
-]
+}
+# Each exported name mapped to the module that defines it.
+_SOURCES = {name: module for module, names in _MODULES.items() for name in names.split()}
+
+__all__ = sorted(_SOURCES)
+
+
+def __getattr__(name: str):
+    if name in _MODULES:  # a submodule not yet imported, as the eager package had it
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -12,6 +12,12 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
+# Before numpy loads: every matrix product fmtree makes is at most n x 4, too
+# narrow to gain from OpenBLAS's worker threads, whose start-up each process
+# would pay.  One thread also keeps the bits of the longest products (a node
+# model's x.T @ y over 115,200 or more rows) the same on any number of cores.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import baselines, evaluation, fmt, svgplot, ucp
@@ -180,8 +186,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     predictions = {
         kind.label: _predict(kind, models[name], test) for name, kind in KINDS.items()
     }
-    reports = {name: evaluation.evaluate(actuals, preds) for name, preds in predictions.items()}
     mres = {name: evaluation.mre_vector(actuals, preds) for name, preds in predictions.items()}
+    reports = {
+        name: evaluation.evaluate(actuals, preds, mres[name]) for name, preds in predictions.items()
+    }
     wtl = evaluation.win_tie_loss(mres)
 
     out_dir = Path(args.out_dir)

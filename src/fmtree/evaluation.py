@@ -193,9 +193,14 @@ class EvalReport:
         return {name: getattr(self, name) for name in SCORES}
 
 
-def evaluate(actuals: Sequence[float], predictions: Sequence[float]) -> EvalReport:
-    """Summarize prediction accuracy for one model on one test set."""
-    errors = mre_vector(actuals, predictions)
+def evaluate(
+    actuals: Sequence[float], predictions: Sequence[float], mres: np.ndarray | None = None
+) -> EvalReport:
+    """Summarize prediction accuracy for one model on one test set.
+
+    `mres` is mre_vector(actuals, predictions), if the caller already holds it.
+    """
+    errors = mre_vector(actuals, predictions) if mres is None else mres
     residuals = np.abs(np.asarray(actuals, float) - np.asarray(predictions, float))
     return EvalReport(
         **scores(errors),

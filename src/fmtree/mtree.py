@@ -218,12 +218,15 @@ def _best_splits(
     """The best split (gain, feature, threshold) of each node; gain is -inf if it has none.
 
     `nodes` lists the (order, parent_sd) of nodes of at least 2*min_instances
-    rows, smallest first, each as _best_split takes them.  Nodes of at most
-    _SCAN_WIDTH rows are scanned together, all columns at once, in padded
-    blocks of at most _BLOCK_CELLS cells, or of one node that alone has more;
-    a larger node is scanned alone, a column at a time, which bounds the
-    scan's temporaries.  Ties break toward the lowest feature, then the
-    lowest threshold.
+    rows, smallest first.  A node's order[f] lists its rows (indices into
+    routing and y) sorted by routing column f, equal values in ascending row
+    order; parent_sd is the population sd of its y.  Splits cut between
+    distinct values, and both children keep at least min_instances rows.
+    Nodes of at most _SCAN_WIDTH rows are scanned together, all columns at
+    once, in padded blocks of at most _BLOCK_CELLS cells, or of one node that
+    alone has more; a larger node is scanned alone, a column at a time, which
+    bounds the scan's temporaries.  Ties break toward the lowest feature,
+    then the lowest threshold.
     """
     d = routing.shape[1]
     found: list[tuple[float, int, float]] = []
@@ -260,23 +263,6 @@ def _best_splits(
         found += zip(gain.ravel()[at].tolist(), feature.tolist(), threshold.ravel()[at].tolist())
         start = stop
     return found
-
-
-def _best_split(
-    routing: np.ndarray, y: np.ndarray, order: np.ndarray, min_instances: int, parent_sd: float
-) -> tuple[float, int, float] | None:
-    """Maximize SDR over midpoints of consecutive distinct routing values.
-
-    order[f] lists the node's rows (indices into routing and y) sorted by
-    routing column f, equal values in ascending row order.  parent_sd is the
-    population sd of the node's y.  Ties break toward the lowest feature
-    index, then the lowest threshold.  Both children must keep at least
-    min_instances rows.  This is _best_splits' one-node case.
-    """
-    if order.shape[1] < 2 * min_instances:
-        return None
-    (found,) = _best_splits(routing, y, [(order, parent_sd)], min_instances)
-    return None if found[0] == -np.inf else found
 
 
 TARGET_SQUARES_OVERFLOW = (

@@ -43,7 +43,7 @@ from fmtree.evaluation import (
 )
 from fmtree.fcm import FcmConfig, fcm_cluster
 from fmtree.fmt import predict_fmt_dataset, train_fmt
-from fmtree.mtree import TreeConfig, _best_split, build_tree, predict_tree, prune
+from fmtree.mtree import TreeConfig, _best_splits, build_tree, predict_tree, prune
 from fmtree.ucp import classical_effort
 
 # Locked on first computation of the pinned compare run (seed 2014, 59/25).
@@ -127,8 +127,9 @@ def test_model_tree_oracle(capsys):
 
         routing = np.arange(1.0, 7.0).reshape(-1, 1)
         targets = np.array([1.0, 1.0, 1.0, 9.0, 9.0, 9.0])
-        sdr, feature, threshold = _best_split(
-            routing, targets, routing.T.argsort(kind="stable"), 1, float(np.std(targets))
+        order = routing.T.argsort(kind="stable")
+        ((sdr, feature, threshold),) = _best_splits(
+            routing, targets, [(order, float(np.std(targets)))], 1
         )
         assert (feature, threshold) == (0, 3.5)
         assert sdr == 4.0

@@ -14,7 +14,7 @@ from fmtree.mtree import (
     _SCAN_WIDTH,
     ModelTree,
     TreeConfig,
-    _best_split,
+    _best_splits,
     _mean,
     _popsd,
     build_tree,
@@ -37,8 +37,14 @@ def pop_sd(values):
 
 
 def presorted(routing):
-    """Each routing column's stable argsort, one row per column: _best_split's `order`."""
+    """Each routing column's stable argsort, one row per column: a node's `order`."""
     return np.argsort(routing.T, axis=1, kind="stable")
+
+
+def best_split(routing, y, min_instances):
+    """_best_splits' (gain, feature, threshold) for one node of every row; gain -inf if none."""
+    (found,) = _best_splits(routing, y, [(presorted(routing), float(np.std(y)))], min_instances)
+    return found
 
 
 def oracle_best_split(routing, y, min_instances):
@@ -91,7 +97,7 @@ class TestBestSplit:
         #   4.5, 5.5 mirror 2.5, 1.5
         routing = np.arange(1.0, 7.0).reshape(-1, 1)
         y = np.array([1.0, 1.0, 1.0, 9.0, 9.0, 9.0])
-        sdr, feature, threshold = _best_split(routing, y, presorted(routing), 1, float(np.std(y)))
+        sdr, feature, threshold = best_split(routing, y, 1)
         assert feature == 0
         assert threshold == 3.5
         assert_allclose(sdr, 4.0)
@@ -100,7 +106,7 @@ class TestBestSplit:
         routing = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([0.0, 1.0, 1.0, 0.0])
         # cuts at 1.5 and 3.5 give identical SDR by symmetry
-        sdr, feature, threshold = _best_split(routing, y, presorted(routing), 1, float(np.std(y)))
+        sdr, feature, threshold = best_split(routing, y, 1)
         assert threshold == 1.5
         assert_allclose(sdr, 0.5 - 0.75 * pop_sd([1.0, 1.0, 0.0]))
 
@@ -108,7 +114,7 @@ class TestBestSplit:
         column = np.arange(1.0, 7.0)
         routing = np.column_stack([column, column])
         y = np.array([1.0, 1.0, 1.0, 9.0, 9.0, 9.0])
-        _, feature, threshold = _best_split(routing, y, presorted(routing), 1, float(np.std(y)))
+        _, feature, threshold = best_split(routing, y, 1)
         assert feature == 0
         assert threshold == 3.5
 
@@ -117,22 +123,23 @@ class TestBestSplit:
             rng = np.random.default_rng(seed)
             routing = rng.uniform(0.0, 10.0, size=(30, 3))
             y = rng.uniform(0.0, 100.0, size=30)
-            got = _best_split(routing, y, presorted(routing), 3, float(np.std(y)))
+            got = best_split(routing, y, 3)
             want = oracle_best_split(routing, y, 3)
-            assert got is not None
             assert got[1] == want[1]
             assert_allclose(got[2], want[2])
             assert_allclose(got[0], want[0], atol=1e-9)
 
     def test_respects_min_instances(self):
-        routing = np.arange(1.0, 7.0).reshape(-1, 1)
-        y = np.array([1.0, 1.0, 1.0, 9.0, 9.0, 9.0])
-        assert _best_split(routing, y, presorted(routing), 4, float(np.std(y))) is None
+        # The best cut, at 2.5, leaves 2 rows on the left; min_instances=4 allows only 4.5.
+        routing = np.arange(1.0, 9.0).reshape(-1, 1)
+        y = np.array([1.0, 1.0, 9.0, 9.0, 9.0, 9.0, 9.0, 9.0])
+        assert best_split(routing, y, 1)[2] == 2.5
+        assert best_split(routing, y, 4)[2] == 4.5
 
     def test_no_cut_between_equal_values(self):
         routing = np.array([[1.0], [1.0], [1.0], [1.0]])
         y = np.array([0.0, 1.0, 2.0, 3.0])
-        assert _best_split(routing, y, presorted(routing), 1, float(np.std(y))) is None
+        assert best_split(routing, y, 1)[0] == -np.inf
 
 
 class TestBuildTree:
