@@ -4,7 +4,7 @@ Splits are chosen on the routing matrix by standard-deviation reduction while
 every node also carries a linear model over the regression features; this lets
 the tree route on derived columns (e.g. fuzzy memberships) yet keep leaves
 expressed in the original units.  Its nodes, like the boosting stages', are a
-`FlatTree` of preorder arrays, written as nested JSON by one shared codec.
+`FlatTree` of parallel arrays, written as nested JSON by one shared codec.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ _SMALL_NODE_FACTOR = 10.0
 _NEAR_ZERO_ERROR_FRACTION = 1e-5
 _RIDGE_JITTER = 1e-8
 _COND_LIMIT = 1e12
-# Nodes of at most this many rows are scanned with others of their level, all
-# routing columns at once, in padded blocks of at most _BLOCK_CELLS (node,
-# column, row) cells, or of one node that alone has more; larger ones alone, a
-# column at a time, which bounds the scan's temporaries.
+# A lane, one (node, routing column) pair, of at most this many rows is scanned
+# with the other lanes of its level in padded blocks of at most _BLOCK_CELLS
+# (lane, row) cells; a wider lane alone and unpadded, which bounds the scan's
+# temporaries.
 _SCAN_WIDTH = 2048
 _BLOCK_CELLS = 2**14
 
@@ -51,11 +51,14 @@ class TreeConfig:
 
 @dataclass(eq=False)
 class FlatTree:
-    """Binary tree nodes as parallel arrays in preorder, the layout of scikit-learn's Tree.
+    """Binary tree nodes as parallel arrays, the layout of scikit-learn's Tree.
 
     Node 0 is the root.  An internal node i sends a row to left[i] when
     row[feature[i]] <= threshold[i] and to right[i] otherwise.  A leaf has
-    feature == left == right == -1.
+    feature == left == right == -1.  Boosting stages, pruned trees and trees
+    read from JSON number their nodes in preorder; build_tree numbers them in
+    the breadth-first order of growth.  Nothing reads more into the numbering
+    than that node 0 is the root.
     """
 
     feature: np.ndarray
@@ -65,8 +68,8 @@ class FlatTree:
 
     @classmethod
     def from_rows(cls, rows: list[list], *args):
-        """A tree from preorder node rows [feature, threshold, left, right, *payload];
-        `args` fill the fields that follow the payload arrays."""
+        """A tree from node rows [feature, threshold, left, right, *payload], row i
+        being node i; `args` fill the fields that follow the payload arrays."""
         return cls(*map(np.array, zip(*rows)), *args)
 
     def apply(self, x: np.ndarray, node: np.ndarray) -> np.ndarray:
@@ -124,14 +127,17 @@ def _fit_nodes(
     equation overflows.
     """
     p = g.shape[1] + 1
-    design = np.hstack([np.ones((len(g), 1)), g])
-    a = np.empty((len(members), p, p))
-    b = np.empty((len(members), p))
+    # Each node's [1, g] rows are built for it alone, and the equations are stacked
+    # after the loop: a whole-sample [1, g] copy, or the stacked arrays, held
+    # through the loop would raise the fit's peak memory.
+    a, b = [], []
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, as a ValueError
-        for i, idx in enumerate(members):
-            x = design[idx]
-            a[i] = x.T @ x
-            b[i] = x.T @ y[idx]
+        for idx in members:
+            x = np.empty((len(idx), p))
+            x[:, 0], x[:, 1:] = 1.0, g[idx]
+            a.append(x.T @ x)
+            b.append(x.T @ y[idx])
+    a, b = np.array(a), np.array(b)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError(
             "the node models' normal equations overflow: regression features and targets "
@@ -171,21 +177,21 @@ def _scan(
     parent_sd: np.ndarray,
     min_instances: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The SDR gain (-inf if none) and threshold of each lane's best cut, per (node, column).
+    """The SDR gain (-inf if none) and threshold of each lane's best cut.
 
-    lanes[i, j] holds node i's rows sorted by routing column columns[j]: its
-    sizes[i] rows first, then padding, which may be any row index.
-    parent_sd[i] is the population sd of node i's y.  A cut falls between
-    consecutive distinct values and leaves both sides at least min_instances
-    rows; ties break toward the lowest threshold.
+    A lane is one (node, routing column) pair: lanes[i] holds its node's
+    sizes[i] rows sorted by routing column columns[i], then padding, which
+    may be any row index.  parent_sd[i] is the population sd of the node's y.
+    A cut falls between consecutive distinct values and leaves both sides at
+    least min_instances rows; ties break toward the lowest threshold.
     """
-    k, c, w = lanes.shape
+    c, w = lanes.shape
     d = routing.shape[1]
-    # A cut after the first nl sorted rows, for nl in [lo, hi); a node's own cuts
+    # A cut after the first nl sorted rows, for nl in [lo, hi); a lane's own cuts
     # end at its size - lo.  Prefix sums are sequential, so padding after a lane's rows
     # never changes them, and its totals are read at its own last row.
     lo, hi = min_instances, w - min_instances + 1
-    size = sizes[:, None, None]
+    size = sizes[:, None]
     nl = np.arange(lo, hi, dtype=float)
     nr = size - nl
     # Values are gathered through one flat index array: indexing with a pair of
@@ -193,20 +199,18 @@ def _scan(
     # resident memory in every process.
     vs = routing.ravel()[lanes * d + columns[:, None]]
     ys = y[lanes]
-    lane = np.arange(k * c).reshape(k, c)
-    last = lane * w + sizes[:, None] - 1
+    lane = np.arange(c)
+    last = lane * w + sizes - 1
     with np.errstate(all="ignore"):  # padded cuts may overflow or divide by zero; masked below
-        cum = np.cumsum(ys, axis=2)
-        cum2 = np.cumsum(ys * ys, axis=2)
-        total, total2 = cum.ravel()[last][..., None], cum2.ravel()[last][..., None]
-        sl, sl2 = cum[..., lo - 1 : hi - 1], cum2[..., lo - 1 : hi - 1]
+        cum = np.cumsum(ys, axis=1)
+        cum2 = np.cumsum(ys * ys, axis=1)
+        total, total2 = cum.ravel()[last][:, None], cum2.ravel()[last][:, None]
+        sl, sl2 = cum[:, lo - 1 : hi - 1], cum2[:, lo - 1 : hi - 1]
         var_l = np.maximum(sl2 / nl - (sl / nl) ** 2, 0.0)
         var_r = np.maximum((total2 - sl2) / nr - ((total - sl) / nr) ** 2, 0.0)
-        sdr = (
-            parent_sd[:, None, None] - (nl / size) * np.sqrt(var_l) - (nr / size) * np.sqrt(var_r)
-        )
-    sdr[(vs[..., lo:hi] == vs[..., lo - 1 : hi - 1]) | (nl > size - lo)] = -np.inf
-    cut = sdr.argmax(axis=2)
+        sdr = parent_sd[:, None] - (nl / size) * np.sqrt(var_l) - (nr / size) * np.sqrt(var_r)
+    sdr[(vs[:, lo:hi] == vs[:, lo - 1 : hi - 1]) | (nl > size - lo)] = -np.inf
+    cut = sdr.argmax(axis=1)
     at = lane * w + lo + cut
     values = vs.ravel()
     return sdr.ravel()[lane * (hi - lo) + cut], (values[at - 1] + values[at]) / 2.0
@@ -222,47 +226,48 @@ def _best_splits(
     routing and y) sorted by routing column f, equal values in ascending row
     order; parent_sd is the population sd of its y.  Splits cut between
     distinct values, and both children keep at least min_instances rows.
-    Nodes of at most _SCAN_WIDTH rows are scanned together, all columns at
-    once, in padded blocks of at most _BLOCK_CELLS cells, or of one node that
-    alone has more; a larger node is scanned alone, a column at a time, which
-    bounds the scan's temporaries.  Ties break toward the lowest feature,
-    then the lowest threshold.
+    Each node gives one lane per routing column.  The lanes go through _scan
+    in that order, in padded blocks of at most _BLOCK_CELLS cells, which may
+    part a node's lanes; a lane of more than _SCAN_WIDTH rows goes alone, as
+    its order row.  A node's split is the best of its lanes' cuts, ties
+    breaking toward the lowest feature, then the lowest threshold.
     """
     d = routing.shape[1]
-    found: list[tuple[float, int, float]] = []
+    widths = [order.shape[1] for order, _ in nodes]
+    # Lane i is column i % d of node i // d.
+    columns, sizes = np.empty((2, len(nodes), d), dtype=np.intp)
+    sds = np.empty((len(nodes), d))
+    columns[:] = range(d)
+    sizes.T[:], sds.T[:] = widths, [sd for _, sd in nodes]
+    columns, sizes, sds = columns.ravel(), sizes.ravel(), sds.ravel()
+    count = len(columns)
+    gain, threshold = np.empty(count), np.empty(count)
     start = 0
-    while start < len(nodes):
-        order, sd = nodes[start]
-        n = order.shape[1]
-        stop = start + 1
-        if n > _SCAN_WIDTH:
-            scans = [
-                _scan(routing, y, order[None, f : f + 1], np.full(1, f), np.full(1, n),
-                      np.full(1, sd), min_instances)
-                for f in range(d)
-            ]
-            gain, threshold = (np.concatenate(part, axis=1) for part in zip(*scans))
+    while start < count:
+        width, stop = widths[start // d], start + 1
+        while width <= _SCAN_WIDTH and stop < count:
+            wider = widths[stop // d]
+            if wider > _SCAN_WIDTH or (stop + 1 - start) * wider > _BLOCK_CELLS:
+                break
+            width, stop = wider, stop + 1
+        if stop == start + 1:  # a lone lane needs no padding
+            lanes = nodes[start // d][0][start % d : start % d + 1]
         else:
-            while stop < len(nodes):
-                width = nodes[stop][0].shape[1]
-                if width > _SCAN_WIDTH or (stop + 1 - start) * d * width > _BLOCK_CELLS:
-                    break
-                stop += 1
-            block = nodes[start:stop]
-            width = block[-1][0].shape[1]
-            lanes = np.zeros((len(block), d, width), dtype=np.intp)  # padded with row 0
-            for lane, (rows, _) in zip(lanes, block):
-                lane[:, : rows.shape[1]] = rows
-            sizes = np.array([rows.shape[1] for rows, _ in block])
-            sds = np.array([sd for _, sd in block])
-            gain, threshold = _scan(routing, y, lanes, np.arange(d), sizes, sds, min_instances)
-        # Each node's best column, ties toward the lowest; a non-finite gain is unusable.
-        gain = np.where(np.isfinite(gain), gain, -np.inf)
-        feature = gain.argmax(axis=1)
-        at = np.arange(len(feature)) * d + feature
-        found += zip(gain.ravel()[at].tolist(), feature.tolist(), threshold.ravel()[at].tolist())
+            lanes = np.zeros((stop - start, width), dtype=np.intp)  # padded with row 0
+            for node in range(start // d, (stop - 1) // d + 1):
+                first = node * d
+                a, b = max(start, first), min(stop, first + d)
+                lanes[a - start : b - start, : widths[node]] = nodes[node][0][a - first : b - first]
+        block = slice(start, stop)
+        gain[block], threshold[block] = _scan(
+            routing, y, lanes, columns[block], sizes[block], sds[block], min_instances
+        )
         start = stop
-    return found
+    # Each node's best column, ties toward the lowest; a non-finite gain is unusable.
+    gain = np.where(np.isfinite(gain), gain, -np.inf).reshape(len(nodes), d)
+    feature = gain.argmax(axis=1)
+    at = np.arange(len(feature)) * d + feature
+    return list(zip(gain.ravel()[at].tolist(), feature.tolist(), threshold[at].tolist()))
 
 
 TARGET_SQUARES_OVERFLOW = (
@@ -288,9 +293,10 @@ def build_tree(
     Growth stops when a node's target standard deviation falls below
     sd_fraction of the whole sample's, when fewer than 2*min_instances rows
     remain, or when no split improves SDR.  The routing columns are sorted
-    once, and the tree grows a level at a time: the level's nodes of at most
-    _SCAN_WIDTH rows are scanned together, smallest first, in padded blocks
-    of their orders, and each larger node alone.  Every node's model is
+    once, and the tree grows a level at a time: the lanes of the level's
+    nodes that may split, one per (node, routing column), are scanned
+    together, smallest node first (see _best_splits).  Nodes are numbered as
+    they are grown, breadth first from the root, 0.  Every node's model is
     fitted after growth, in one batched solve.
     """
     # C order, so that each scan's raveled routing matrix is a view, not a copy.
@@ -354,21 +360,8 @@ def build_tree(
             nodes[node][:4] = feature, threshold, add(left), add(right)
             level.append((nodes[node][2], left, order[to_left].reshape(d, -1)))
             level.append((nodes[node][3], right, order[~to_left].reshape(d, -1)))
-    # Renumber the nodes to preorder, the layout of FlatTree: a stack walk, left child first.
-    preorder, stack = [], [0]
-    while stack:
-        node = stack.pop()
-        preorder.append(node)
-        if nodes[node][0] >= 0:
-            stack += nodes[node][3], nodes[node][2]
-    rank = dict(zip(preorder, range(len(preorder))))
-    rows = [
-        [f, t, rank[a], rank[b], n] if f >= 0 else [f, t, a, b, n]
-        for f, t, a, b, n in (nodes[node] for node in preorder)
-    ]
-    members = [members[node] for node in preorder]
     beta, mae = _fit_nodes(g, y, members)
-    return ModelTree.from_rows(rows, mae, beta, d, g.shape[1], (g, y, members))
+    return ModelTree.from_rows(nodes, mae, beta, d, g.shape[1], (g, y, members))
 
 
 def _adjust_factor(n: int, v: int, config: TreeConfig) -> float:

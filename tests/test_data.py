@@ -372,6 +372,50 @@ def test_parse_matches_per_cell_reference(parse, reference, columns, data):
     assert outcome(parse, text) == outcome(reference, text)
 
 
+# Cells and ids of tables that the whole-table reader takes: finite decimals with
+# signs, exponents and surrounding spaces, and ids with no comma or quote.
+clean_cell = st.from_regex(
+    r"\A {0,2}[+-]?([0-9]{1,7}(\.[0-9]{0,7})?|\.[0-9]{1,7})"
+    r"([eE]([+-]?[0-9]{1,2}|[+-]?[12][0-9]{2}|-3[0-2][0-9]))? {0,2}\Z"
+)
+clean_id = project_id.filter(lambda pid: "," not in pid and '"' not in pid)
+
+
+@st.composite
+def clean_table_texts(draw, columns):
+    """CSV text with no '"' and no '\\r': a header naming `columns` in any order,
+    then rows of distinct ids and clean cells, with blank lines between some."""
+    header = draw(st.permutations(columns))
+    lines = [",".join(header)]
+    for pid in draw(st.lists(clean_id, min_size=1, max_size=6, unique=True)):
+        cells = {name: draw(clean_cell) for name in columns[1:]}
+        cells[columns[0]] = draw(st.sampled_from(["", " "])) + pid + draw(st.sampled_from(["", " "]))
+        lines.extend(draw(st.lists(st.just(""), max_size=1)) + [",".join(map(cells.get, header))])
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@pytest.mark.parametrize("parse, reference, columns", [
+    (parse_dataset, reference_parse_dataset, CSV_COLUMNS),
+    (_parse_predictions, reference_parse_predictions, PREDICTION_COLUMNS),
+], ids=["dataset", "predictions"])
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_clean_tables_are_read_whole_and_match_per_cell_reference(parse, reference, columns, data):
+    text = data.draw(clean_table_texts(columns))
+    calls = []
+
+    def spy(text, columns):
+        calls.append(text)
+        return read_rows(text, columns)
+
+    read_rows = fmtree.data._read_rows
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fmtree.data, "_read_rows", spy)
+        got = outcome(parse, text)
+    assert got == outcome(reference, text)
+    assert calls == []
+
+
 def table(*rows):
     return "\n".join([",".join(CSV_COLUMNS), *rows]) + "\n"
 

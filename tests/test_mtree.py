@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from fmtree import mtree
 from fmtree.baselines import treeboost_from_json, treeboost_to_json
 from fmtree.mtree import (
     _BLOCK_CELLS,
@@ -611,32 +612,106 @@ class TestGrowthMatchesReference:
         r, g, y = tie_heavy_data(11, 6000, 9, 2, 1000, collinear=False)
         config = TreeConfig(min_instances=3)
         want, _ = reference_build_tree(r, g, y, config)
-        # The root is scanned a column at a time, and the internal nodes of at most
+        # The root's lanes are scanned one at a time, and the lanes of at most
         # _SCAN_WIDTH rows of some level already fill more than one padded block.
         assert len(y) > _SCAN_WIDTH
         assert any(
-            len(sizes) * r.shape[1] * max(sizes) > _BLOCK_CELLS
-            for sizes in internal_sizes_by_depth(want).values()
+            len(widths) * max(widths) > _BLOCK_CELLS for widths in lane_widths_by_depth(want).values()
         )
         got = build_tree(r, g, y, config)
-        for name in ("feature", "threshold", "left", "right", "count", "beta", "mae"):
-            assert_same_bits(getattr(got, name), getattr(want, name))
-        assert len(got.training[2]) == len(want.training[2])
-        for rows, want_rows in zip(got.training[2], want.training[2]):
+        assert tree_text(got) == tree_text(want)
+        for rows, want_rows in zip(preorder_row_sets(got), preorder_row_sets(want), strict=True):
             assert_same_bits(rows, want_rows)
         assert tree_text(prune(got, config)) == tree_text(prune(want, config))
 
 
-def internal_sizes_by_depth(tree):
-    """Depth -> the row counts of that depth's internal nodes of at most _SCAN_WIDTH rows."""
-    sizes, stack = {}, [(0, 0)]
+def lane_widths_by_depth(tree):
+    """Depth -> the widths of the lanes of that depth's internal nodes of at most
+    _SCAN_WIDTH rows: each such node gives one lane per routing column."""
+    widths, stack = {}, [(0, 0)]
     while stack:
         node, depth = stack.pop()
         if tree.feature[node] >= 0:
             if tree.count[node] <= _SCAN_WIDTH:
-                sizes.setdefault(depth, []).append(int(tree.count[node]))
+                widths.setdefault(depth, []).extend([int(tree.count[node])] * tree.routing_dim)
             stack += (tree.left[node], depth + 1), (tree.right[node], depth + 1)
-    return sizes
+    return widths
+
+
+def preorder_row_sets(tree):
+    """The training rows of a grown tree's nodes, in preorder (left child first)."""
+    members, found, stack = tree.training[2], [], [0]
+    while stack:
+        node = stack.pop()
+        found.append(members[node])
+        if tree.feature[node] >= 0:
+            stack += tree.right[node], tree.left[node]
+    return found
+
+
+class TestLanePacking:
+    """_best_splits packs a level's lanes into blocks as documented, and each
+    node's split is the one the per-node reference finds."""
+
+    @pytest.mark.parametrize("d, widths, scans", [
+        # 27 lanes, at most 16 of 1000 rows to a block: the boundary falls after
+        # the second node's seventh lane, and the first node's lanes are padded.
+        (9, (990, 1000, 1010), [(16, 1000, [*range(9), *range(7)]), (11, 1010, [7, 8, *range(9)])]),
+        # A lane wider than _SCAN_WIDTH is scanned alone, unpadded, after a block of narrower ones.
+        (1, (30, 500, 2100), [(2, 500, [0, 0]), (1, 2100, [0])]),
+        # One node's lanes fill a block of their own, and a wider node's go one at a time.
+        (3, (50, 2100), [(3, 50, [0, 1, 2]), (1, 2100, [0]), (1, 2100, [1]), (1, 2100, [2])]),
+    ], ids=["boundary-inside-a-node", "wide-lane-beside-narrow", "wide-node-lane-by-lane"])
+    def test_blocks_and_splits_match_reference(self, monkeypatch, d, widths, scans):
+        rng = np.random.default_rng(5)
+        r = np.round(rng.uniform(size=(sum(widths) + 100, d)), 2)
+        y = np.round(3.0 * r[:, 0] + rng.normal(size=len(r)), 1)
+        row_sets = [np.sort(rng.choice(len(r), width, replace=False)) for width in widths]
+        nodes = [
+            (idx[np.argsort(r[idx].T, axis=1, kind="stable")], float(np.std(y[idx])))
+            for idx in row_sets
+        ]
+        seen, scan = [], mtree._scan
+
+        def spy(routing, targets, lanes, columns, *rest):
+            seen.append((*lanes.shape, columns.tolist()))
+            return scan(routing, targets, lanes, columns, *rest)
+
+        monkeypatch.setattr(mtree, "_scan", spy)
+        found = _best_splits(r, y, nodes, 3)
+        assert seen == scans
+        for split, idx, (_, sd) in zip(found, row_sets, nodes, strict=True):
+            assert split == reference_best_split(r[idx], y[idx], 3, sd)
+
+
+def renumbered(tree, seed):
+    """A grown tree with its non-root nodes renumbered at random: child links,
+    node fields and training row sets all follow the new numbers."""
+    new = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(len(tree.feature) - 1)])
+    old = np.argsort(new)  # the old number of each new node
+
+    def links(child):
+        return np.where(child >= 0, new[child], -1)
+
+    g, y, members = tree.training
+    return ModelTree(
+        tree.feature[old], tree.threshold[old], links(tree.left[old]), links(tree.right[old]),
+        tree.count[old], tree.mae[old], tree.beta[old], tree.routing_dim, tree.regression_dim,
+        (g, y, [members[node] for node in old]),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(tree_data, st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_outputs_do_not_depend_on_how_a_grown_tree_numbers_its_nodes(data, min_instances, seed):
+    """A grown tree keeps growth order, with only the root fixed at 0."""
+    r, g, y = random_tree_data(*data)
+    config = TreeConfig(min_instances=min_instances)
+    tree = build_tree(r, g, y, config)
+    moved = renumbered(tree, seed)
+    assert tree_text(moved) == tree_text(tree)
+    assert tree_text(prune(moved, config)) == tree_text(prune(tree, config))
+    assert_same_bits(predict_tree(moved, r, g, config), predict_tree(tree, r, g, config))
 
 
 def assert_same_bits(got, want):
