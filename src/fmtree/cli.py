@@ -186,10 +186,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     predictions = {
         kind.label: _predict(kind, models[name], test) for name, kind in KINDS.items()
     }
+    reports = {name: evaluation.evaluate(actuals, preds) for name, preds in predictions.items()}
     mres = {name: evaluation.mre_vector(actuals, preds) for name, preds in predictions.items()}
-    reports = {
-        name: evaluation.evaluate(actuals, preds, mres[name]) for name, preds in predictions.items()
-    }
     wtl = evaluation.win_tie_loss(mres)
 
     out_dir = Path(args.out_dir)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import operator
 import re
 from dataclasses import dataclass, fields
 from typing import Iterable
@@ -235,9 +234,7 @@ def _read_table(text: str, columns: tuple[str, ...]) -> tuple[dict[str, int], np
 def _read_rows(text: str, columns: tuple[str, ...]) -> tuple[dict[str, int], np.ndarray]:
     """read_numbers one csv record at a time, raising the first fault in row order.
 
-    Each row is read once: its cells go through float(), and only a row that
-    float() rejects, that reads as non-finite or whose cells hold '_' goes
-    through parse_number, which names the fault.  A row that the csv module
+    Each value cell goes through parse_number.  A row that the csv module
     cannot read, such as one with a cell longer than its field size limit, is
     a ValueError naming the row.
     """
@@ -252,13 +249,6 @@ def _read_rows(text: str, columns: tuple[str, ...]) -> tuple[dict[str, int], np.
         else:
             raise ValueError("empty input: missing header row")
         at, *positions = _column_positions(header, columns)
-        # One itemgetter call per row: a generator per row slowed large parses markedly.
-        # With one value column a slice keeps the cells a list; an index would give the cell.
-        if len(positions) > 1:
-            pick = operator.itemgetter(*positions)
-        else:
-            pick = operator.itemgetter(slice(positions[0], positions[0] + 1))
-        isfinite = math.isfinite
         for number, row in records:
             if not row:
                 continue
@@ -271,15 +261,7 @@ def _read_rows(text: str, columns: tuple[str, ...]) -> tuple[dict[str, int], np.
             if row_id in rows:
                 raise ValueError(f"duplicate id {row_id!r} at row {number}")
             rows[row_id] = number
-            cells = pick(row)
-            try:
-                row_values = [*map(float, cells)]
-                # float() also reads '_' between digits, and 'inf' and 'nan'; parse_number does not.
-                if "_" in "".join(cells) or not isfinite(sum(row_values)):
-                    raise ValueError
-            except ValueError:
-                row_values = [parse_number(c, name, number) for name, c in zip(columns[1:], cells)]
-            values += row_values
+            values += [parse_number(row[p], name, number) for name, p in zip(columns[1:], positions)]
     except csv.Error as exc:
         # The row that failed is the one after the last row read.
         raise ValueError(f"{exc} at row {number + 1}") from None

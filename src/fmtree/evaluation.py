@@ -193,17 +193,11 @@ class EvalReport:
         return {name: getattr(self, name) for name in SCORES}
 
 
-def evaluate(
-    actuals: Sequence[float], predictions: Sequence[float], mres: np.ndarray | None = None
-) -> EvalReport:
-    """Summarize prediction accuracy for one model on one test set.
-
-    `mres` is mre_vector(actuals, predictions), if the caller already holds it.
-    """
-    errors = mre_vector(actuals, predictions) if mres is None else mres
+def evaluate(actuals: Sequence[float], predictions: Sequence[float]) -> EvalReport:
+    """Summarize prediction accuracy for one model on one test set."""
     residuals = np.abs(np.asarray(actuals, float) - np.asarray(predictions, float))
     return EvalReport(
-        **scores(errors),
+        **scores(mre_vector(actuals, predictions)),
         abs_residuals=tuple(float(r) for r in residuals),
         boxplot=boxplot_summary(residuals),
     )

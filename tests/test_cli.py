@@ -503,6 +503,12 @@ def test_only_quoted_carriage_return_or_faulty_tables_are_read_row_by_row(tmp_pa
     assert main(["predict", "--model-file", str(model), "--data", str(data),
                  "--out", str(pred)]) == 0
     assert len(_parse_predictions(pred.read_text(encoding="utf-8"))) == 2000
+    assert main(["evaluate", "--predictions", str(pred), "--data", str(data),
+                 "--out", str(tmp_path / "report.json")]) == 0
+    pinned = tmp_path / "pinned.csv"
+    pinned.write_text(render_dataset(piecewise_dataset()), encoding="utf-8")
+    assert main(["compare", "--data", str(pinned), "--trees", "5",
+                 "--out-dir", str(tmp_path / "compare")]) == 0
     assert entered == []
     header = ",".join(CSV_COLUMNS)
     for text in (f'{header}\n"p1",1,2,3,4\n', f"{header}\r\np1,1,2,3,4\r\n"):

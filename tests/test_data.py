@@ -420,23 +420,23 @@ def table(*rows):
     return "\n".join([",".join(CSV_COLUMNS), *rows]) + "\n"
 
 
-def test_only_a_faulty_row_goes_through_parse_number(monkeypatch):
-    calls = []
+def test_a_row_whose_sum_overflows_reads_the_same_whole_and_row_by_row(monkeypatch):
+    entered = []
+    read_rows = fmtree.data._read_rows
 
-    def spy(text, column, row):
-        calls.append(row)
-        return parse_number(text, column, row)
+    def spy(text, columns):
+        entered.append(text)
+        return read_rows(text, columns)
 
-    monkeypatch.setattr(fmtree.data, "parse_number", spy)
-    text = table(*(f"p{i},1,2,3,4" for i in range(999)), "last,1,2,3,1_0")
-    with pytest.raises(ValueError, match="^non-numeric effort_ph '1_0' at row 1001$"):
-        parse_dataset(text)
-    assert calls == [1001] * 4
-
-
-def test_a_row_whose_sum_overflows_is_read_cell_by_cell():
-    ds = parse_dataset(table("p1,1e308,1e308,3,1e308"))
-    assert ds.features.tolist() == [[1e308, 1e308, 3.0]] and ds.efforts.tolist() == [1e308]
+    monkeypatch.setattr(fmtree.data, "_read_rows", spy)
+    expected = (("p1",), np.array([[1e308, 1e308, 3.0]]).tobytes(), np.array([1e308]).tobytes())
+    # Unquoted, the row is read whole by _read_table; a quoted id sends it to _read_rows.
+    for row, row_by_row in [("p1,1e308,1e308,3,1e308", False), ('"p1",1e308,1e308,3,1e308', True)]:
+        text = table(row)
+        entered.clear()
+        ds = parse_dataset(text)
+        assert entered == ([text] if row_by_row else [])
+        assert (ds.ids, ds.features.tobytes(), ds.efforts.tobytes()) == expected
 
 
 @pytest.mark.parametrize("rows, message", [
