@@ -420,6 +420,21 @@ def table(*rows):
     return "\n".join([",".join(CSV_COLUMNS), *rows]) + "\n"
 
 
+def test_the_row_reader_reads_every_cell_through_parse_number_until_the_first_fault(monkeypatch):
+    calls = []
+
+    def spy(text, column, row):
+        calls.append((column, row))
+        return parse_number(text, column, row)
+
+    monkeypatch.setattr(fmtree.data, "parse_number", spy)
+    text = table(*(f"p{i},1,2,3,4" for i in range(999)), "last,1,2,3,1_0", "after,1,2,3,4")
+    with pytest.raises(ValueError, match="^non-numeric effort_ph '1_0' at row 1001$"):
+        parse_dataset(text)
+    # Header at row 1, so the data rows are 2..1001; the row after the fault is never read.
+    assert calls == [(column, row) for row in range(2, 1002) for column in CSV_COLUMNS[1:]]
+
+
 def test_a_row_whose_sum_overflows_reads_the_same_whole_and_row_by_row(monkeypatch):
     entered = []
     read_rows = fmtree.data._read_rows
