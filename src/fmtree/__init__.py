@@ -30,12 +30,15 @@ _MODULES = {
 }
 # Each exported name mapped to the module that defines it.
 _SOURCES = {name: module for module, names in _MODULES.items() for name in names.split()}
+# Every submodule that resolves as an attribute on first use.  `cli` is left
+# out: importing it sets OPENBLAS_NUM_THREADS, so it is imported explicitly.
+_SUBMODULES = {*_MODULES, "svgplot"}
 
 __all__ = sorted(_SOURCES)
 
 
 def __getattr__(name: str):
-    if name in _MODULES:  # a submodule not yet imported, as the eager package had it
+    if name in _SUBMODULES:  # a submodule not yet imported
         return importlib.import_module(f".{name}", __name__)
     if name not in _SOURCES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,6 +19,7 @@ from .data import (
     json_number,
     json_object,
 )
+from .evaluation import median_of_sorted
 from .fmt import EFFORT_FLOOR_PH
 from .mtree import (
     SPLIT_KEYS,
@@ -115,12 +116,10 @@ def _quantile(values: np.ndarray, q: float) -> float:
 def _stage_leaf_value(diff: np.ndarray, delta: float) -> float:
     """Huber location step: median plus a clipped mean offset around it.
 
-    Equal, bit for bit, to np.median and np.mean, which cost several times
-    more on the few rows of a leaf.
+    The offset's np.add.reduce over the count equals np.mean bit for bit, which
+    costs several times more on the few rows of a leaf.
     """
-    ordered = np.sort(diff)
-    mid = len(ordered) // 2
-    med = float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0)
+    med = median_of_sorted(np.sort(diff))
     centered = diff - med
     clipped = np.sign(centered) * np.minimum(np.abs(centered), delta)
     return med + float(np.add.reduce(clipped) / len(clipped))
@@ -225,7 +224,7 @@ def fit_treeboost(train: Dataset, config: TreeboostConfig = TreeboostConfig()) -
     x = train.features
     y = train.efforts
     check_target_squares(y)
-    f0 = float(np.median(y))
+    f0 = median_of_sorted(np.sort(y))
     model = TreeboostModel(f0, config.shrinkage)
     if float(np.ptp(y)) == 0.0:
         return model

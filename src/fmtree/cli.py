@@ -20,7 +20,10 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import baselines, evaluation, fmt, svgplot, ucp
+# Every command needs numpy and the data module.  The estimator, evaluation,
+# plot and UCP modules each load as a package attribute the first time a
+# command uses them (see __init__), so `evaluate` loads none of the estimators.
+import fmtree
 from .data import (
     PREDICTION_COLUMNS,
     PROFILES,
@@ -33,8 +36,6 @@ from .data import (
     generate_synthetic,
     split_holdout,
 )
-from .fcm import FcmConfig
-from .mtree import TreeConfig
 
 logger = logging.getLogger("fmtree")
 
@@ -88,44 +89,57 @@ class Kind(NamedTuple):
     from_json: Callable[[dict], Any]
 
 
+def _given(**knobs: Any) -> dict[str, Any]:
+    """The knobs whose flags were given; the config class supplies the others' defaults."""
+    return {name: value for name, value in knobs.items() if value is not None}
+
+
+def _ratio(args: argparse.Namespace) -> float:
+    """--ratio, or ucp.DEFAULT_EFFORT_RATIO when it was not given."""
+    return fmtree.ucp.DEFAULT_EFFORT_RATIO if args.ratio is None else args.ratio
+
+
 def _ucp_from_json(doc: dict) -> float:
-    ratio = doc.get("ratio", ucp.DEFAULT_EFFORT_RATIO)
-    return ucp.check_ratio(finite_number(ratio, "ucp ratio"))
+    ratio = doc.get("ratio", fmtree.ucp.DEFAULT_EFFORT_RATIO)
+    return fmtree.ucp.check_ratio(finite_number(ratio, "ucp ratio"))
 
 
-# The lambdas look functions up on their modules at call time, so that a
-# wrapper installed on a module attribute (a tracer, a test double) is used.
-# The ucp model is its PH/UCP ratio; it needs no training data.
+# The lambdas look modules and functions up at call time: a kind's module
+# loads the first time the kind is used, and a wrapper installed on a module
+# attribute (a tracer, a test double) is used.  The ucp model is its PH/UCP
+# ratio; it needs no training data.
 KINDS: dict[str, Kind] = {
     "fmt": Kind(
         "FMT",
-        lambda args: FcmConfig(k=args.clusters, fuzzifier_m=args.fuzzifier, seed=args.seed),
-        lambda train, config: fmt.train_fmt(train, config, TreeConfig()),
-        lambda model, dataset: fmt.predict_fmt_dataset(model, dataset),
-        lambda model: fmt.fmt_to_json(model),
-        lambda doc: fmt.fmt_from_json(doc),
+        lambda args: fmtree.fcm.FcmConfig(
+            **_given(k=args.clusters, fuzzifier_m=args.fuzzifier), seed=args.seed
+        ),
+        lambda train, config: fmtree.fmt.train_fmt(train, config, fmtree.mtree.TreeConfig()),
+        lambda model, dataset: fmtree.fmt.predict_fmt_dataset(model, dataset),
+        lambda model: fmtree.fmt.fmt_to_json(model),
+        lambda doc: fmtree.fmt.fmt_from_json(doc),
     ),
     "treeboost": Kind(
         "Treeboost",
-        lambda args: baselines.TreeboostConfig(
-            n_trees=args.trees, shrinkage=args.shrinkage, seed=args.seed
+        lambda args: fmtree.baselines.TreeboostConfig(
+            **_given(n_trees=args.trees, shrinkage=args.shrinkage), seed=args.seed
         ),
-        lambda train, config: baselines.fit_treeboost(train, config),
-        lambda model, dataset: baselines.predict_treeboost_dataset(model, dataset),
-        lambda model: baselines.treeboost_to_json(model),
-        lambda doc: baselines.treeboost_from_json(doc),
+        lambda train, config: fmtree.baselines.fit_treeboost(train, config),
+        lambda model, dataset: fmtree.baselines.predict_treeboost_dataset(model, dataset),
+        lambda model: fmtree.baselines.treeboost_to_json(model),
+        lambda doc: fmtree.baselines.treeboost_from_json(doc),
     ),
     "mlr": Kind(
         "MLR",
         lambda args: None,
-        lambda train, config: baselines.fit_mlr(train),
-        lambda model, dataset: baselines.predict_mlr_dataset(model, dataset),
-        lambda model: baselines.mlr_to_json(model),
-        lambda doc: baselines.mlr_from_json(doc),
+        lambda train, config: fmtree.baselines.fit_mlr(train),
+        lambda model, dataset: fmtree.baselines.predict_mlr_dataset(model, dataset),
+        lambda model: fmtree.baselines.mlr_to_json(model),
+        lambda doc: fmtree.baselines.mlr_from_json(doc),
     ),
     "ucp": Kind(
         "UCP",
-        lambda args: ucp.check_ratio(args.ratio),
+        lambda args: fmtree.ucp.check_ratio(_ratio(args)),
         lambda train, ratio: ratio,
         lambda ratio, dataset: dataset.features[:, 0] * ratio,
         lambda ratio: {"kind": "ucp", "ratio": ratio},
@@ -172,6 +186,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     configs = _configs(args)
+    evaluation = fmtree.evaluation
     dataset = _load(args.data, parse_dataset)
     train, test = split_holdout(dataset, args.train_count, args.seed)
     if len(test) < evaluation.MIN_PAIRS:
@@ -199,7 +214,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     _write_json(out_dir / "win_tie_loss.json", wtl)
     _write_text(out_dir / "win_tie_loss.txt", wtl_text)
     boxes = {name: report.boxplot for name, report in reports.items()}
-    _write_text(out_dir / "residuals.svg", svgplot.render_boxplot_svg(boxes))
+    _write_text(out_dir / "residuals.svg", fmtree.svgplot.render_boxplot_svg(boxes))
 
     print(metrics_text)
     print(wtl_text, end="")
@@ -259,20 +274,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             + (f"; unmatched: {', '.join(extra)}" if extra else "")
         )
     predictions = [predicted[pid] for pid in dataset.ids]
-    report = evaluation.evaluate(dataset.efforts, predictions)
+    report = fmtree.evaluation.evaluate(dataset.efforts, predictions)
     _write_json(Path(args.out), report)
-    print(evaluation.render_metrics_table({"model": report}))
+    print(fmtree.evaluation.render_metrics_table({"model": report}))
     print(f"report written to {args.out}")
     return 0
 
 
 def cmd_ucp(args: argparse.Namespace) -> int:
+    ucp = fmtree.ucp
+    ratio = _ratio(args)
     model = _load(args.model_json, lambda text: ucp.use_case_model_from_json(json.loads(text)))
     breakdown = ucp.compute_ucp(model)
-    effort = ucp.classical_effort(breakdown.ucp, args.ratio)
+    effort = ucp.classical_effort(breakdown.ucp, ratio)
     for key, value in _dataclass_fields(breakdown).items():
         print(f"{key:>6}: {value:.4f}")
-    print(f"effort: {effort:.2f} PH (at {args.ratio:g} PH/UCP)")
+    print(f"effort: {effort:.2f} PH (at {ratio:g} PH/UCP)")
     return 0
 
 
@@ -293,14 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_seed(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=_seed, default=0, help="RNG seed, >= 0 (default 0)")
 
+    # A knob left out stays None, and its kind's config class supplies the
+    # default (see _given and _ratio), so the parser loads no estimator.
     def add_model_knobs(p: argparse.ArgumentParser) -> None:
-        fcm, boost = FcmConfig(), baselines.TreeboostConfig()
-        p.add_argument("--clusters", type=int, default=fcm.k, help="FCM cluster count")
-        p.add_argument("--fuzzifier", type=float, default=fcm.fuzzifier_m, help="FCM fuzzifier m")
-        p.add_argument("--trees", type=int, default=boost.n_trees, help="boosting rounds")
-        p.add_argument("--shrinkage", type=float, default=boost.shrinkage, help="boosting shrinkage")
-        p.add_argument("--ratio", type=float, default=ucp.DEFAULT_EFFORT_RATIO,
-                       help="PH per UCP for the classical baseline")
+        p.add_argument("--clusters", type=int, help="FCM cluster count")
+        p.add_argument("--fuzzifier", type=float, help="FCM fuzzifier m")
+        p.add_argument("--trees", type=int, help="boosting rounds")
+        p.add_argument("--shrinkage", type=float, help="boosting shrinkage")
+        p.add_argument("--ratio", type=float, help="PH per UCP for the classical baseline")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset CSV")
     p_synth.add_argument("profile", choices=sorted(PROFILES), help="source profile")
@@ -340,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ucp = sub.add_parser("ucp", help="compute a UCP breakdown from a use-case JSON")
     p_ucp.add_argument("model_json", help="use-case model JSON")
-    p_ucp.add_argument("--ratio", type=float, default=ucp.DEFAULT_EFFORT_RATIO)
+    p_ucp.add_argument("--ratio", type=float)
     p_ucp.set_defaults(func=cmd_ucp)
 
     return parser

@@ -35,12 +35,23 @@ def mre_vector(actuals: Sequence[float], predictions: Sequence[float]) -> np.nda
     return np.abs(a - p) / a
 
 
+def median_of_sorted(ordered: np.ndarray) -> float:
+    """The median of the ascending values `ordered`: the middle one, or the mean of the two.
+
+    Equal, bit for bit, to np.median of the same values, which imports numpy.ma
+    for its NaN check.  The one exception is a zero median among signed zeros:
+    neither sort orders -0.0 against 0.0, so its sign can differ.
+    """
+    mid = len(ordered) // 2
+    return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0)
+
+
 def mmre(values: Sequence[float]) -> float:
     return float(np.mean(_as_vector(values)))
 
 
 def mdmre(values: Sequence[float]) -> float:
-    return float(np.median(_as_vector(values)))
+    return median_of_sorted(np.sort(_as_vector(values)))
 
 
 def pred(values: Sequence[float], level: float) -> float:
@@ -86,10 +97,10 @@ def boxplot_summary(values: Sequence[float]) -> BoxplotSummary:
     """
     v = np.sort(_as_vector(values))
     n = v.size
-    median = float(np.median(v))
+    median = median_of_sorted(v)
     half = (n + 1) // 2
-    q1 = float(np.median(v[:half]))
-    q3 = float(np.median(v[-half:]))
+    q1 = median_of_sorted(v[:half])
+    q3 = median_of_sorted(v[-half:])
     iqr = q3 - q1
     low_fence = q1 - 1.5 * iqr
     high_fence = q3 + 1.5 * iqr
@@ -102,7 +113,7 @@ def boxplot_summary(values: Sequence[float]) -> BoxplotSummary:
         maximum=float(v[-1]),
         whisker_low=float(inside[0]),
         whisker_high=float(inside[-1]),
-        outliers=tuple(float(x) for x in v[(v < low_fence) | (v > high_fence)]),
+        outliers=tuple(v[(v < low_fence) | (v > high_fence)].tolist()),
     )
 
 
@@ -198,7 +209,7 @@ def evaluate(actuals: Sequence[float], predictions: Sequence[float]) -> EvalRepo
     residuals = np.abs(np.asarray(actuals, float) - np.asarray(predictions, float))
     return EvalReport(
         **scores(mre_vector(actuals, predictions)),
-        abs_residuals=tuple(float(r) for r in residuals),
+        abs_residuals=tuple(residuals.tolist()),
         boxplot=boxplot_summary(residuals),
     )
 

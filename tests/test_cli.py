@@ -27,7 +27,10 @@ from fmtree.data import (
     render_dataset,
     split_holdout,
 )
+from fmtree.baselines import TreeboostConfig
 from fmtree.evaluation import MIN_PAIRS
+from fmtree.fcm import FcmConfig
+from fmtree.ucp import DEFAULT_EFFORT_RATIO, compute_ucp, use_case_model_from_json
 
 UCP_MODEL = {
     "actors": ["simple", "simple", "complex"],
@@ -131,6 +134,15 @@ class TestUcpCommand:
         assert "uucp: 35.0000" in out
         assert "ucp: 35.5215" in out
         assert "effort: 710.43 PH (at 20 PH/UCP)" in out
+
+    def test_ratio_left_out_is_the_default_ratio(self, tmp_path, capsys, monkeypatch):
+        """Without --ratio, the command reads ucp.DEFAULT_EFFORT_RATIO when it runs."""
+        monkeypatch.setattr(fmtree.ucp, "DEFAULT_EFFORT_RATIO", 25.0)
+        model = tmp_path / "usecases.json"
+        model.write_text(json.dumps(UCP_MODEL), encoding="utf-8")
+        assert main(["ucp", str(model)]) == 0
+        effort = compute_ucp(use_case_model_from_json(UCP_MODEL)).ucp * 25.0
+        assert capsys.readouterr().out.endswith(f"effort: {effort:.2f} PH (at 25 PH/UCP)\n")
 
     def test_missing_key_exits_2(self, tmp_path, capsys):
         model = tmp_path / "usecases.json"
@@ -757,14 +769,57 @@ def test_readme_library_example_runs(capsys):
     assert capsys.readouterr().out.strip()
 
 
-def test_cli_import_does_not_load_scipy():
+# Imports fmtree.cli in a fresh interpreter, runs main on the arguments if there
+# are any, and prints as its last line the fmtree modules loaded, with numpy.ma
+# and any scipy module.
+FOOTPRINT_PROBE = """
+import json, sys
+import fmtree.cli
+if sys.argv[1:] and fmtree.cli.main(sys.argv[1:]) != 0:
+    raise SystemExit("the command failed")
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("fmtree", "scipy") or m == "numpy.ma")))
+"""
+EVERY_MODULE = {"fmtree"} | {f"fmtree.{path.stem}" for path in
+                             Path(fmtree.__file__).parent.glob("*.py") if path.stem != "__init__"}
+
+
+@pytest.mark.parametrize("command, added", [
+    ("import", set()),
+    ("evaluate", {"evaluation"}),
+    ("predict", {"fcm", "mtree", "fmt"}),
+    ("ucp", {"ucp"}),
+    ("compare", None),
+], ids=["import", "evaluate", "predict", "ucp", "compare"])
+def test_each_command_loads_only_the_modules_it_uses(tmp_path, dataset_csv, command, added):
+    """`import fmtree.cli` loads fmtree and its cli and data modules; each command adds
+    the modules it calls into (`compare` all of them).  None loads numpy.ma, which
+    np.median's NaN check imports, or scipy."""
+    model, predictions, use_cases = (tmp_path / name for name in
+                                     ("fmt.json", "predictions.csv", "usecases.json"))
+    assert main(["train", "--model", "fmt", "--data", str(dataset_csv), "--out", str(model)]) == 0
+    assert main(["predict", "--model-file", str(model), "--data", str(dataset_csv),
+                 "--out", str(predictions)]) == 0
+    use_cases.write_text(json.dumps(UCP_MODEL), encoding="utf-8")
+    argv = {
+        "import": [],
+        "evaluate": ["evaluate", "--predictions", str(predictions), "--data", str(dataset_csv),
+                     "--out", str(tmp_path / "report.json")],
+        "predict": ["predict", "--model-file", str(model), "--data", str(dataset_csv),
+                    "--out", str(tmp_path / "again.csv")],
+        "ucp": ["ucp", str(use_cases)],
+        "compare": ["compare", "--data", str(dataset_csv), "--trees", "5",
+                    "--out-dir", str(tmp_path / "reports")],
+    }[command]
     src = str(Path(fmtree.__file__).resolve().parents[1])
-    probe = "import sys, fmtree.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-c", FOOTPRINT_PROBE, *argv], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": src},
     )
-    assert result.stdout.strip() == "[]"
+    loaded = set(json.loads(result.stdout.splitlines()[-1]))
+    expected = EVERY_MODULE if added is None else (
+        {"fmtree", "fmtree.cli", "fmtree.data"} | {f"fmtree.{name}" for name in added})
+    assert loaded == expected
 
 
 class TestCompare:
@@ -795,6 +850,26 @@ class TestCompare:
         for name in ("metrics.json", "metrics.txt", "win_tie_loss.json",
                      "win_tie_loss.txt", "residuals.svg"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    @pytest.mark.parametrize("required", [
+        ["compare", "--data", "projects.csv", "--out-dir", "reports"],
+        ["train", "--model", "fmt", "--data", "projects.csv", "--out", "model.json"],
+    ], ids=["compare", "train"])
+    def test_knobs_left_out_take_the_config_classes_defaults(self, required):
+        """The parser holds no knob default; each kind's config class supplies its own."""
+        args = build_parser().parse_args(required)
+        assert {name: kind.config(args) for name, kind in KINDS.items()} == {
+            "fmt": FcmConfig(), "treeboost": TreeboostConfig(), "mlr": None,
+            "ucp": DEFAULT_EFFORT_RATIO,
+        }
+        args = build_parser().parse_args(required + [
+            "--clusters", "4", "--fuzzifier", "1.5", "--trees", "9", "--shrinkage", "0.2",
+            "--ratio", "30", "--seed", "7"])
+        assert {name: kind.config(args) for name, kind in KINDS.items()} == {
+            "fmt": FcmConfig(k=4, fuzzifier_m=1.5, seed=7),
+            "treeboost": TreeboostConfig(n_trees=9, shrinkage=0.2, seed=7), "mlr": None,
+            "ucp": 30.0,
+        }
 
     def test_bad_clusters_fails_before_reading_data(self, tmp_path, capsys):
         code = main(["compare", "--data", str(tmp_path / "absent.csv"),

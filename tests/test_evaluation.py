@@ -15,6 +15,7 @@ from fmtree.evaluation import (
     boxplot_summary,
     evaluate,
     mdmre,
+    median_of_sorted,
     mmre,
     mre_vector,
     pred,
@@ -134,6 +135,24 @@ def brute_force_two_sided_p(a, b):
         if wsum <= lo + 1e-9 or wsum >= hi - 1e-9:
             count += 1
     return count / 2 ** len(d)
+
+
+# Finite floats >= 0 (min_value=0.0 draws no -0.0), often from a few values so that ties are common.
+NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from([0.0, 0.5, 1.0, 3e5])
+
+
+@given(st.lists(NON_NEGATIVE, min_size=1, max_size=199), st.booleans())
+def test_median_of_sorted_equals_numpy_median_bit_for_bit(values, odd):
+    """On the values it is given (MREs, residuals and efforts: finite, never -0.0), the
+    helper is np.median, for odd and even lengths, with ties and with sums that overflow."""
+    if len(values) % 2 != odd:
+        values = values + values[:1]
+    v = np.array(values)
+    with np.errstate(over="ignore"):
+        expected = np.median(v)
+        got = median_of_sorted(np.sort(v))
+    assert type(got) is float
+    assert np.float64(got).tobytes() == expected.tobytes()
 
 
 class TestWilcoxon:

@@ -60,7 +60,14 @@ def test_star_import_binds_every_name():
 
 
 def test_submodules_resolve_as_attributes():
-    assert fmtree.fcm is sys.modules["fmtree.fcm"]
+    """In a fresh interpreter every module file but cli, which is imported explicitly
+    because it sets OPENBLAS_NUM_THREADS, is the package attribute of its name."""
+    names = sorted(path.stem for path in Path(fmtree.__file__).parent.glob("*.py")
+                   if path.stem not in ("__init__", "cli"))
+    assert {"fcm", "svgplot", "ucp"} <= set(names)
+    for name in names:
+        probe = f"import sys, fmtree; print(fmtree.{name} is sys.modules['fmtree.{name}'])"
+        assert run_python(probe) == "True", name
 
 
 def test_unknown_attribute_raises_naming_it():
