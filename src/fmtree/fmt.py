@@ -63,7 +63,9 @@ def train_fmt(
         )
     fuzzy = build_fuzzy_model(partition, z, standardization)
     memberships = membership_matrix(fuzzy, features)
-    tree = prune(build_tree(memberships, features, train.efforts, tree_config), tree_config)
+    efforts = train.efforts
+    grown = build_tree(memberships, features, efforts, tree_config)
+    tree = prune(grown, memberships, features, efforts, tree_config)
     return FmtModel(fuzzy, tree, fcm_config, tree_config)
 
 

@@ -93,15 +93,17 @@ class FlatTree:
 @dataclass(eq=False)
 class ModelTree(FlatTree):
     """A FlatTree whose every node has a training row count, a mean absolute
-    error and an affine model: beta[i, 0] + beta[i, 1:] . regression_row."""
+    error and an affine model: beta[i, 0] + beta[i, 1:] . regression_row.
+
+    It holds no rows: prune takes the rows it was grown on, as predict_tree
+    takes the rows it predicts.
+    """
 
     count: np.ndarray
     mae: np.ndarray
     beta: np.ndarray
     routing_dim: int
     regression_dim: int
-    # (regression, targets, each node's rows), kept by build_tree alone; prune needs them.
-    training: tuple[np.ndarray, np.ndarray, list[np.ndarray]] | None = None
 
     def node_values(self, node: np.ndarray | int, g: np.ndarray) -> np.ndarray:
         """Evaluate node[i]'s model on row i of g (or one node's on every row).
@@ -361,7 +363,7 @@ def build_tree(
             level.append((nodes[node][2], left, order[to_left].reshape(d, -1)))
             level.append((nodes[node][3], right, order[~to_left].reshape(d, -1)))
     beta, mae = _fit_nodes(g, y, members)
-    return ModelTree.from_rows(nodes, mae, beta, d, g.shape[1], (g, y, members))
+    return ModelTree.from_rows(nodes, mae, beta, d, g.shape[1])
 
 
 def _adjust_factor(n: int, v: int, config: TreeConfig) -> float:
@@ -370,17 +372,44 @@ def _adjust_factor(n: int, v: int, config: TreeConfig) -> float:
     return (n + config.pruning_factor * v) / (n - v)
 
 
-def prune(tree: ModelTree, config: TreeConfig = TreeConfig()) -> ModelTree:
+def _matrices(tree: ModelTree, routing, regression) -> tuple[np.ndarray, np.ndarray]:
+    """routing and regression as float matrices; ValueError unless they are 2-D,
+    have equal row counts and have the tree's routing and regression widths."""
+    r = np.asarray(routing, dtype=float)
+    g = np.asarray(regression, dtype=float)
+    if r.ndim != 2 or g.ndim != 2 or len(r) != len(g):
+        raise ValueError("routing and regression must be 2-D matrices with equal row counts")
+    if r.shape[1] != tree.routing_dim or g.shape[1] != tree.regression_dim:
+        raise ValueError(
+            f"dimension mismatch: expected routing {tree.routing_dim} / "
+            f"regression {tree.regression_dim}, got {r.shape[1]} / {g.shape[1]}"
+        )
+    return r, g
+
+
+def prune(
+    tree: ModelTree,
+    routing: np.ndarray,
+    regression: np.ndarray,
+    targets: np.ndarray,
+    config: TreeConfig = TreeConfig(),
+) -> ModelTree:
     """Collapse subtrees whose complexity-adjusted error beats their node model.
 
     Mean absolute error is inflated by (n + pruning_factor*v) / (n - v), with v
     the parameter count (per model: regression width + 1; per subtree: leaf
-    models plus one per split).  Works bottom-up on the node row sets that
-    build_tree recorded, re-emitting the kept nodes in preorder; the result keeps no rows.
+    models plus one per split).  The rows must be the ones the tree was grown
+    on: routed from the root, they give each node the row set of growth, and
+    ValueError is raised where a node's row count differs from its recorded
+    count.  Works bottom-up on those row sets, re-emitting the kept nodes in
+    preorder.
     """
-    if tree.training is None:
-        raise ValueError("only a tree returned by build_tree can be pruned, not a deserialized one")
-    g, y, members = tree.training
+    r, g = _matrices(tree, routing, regression)
+    y = np.asarray(targets, dtype=float)
+    if y.shape != (len(r),):
+        raise ValueError("targets must be a vector with one value per routing row")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("non-finite targets")
     v_model = tree.regression_dim + 1
     near_zero = _NEAR_ZERO_ERROR_FRACTION * _popsd(y)
     feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
@@ -388,22 +417,25 @@ def prune(tree: ModelTree, config: TreeConfig = TreeConfig()) -> ModelTree:
     count, node_mae = tree.count.tolist(), tree.mae.tolist()
     # Each training row's raw prediction by the pruned subtree walked last, starting
     # from its raw leaf's: node_values gives a row the same bits in any batch.
-    leaf = np.empty(len(y), dtype=np.intp)
-    for node in np.flatnonzero(tree.feature < 0).tolist():
-        leaf[members[node]] = node
-    predictions = tree.node_values(leaf, g)
+    predictions = tree.node_values(tree.apply(r, np.zeros(len(r), dtype=np.intp)), g)
     rows: list[list] = []
 
-    def walk(node: int) -> int:
-        """Emit node's kept subtree and return its parameter count."""
+    def walk(node: int, idx: np.ndarray) -> int:
+        """Emit node's kept subtree, given its rows idx, and return its parameter count."""
+        if len(idx) != count[node]:
+            raise ValueError(
+                f"node {node} receives {len(idx)} rows but was grown on {count[node]}: "
+                "these are not the tree's training rows"
+            )
         kept = len(rows)
         rows.append([-1, 0.0, -1, -1, count[node], node_mae[node], tree.beta[node]])
         if feature[node] < 0:
             return v_model
-        v_left = walk(left[node])
+        # build_tree's own partition, so each child gets the rows it was grown on, ascending.
+        go_left = r[idx, feature[node]] <= threshold[node]
+        v_left = walk(left[node], idx[go_left])
         right_kept = len(rows)
-        v_subtree = v_left + walk(right[node]) + 1
-        idx = members[node]
+        v_subtree = v_left + walk(right[node], idx[~go_left]) + 1
         subtree_err = _mean(np.abs(y[idx] - predictions[idx]))
         adjusted_node = node_mae[node] * _adjust_factor(len(idx), v_model, config)
         adjusted_subtree = subtree_err * _adjust_factor(len(idx), v_subtree, config)
@@ -414,7 +446,7 @@ def prune(tree: ModelTree, config: TreeConfig = TreeConfig()) -> ModelTree:
         predictions[idx] = tree.node_values(node, g[idx])
         return v_model
 
-    walk(0)
+    walk(0, np.arange(len(y)))
     return ModelTree.from_rows(rows, tree.routing_dim, tree.regression_dim)
 
 
@@ -432,15 +464,7 @@ def predict_tree(
     With smoothing_k = 0 this is the raw leaf prediction.  All rows are routed
     to their leaves at once and then climb the parent links together.
     """
-    r = np.asarray(routing, dtype=float)
-    g = np.asarray(regression, dtype=float)
-    if r.ndim != 2 or g.ndim != 2 or len(r) != len(g):
-        raise ValueError("routing and regression must be 2-D matrices with equal row counts")
-    if r.shape[1] != tree.routing_dim or g.shape[1] != tree.regression_dim:
-        raise ValueError(
-            f"dimension mismatch: expected routing {tree.routing_dim} / "
-            f"regression {tree.regression_dim}, got {r.shape[1]} / {g.shape[1]}"
-        )
+    r, g = _matrices(tree, routing, regression)
     k = config.smoothing_k
     parent = np.full(len(tree.feature), -1)
     inner = np.flatnonzero(tree.feature >= 0)

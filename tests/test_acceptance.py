@@ -118,7 +118,7 @@ def test_model_tree_oracle(capsys):
         x = rng.uniform(0.0, 10.0, size=(200, 3))
         y = 4.0 + 3.0 * x[:, 0] - 2.0 * x[:, 1] + 0.5 * x[:, 2]
         config = TreeConfig()
-        tree = prune(build_tree(x, x, y, config), config)
+        tree = prune(build_tree(x, x, y, config), x, x, y, config)
         design = np.hstack([np.ones((200, 1)), x])
         beta = np.linalg.lstsq(design, y, rcond=None)[0]
         direct = design @ beta

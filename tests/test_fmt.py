@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import hashlib
 import importlib
+import inspect
 import json
 import logging
 import math
@@ -94,7 +95,9 @@ def test_cluster_relabeling_leaves_predictions_unchanged():
     features = train.features
     efforts = train.efforts
     config = model.tree_config
-    tree = prune(build_tree(membership_matrix(permuted, features), features, efforts, config), config)
+    memberships = membership_matrix(permuted, features)
+    grown = build_tree(memberships, features, efforts, config)
+    tree = prune(grown, memberships, features, efforts, config)
     test_features = test.features
     got = predict_tree(tree, membership_matrix(permuted, test_features), test_features, config)
     want = predict_tree(
@@ -131,15 +134,19 @@ def test_relabeled_clusters_and_remapped_routing_predict_identically(order):
 
 def test_tracer_hooks_see_one_build_and_one_prune(monkeypatch):
     """The benchmark's tracer wraps fmt.build_tree and fmt.prune where train_fmt
-    looks them up, and counts leaves with the results' leaf_count()."""
+    looks them up, binds each call to the wrapped function's signature, and
+    counts leaves with the results' leaf_count()."""
     calls = {"build_tree": [], "prune": []}
 
     def counting(name):
         original = getattr(fmt, name)
+        signature = inspect.signature(original)
 
         def wrapper(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
             result = original(*args, **kwargs)
-            calls[name].append(result)
+            calls[name].append((bound.arguments, result))
             return result
 
         monkeypatch.setattr(fmt, name, wrapper)
@@ -149,10 +156,13 @@ def test_tracer_hooks_see_one_build_and_one_prune(monkeypatch):
     train, _ = split_holdout(piecewise_dataset(), 59, seed=2014)
     model = train_fmt(train)
     assert [len(results) for results in calls.values()] == [1, 1]
-    assert calls["prune"][0] is model.tree
-    for (tree,) in calls.values():
+    [(grow_args, grown)], [(prune_args, pruned)] = calls.values()
+    assert pruned is model.tree
+    assert prune_args["tree"] is grown
+    assert prune_args["config"] is grow_args["config"] is model.tree_config
+    for tree in grown, pruned:
         assert tree.leaf_count() == int(np.count_nonzero(tree.feature < 0))
-    assert calls["build_tree"][0].leaf_count() >= model.tree.leaf_count() > 0
+    assert grown.leaf_count() >= pruned.leaf_count() > 0
 
 
 def test_tracer_layers_name_existing_attributes():

@@ -166,7 +166,7 @@ class TestBuildTree:
         x = np.arange(1.0, 7.0).reshape(-1, 1)
         y = np.array([1.0, 1.0, 1.0, 9.0, 9.0, 9.0])
         config = TreeConfig(min_instances=2, smoothing_k=0.0)
-        pruned = prune(build_tree(x, x, y, config), config)
+        pruned = prune(build_tree(x, x, y, config), x, x, y, config)
         assert pruned.leaf_count() == 2
 
     def test_separate_routing_and_regression_spaces(self):
@@ -227,7 +227,7 @@ class TestPrune:
         x = rng.uniform(0.0, 10.0, size=(40, 2))
         y = 3.0 + 2.0 * x[:, 0] - 1.0 * x[:, 1]
         config = TreeConfig(min_instances=2, smoothing_k=0.0)
-        tree = prune(build_tree(x, x, y, config), config)
+        tree = prune(build_tree(x, x, y, config), x, x, y, config)
         assert tree.leaf_count() == 1
         assert_allclose(predict_tree(tree, x, x, config), y, rtol=1e-6)
 
@@ -239,9 +239,22 @@ class TestPrune:
             y = y + rng.normal(0.0, 2.0, size=80)
             config = TreeConfig(min_instances=2)
             raw = build_tree(x, x, y, config)
-            pruned = prune(raw, config)
+            pruned = prune(raw, x, x, y, config)
             assert pruned.leaf_count() <= raw.leaf_count()
             self.assert_no_prunable_node_left(pruned, (x, x, y), config)
+
+    def test_rows_on_a_threshold_go_left_as_in_growth(self):
+        # The midpoint of two adjacent floats rounds onto the lower one, so the
+        # lower rows sit on the threshold, and growth sent them left.
+        low = 1.0
+        r = np.repeat([low, np.nextafter(low, 2.0)], 4).reshape(-1, 1)
+        g = np.arange(8.0).reshape(-1, 1)
+        y = np.repeat([1.0, 9.0], 4)
+        config = TreeConfig(min_instances=2)
+        tree = build_tree(r, g, y, config)
+        assert tree.threshold[0] == low
+        assert tree.count[tree.left[0]] == 4
+        assert prune(tree, r, g, y, config).leaf_count() == 2
 
     @staticmethod
     def assert_no_prunable_node_left(tree, training, config):
@@ -315,6 +328,32 @@ class TestSmoothing:
             predict_one(tree, [0.0], [0.0, 1.0])
 
 
+def shifted_root_column(r, g, y):
+    """The rows with the root's routing column moved down one row."""
+    shifted = r.copy()
+    shifted[:, 0] = np.roll(r[:, 0], 1)
+    return shifted, g, y
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda r, g, y: (r[:, :1], g, y), "dimension mismatch"),
+    (lambda r, g, y: (r, np.hstack([g, g]), y), "dimension mismatch"),
+    (lambda r, g, y: (r, g[:-1], y), "equal row counts"),
+    (lambda r, g, y: (r, g, y[:-1]), "one value per routing row"),
+    (lambda r, g, y: (r, g, np.where(y == y.max(), np.nan, y)), "non-finite targets"),
+    (lambda r, g, y: (r[1:], g[1:], y[1:]), "node 0 receives 119 rows but was grown on 120"),
+    (shifted_root_column, "not the tree's training rows"),
+], ids=["routing-width", "regression-width", "regression-rows", "target-rows",
+        "non-finite-target", "row-dropped", "column-shifted"])
+def test_prune_rejects_rows_that_are_not_the_training_rows(change, message):
+    r, g, y = random_tree_data(3, 120, 2, 1, 1.0)
+    config = TreeConfig(min_instances=2)
+    tree = build_tree(r, g, y, config)
+    assert tree.feature[0] == 0
+    with pytest.raises(ValueError, match=message):
+        prune(tree, *change(r, g, y), config)
+
+
 class TestSerialization:
     def build_sample(self):
         rng = np.random.default_rng(4)
@@ -322,7 +361,7 @@ class TestSerialization:
         y = np.where(x[:, 0] <= 5.0, 10.0 * x[:, 0], 80.0 - 4.0 * x[:, 0])
         y = y + rng.normal(0.0, 1.0, size=60)
         config = TreeConfig(min_instances=2)
-        return prune(build_tree(x, x, y, config), config), x
+        return prune(build_tree(x, x, y, config), x, x, y, config), x
 
     def test_round_trip_predictions_identical(self):
         tree, x = self.build_sample()
@@ -331,18 +370,6 @@ class TestSerialization:
         assert restored.routing_dim == tree.routing_dim
         assert restored.regression_dim == tree.regression_dim
         assert_allclose(predict_tree(restored, x, x), predict_tree(tree, x, x), rtol=0)
-
-    def test_deserialized_tree_cannot_be_pruned(self):
-        tree, _ = self.build_sample()
-        restored = tree_from_json(tree_to_json(tree))
-        with pytest.raises(ValueError, match="deserialized"):
-            prune(restored)
-
-    def test_pruned_tree_keeps_no_training_rows(self):
-        tree, _ = self.build_sample()
-        assert tree.training is None
-        with pytest.raises(ValueError, match="only a tree returned by build_tree"):
-            prune(tree)
 
 
 def route(node, routing_row):
@@ -441,7 +468,7 @@ class TestBatchPaths:
         r, g, y = random_tree_data(*data)
         config = TreeConfig(min_instances=min_instances, pruning_factor=pruning_factor)
         tree = build_tree(r, g, y, config)
-        got = json.dumps(tree_to_json(prune(tree, config)), sort_keys=True)
+        got = json.dumps(tree_to_json(prune(tree, r, g, y, config)), sort_keys=True)
         assert got == json.dumps(reference_prune(tree, (r, g, y), config), sort_keys=True)
 
     @settings(max_examples=40, deadline=None)
@@ -449,7 +476,7 @@ class TestBatchPaths:
     def test_predict_matches_per_row_reference(self, data, smoothing_k):
         r, g, y = random_tree_data(*data)
         config = TreeConfig(min_instances=2, smoothing_k=smoothing_k)
-        tree = prune(build_tree(r, g, y, config), config)
+        tree = prune(build_tree(r, g, y, config), r, g, y, config)
         got = predict_tree(tree, r, g, config)
         doc = tree_to_json(tree)
         want = [reference_smooth_predict(doc, r[i], g[i], config) for i in range(len(r))]
@@ -458,15 +485,6 @@ class TestBatchPaths:
         order = np.random.default_rng(data[0]).permutation(len(r))
         assert np.array_equal(predict_tree(tree, r[order], g[order], config), got[order])
         assert [predict_one(tree, r[i], g[i], config) for i in range(3)] == list(got[:3])
-
-    def test_prune_reads_the_row_sets_of_growth_not_the_routing_matrix(self):
-        r, g, y = random_tree_data(3, 120, 2, 1, 1.0)
-        config = TreeConfig(min_instances=2)
-        want = tree_text(prune(build_tree(r, g, y, config), config))
-        assert "feature" in want
-        tree = build_tree(r, g, y, config)
-        r[:] = r[:, ::-1].copy()
-        assert tree_text(prune(tree, config)) == want
 
     def test_empty_batch(self):
         tree = manual_two_level_tree()
@@ -530,14 +548,13 @@ def reference_build_tree(r, g, y, config):
     Returns the tree and, per node, whether its model was jittered.
     """
     global_sd = float(np.std(y))
-    rows, members, jittered = [], [], []
+    rows, jittered = [], []
 
     def grow(idx):
         beta, mae = reference_fit_linear(g[idx], y[idx], jittered)
         node = len(rows)
         row = [-1, 0.0, -1, -1, len(idx), mae, beta]
         rows.append(row)
-        members.append(idx)
         node_sd = float(np.std(y[idx]))
         if (
             len(idx) < 2 * config.min_instances
@@ -554,7 +571,7 @@ def reference_build_tree(r, g, y, config):
         return node
 
     grow(np.arange(len(y)))
-    return ModelTree.from_rows(rows, r.shape[1], g.shape[1], (g, y, members)), jittered
+    return ModelTree.from_rows(rows, r.shape[1], g.shape[1]), jittered
 
 
 def tie_heavy_data(seed, n, routing_dim, regression_dim, levels, collinear):
@@ -596,7 +613,7 @@ class TestGrowthMatchesReference:
         want, _ = reference_build_tree(r, g, y, config)
         got = build_tree(r, g, y, config)
         assert tree_text(got) == tree_text(want)
-        assert tree_text(prune(got, config)) == tree_text(prune(want, config))
+        assert tree_text(prune(got, r, g, y, config)) == tree_text(prune(want, r, g, y, config))
 
     def test_nodes_wider_than_the_scan_width_and_jittered_models(self):
         r, g, y = tie_heavy_data(7, 3000, 4, 2, 50, collinear=True)
@@ -606,7 +623,7 @@ class TestGrowthMatchesReference:
         assert any(jittered)
         got = build_tree(r, g, y, config)
         assert tree_text(got) == tree_text(want)
-        assert tree_text(prune(got, config)) == tree_text(prune(want, config))
+        assert tree_text(prune(got, r, g, y, config)) == tree_text(prune(want, r, g, y, config))
 
     def test_levels_that_span_several_padded_blocks(self):
         r, g, y = tie_heavy_data(11, 6000, 9, 2, 1000, collinear=False)
@@ -620,9 +637,7 @@ class TestGrowthMatchesReference:
         )
         got = build_tree(r, g, y, config)
         assert tree_text(got) == tree_text(want)
-        for rows, want_rows in zip(preorder_row_sets(got), preorder_row_sets(want), strict=True):
-            assert_same_bits(rows, want_rows)
-        assert tree_text(prune(got, config)) == tree_text(prune(want, config))
+        assert tree_text(prune(got, r, g, y, config)) == tree_text(prune(want, r, g, y, config))
 
 
 def lane_widths_by_depth(tree):
@@ -636,17 +651,6 @@ def lane_widths_by_depth(tree):
                 widths.setdefault(depth, []).extend([int(tree.count[node])] * tree.routing_dim)
             stack += (tree.left[node], depth + 1), (tree.right[node], depth + 1)
     return widths
-
-
-def preorder_row_sets(tree):
-    """The training rows of a grown tree's nodes, in preorder (left child first)."""
-    members, found, stack = tree.training[2], [], [0]
-    while stack:
-        node = stack.pop()
-        found.append(members[node])
-        if tree.feature[node] >= 0:
-            stack += tree.right[node], tree.left[node]
-    return found
 
 
 class TestLanePacking:
@@ -685,32 +689,35 @@ class TestLanePacking:
 
 
 def renumbered(tree, seed):
-    """A grown tree with its non-root nodes renumbered at random: child links,
-    node fields and training row sets all follow the new numbers."""
+    """A grown tree with its non-root nodes renumbered at random: child links
+    and node fields follow the new numbers."""
     new = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(len(tree.feature) - 1)])
     old = np.argsort(new)  # the old number of each new node
 
     def links(child):
         return np.where(child >= 0, new[child], -1)
 
-    g, y, members = tree.training
     return ModelTree(
         tree.feature[old], tree.threshold[old], links(tree.left[old]), links(tree.right[old]),
         tree.count[old], tree.mae[old], tree.beta[old], tree.routing_dim, tree.regression_dim,
-        (g, y, [members[node] for node in old]),
     )
 
 
 @settings(max_examples=30, deadline=None)
 @given(tree_data, st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_outputs_do_not_depend_on_how_a_grown_tree_numbers_its_nodes(data, min_instances, seed):
-    """A grown tree keeps growth order, with only the root fixed at 0."""
+    """A grown tree keeps growth order, with only the root fixed at 0.  It prunes
+    from its training rows alone: renumbered, or read back from its JSON, it
+    prunes to the same tree."""
     r, g, y = random_tree_data(*data)
     config = TreeConfig(min_instances=min_instances)
     tree = build_tree(r, g, y, config)
     moved = renumbered(tree, seed)
-    assert tree_text(moved) == tree_text(tree)
-    assert tree_text(prune(moved, config)) == tree_text(prune(tree, config))
+    restored = tree_from_json(json.loads(json.dumps(tree_to_json(tree))))
+    assert tree_text(moved) == tree_text(restored) == tree_text(tree)
+    want = tree_text(prune(tree, r, g, y, config))
+    assert tree_text(prune(moved, r, g, y, config)) == want
+    assert tree_text(prune(restored, r, g, y, config)) == want
     assert_same_bits(predict_tree(moved, r, g, config), predict_tree(tree, r, g, config))
 
 
