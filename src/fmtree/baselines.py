@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import (
+    EFFORT_FLOOR_PH,
     FEATURE_NAMES,
     Dataset,
     check_field_types,
@@ -20,7 +21,6 @@ from .data import (
     json_object,
 )
 from .evaluation import median_of_sorted
-from .fmt import EFFORT_FLOOR_PH
 from .mtree import (
     SPLIT_KEYS,
     TARGET_SQUARES_OVERFLOW,

@@ -14,6 +14,8 @@ import numpy as np
 FEATURE_NAMES = ("size_ucp", "productivity", "complexity")
 CSV_COLUMNS = ("id", "size_ucp", "productivity", "complexity", "effort_ph")
 PREDICTION_COLUMNS = ("id", "predicted_ph")
+# FMT and Treeboost floor their finite predictions at this effort (PH).
+EFFORT_FLOOR_PH = 1.0
 
 # Strict decimal syntax: no thousands separators, no underscores, no inf/nan.
 _NUMBER = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")

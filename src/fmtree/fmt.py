@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import FEATURE_NAMES, Dataset, json_object
+from .data import EFFORT_FLOOR_PH, FEATURE_NAMES, Dataset, json_object
 from .fcm import (
     FcmConfig,
     FuzzyInferenceModel,
@@ -17,8 +17,6 @@ from .fcm import (
     membership_matrix,
 )
 from .mtree import ModelTree, TreeConfig, build_tree, predict_tree, prune, tree_from_json, tree_to_json
-
-EFFORT_FLOOR_PH = 1.0
 
 logger = logging.getLogger("fmtree")
 

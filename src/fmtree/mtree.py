@@ -22,11 +22,9 @@ _SMALL_NODE_FACTOR = 10.0
 _NEAR_ZERO_ERROR_FRACTION = 1e-5
 _RIDGE_JITTER = 1e-8
 _COND_LIMIT = 1e12
-# A lane, one (node, routing column) pair, of at most this many rows is scanned
-# with the other lanes of its level in padded blocks of at most _BLOCK_CELLS
-# (lane, row) cells; a wider lane alone and unpadded, which bounds the scan's
-# temporaries.
-_SCAN_WIDTH = 2048
+# A level's lanes, one per (node, routing column) pair, are scanned in padded
+# blocks of at most this many (lane, row) cells, which bounds the scan's
+# temporaries; a lane too wide to share a block is a block of its own.
 _BLOCK_CELLS = 2**14
 
 
@@ -229,10 +227,11 @@ def _best_splits(
     order; parent_sd is the population sd of its y.  Splits cut between
     distinct values, and both children keep at least min_instances rows.
     Each node gives one lane per routing column.  The lanes go through _scan
-    in that order, in padded blocks of at most _BLOCK_CELLS cells, which may
-    part a node's lanes; a lane of more than _SCAN_WIDTH rows goes alone, as
-    its order row.  A node's split is the best of its lanes' cuts, ties
-    breaking toward the lowest feature, then the lowest threshold.
+    in that order, consecutive lanes sharing one block, each padded to the
+    widest, while lane count x widest lane <= _BLOCK_CELLS; a block may part
+    a node's lanes, and a lane too wide to share one is a block of its own.
+    A node's split is the best of its lanes' cuts, ties breaking toward the
+    lowest feature, then the lowest threshold.
     """
     d = routing.shape[1]
     widths = [order.shape[1] for order, _ in nodes]
@@ -246,20 +245,16 @@ def _best_splits(
     gain, threshold = np.empty(count), np.empty(count)
     start = 0
     while start < count:
-        width, stop = widths[start // d], start + 1
-        while width <= _SCAN_WIDTH and stop < count:
-            wider = widths[stop // d]
-            if wider > _SCAN_WIDTH or (stop + 1 - start) * wider > _BLOCK_CELLS:
-                break
-            width, stop = wider, stop + 1
-        if stop == start + 1:  # a lone lane needs no padding
-            lanes = nodes[start // d][0][start % d : start % d + 1]
-        else:
-            lanes = np.zeros((stop - start, width), dtype=np.intp)  # padded with row 0
-            for node in range(start // d, (stop - 1) // d + 1):
-                first = node * d
-                a, b = max(start, first), min(stop, first + d)
-                lanes[a - start : b - start, : widths[node]] = nodes[node][0][a - first : b - first]
+        stop = start + 1
+        while stop < count and (stop + 1 - start) * widths[stop // d] <= _BLOCK_CELLS:
+            stop += 1
+        # Lanes come narrowest first, so a block's last lane is its widest; the
+        # others are padded with row 0.
+        lanes = np.zeros((stop - start, widths[(stop - 1) // d]), dtype=np.intp)
+        for node in range(start // d, (stop - 1) // d + 1):
+            first = node * d
+            a, b = max(start, first), min(stop, first + d)
+            lanes[a - start : b - start, : widths[node]] = nodes[node][0][a - first : b - first]
         block = slice(start, stop)
         gain[block], threshold[block] = _scan(
             routing, y, lanes, columns[block], sizes[block], sds[block], min_instances
@@ -284,6 +279,34 @@ def check_target_squares(y: np.ndarray) -> None:
             raise ValueError(TARGET_SQUARES_OVERFLOW)
 
 
+def _tree_data(routing, regression, targets=None, tree: ModelTree | None = None) -> tuple:
+    """The tree-data contract of build_tree, prune and predict_tree: ValueError unless
+    routing and regression are finite 2-D matrices with equal row counts, of the
+    tree's widths if a tree is given, and targets, if given, hold one finite value
+    per row.  Returns them as float arrays, routing in C order (targets None if not given).
+    """
+    # C order, so that each scan's raveled routing matrix is a view, not a copy.
+    r = np.ascontiguousarray(routing, dtype=float)
+    g = np.asarray(regression, dtype=float)
+    if r.ndim != 2 or g.ndim != 2 or len(r) != len(g):
+        raise ValueError("routing and regression must be 2-D matrices with equal row counts")
+    if tree is not None and (r.shape[1], g.shape[1]) != (tree.routing_dim, tree.regression_dim):
+        raise ValueError(
+            f"dimension mismatch: expected routing {tree.routing_dim} / "
+            f"regression {tree.regression_dim}, got {r.shape[1]} / {g.shape[1]}"
+        )
+    if not (np.isfinite(r).all() and np.isfinite(g).all()):
+        raise ValueError("non-finite features")
+    if targets is None:
+        return r, g, None
+    y = np.asarray(targets, dtype=float)
+    if y.shape != (len(r),):
+        raise ValueError("targets must be a vector with one value per routing row")
+    if not np.isfinite(y).all():
+        raise ValueError("non-finite targets")
+    return r, g, y
+
+
 def build_tree(
     routing: np.ndarray,
     regression: np.ndarray,
@@ -299,20 +322,11 @@ def build_tree(
     nodes that may split, one per (node, routing column), are scanned
     together, smallest node first (see _best_splits).  Nodes are numbered as
     they are grown, breadth first from the root, 0.  Every node's model is
-    fitted after growth, in one batched solve.
+    fitted after growth, in one batched solve.  ValueError on rows that break
+    _tree_data's contract, on targets whose squares overflow
+    (check_target_squares) and on fewer than min_instances rows.
     """
-    # C order, so that each scan's raveled routing matrix is a view, not a copy.
-    r = np.ascontiguousarray(routing, dtype=float)
-    g = np.asarray(regression, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    if r.ndim != 2 or g.ndim != 2:
-        raise ValueError("routing and regression must be 2-D matrices")
-    if not (len(r) == len(g) == len(y)):
-        raise ValueError("routing, regression and targets must have equal row counts")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("non-finite targets")
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(g))):
-        raise ValueError("non-finite features")
+    r, g, y = _tree_data(routing, regression, targets)
     check_target_squares(y)
     if len(y) < config.min_instances:
         raise ValueError(
@@ -372,21 +386,6 @@ def _adjust_factor(n: int, v: int, config: TreeConfig) -> float:
     return (n + config.pruning_factor * v) / (n - v)
 
 
-def _matrices(tree: ModelTree, routing, regression) -> tuple[np.ndarray, np.ndarray]:
-    """routing and regression as float matrices; ValueError unless they are 2-D,
-    have equal row counts and have the tree's routing and regression widths."""
-    r = np.asarray(routing, dtype=float)
-    g = np.asarray(regression, dtype=float)
-    if r.ndim != 2 or g.ndim != 2 or len(r) != len(g):
-        raise ValueError("routing and regression must be 2-D matrices with equal row counts")
-    if r.shape[1] != tree.routing_dim or g.shape[1] != tree.regression_dim:
-        raise ValueError(
-            f"dimension mismatch: expected routing {tree.routing_dim} / "
-            f"regression {tree.regression_dim}, got {r.shape[1]} / {g.shape[1]}"
-        )
-    return r, g
-
-
 def prune(
     tree: ModelTree,
     routing: np.ndarray,
@@ -401,15 +400,11 @@ def prune(
     models plus one per split).  The rows must be the ones the tree was grown
     on: routed from the root, they give each node the row set of growth, and
     ValueError is raised where a node's row count differs from its recorded
-    count.  Works bottom-up on those row sets, re-emitting the kept nodes in
-    preorder.
+    count, and on rows that break _tree_data's contract, such as non-finite
+    features or targets.  Works bottom-up on those row sets, re-emitting the
+    kept nodes in preorder.
     """
-    r, g = _matrices(tree, routing, regression)
-    y = np.asarray(targets, dtype=float)
-    if y.shape != (len(r),):
-        raise ValueError("targets must be a vector with one value per routing row")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("non-finite targets")
+    r, g, y = _tree_data(routing, regression, targets, tree)
     v_model = tree.regression_dim + 1
     near_zero = _NEAR_ZERO_ERROR_FRACTION * _popsd(y)
     feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
@@ -463,8 +458,10 @@ def predict_tree(
     ancestor, n_child being the row count of the child just left behind.
     With smoothing_k = 0 this is the raw leaf prediction.  All rows are routed
     to their leaves at once and then climb the parent links together.
+    ValueError unless routing and regression are finite 2-D matrices of the
+    tree's widths with equal row counts.
     """
-    r, g = _matrices(tree, routing, regression)
+    r, g, _ = _tree_data(routing, regression, tree=tree)
     k = config.smoothing_k
     parent = np.full(len(tree.feature), -1)
     inner = np.flatnonzero(tree.feature >= 0)

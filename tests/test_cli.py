@@ -788,13 +788,14 @@ EVERY_MODULE = {"fmtree"} | {f"fmtree.{path.stem}" for path in
     ("import", set()),
     ("evaluate", {"evaluation"}),
     ("predict", {"fcm", "mtree", "fmt"}),
+    ("predict-treeboost", {"mtree", "evaluation", "baselines"}),
     ("ucp", {"ucp"}),
     # `train` checks every kind's knobs before it reads data (cli._configs, pinned by
     # BAD_FLAGS), so it loads each config's module and what those import: every
     # module but svgplot.  Loading less for `train` means changing that contract.
     ("train", {"fcm", "mtree", "fmt", "baselines", "evaluation", "ucp"}),
     ("compare", None),
-], ids=["import", "evaluate", "predict", "ucp", "train", "compare"])
+], ids=["import", "evaluate", "predict", "predict-treeboost", "ucp", "train", "compare"])
 def test_each_command_loads_only_the_modules_it_uses(tmp_path, dataset_csv, command, added):
     """`import fmtree.cli` loads fmtree and its cli and data modules; each command adds
     the modules it calls into (`compare` all of them).  None loads numpy.ma, which
@@ -805,12 +806,18 @@ def test_each_command_loads_only_the_modules_it_uses(tmp_path, dataset_csv, comm
     assert main(["predict", "--model-file", str(model), "--data", str(dataset_csv),
                  "--out", str(predictions)]) == 0
     use_cases.write_text(json.dumps(UCP_MODEL), encoding="utf-8")
+    boosted = tmp_path / "treeboost.json"
+    if command == "predict-treeboost":
+        assert main(["train", "--model", "treeboost", "--trees", "5", "--data", str(dataset_csv),
+                     "--out", str(boosted)]) == 0
     argv = {
         "import": [],
         "evaluate": ["evaluate", "--predictions", str(predictions), "--data", str(dataset_csv),
                      "--out", str(tmp_path / "report.json")],
         "predict": ["predict", "--model-file", str(model), "--data", str(dataset_csv),
                     "--out", str(tmp_path / "again.csv")],
+        "predict-treeboost": ["predict", "--model-file", str(boosted), "--data", str(dataset_csv),
+                              "--out", str(tmp_path / "boosted.csv")],
         "ucp": ["ucp", str(use_cases)],
         "train": ["train", "--model", "fmt", "--data", str(dataset_csv),
                   "--out", str(tmp_path / "again.json")],

@@ -12,7 +12,6 @@ from fmtree import mtree
 from fmtree.baselines import treeboost_from_json, treeboost_to_json
 from fmtree.mtree import (
     _BLOCK_CELLS,
-    _SCAN_WIDTH,
     ModelTree,
     TreeConfig,
     _best_splits,
@@ -193,6 +192,10 @@ class TestBuildTree:
             build_tree(x.ravel(), x, y)
         with pytest.raises(ValueError, match="equal row counts"):
             build_tree(x, x[:-1], y)
+        with pytest.raises(ValueError, match="one value per routing row"):
+            build_tree(x, x, y.reshape(-1, 1))
+        with pytest.raises(ValueError, match="one value per routing row"):
+            build_tree(x, x, y[:-1])
         with pytest.raises(ValueError, match="non-finite targets"):
             build_tree(x, x, np.array([1.0, 2.0, np.nan, 4.0, 5.0, 6.0]))
         with pytest.raises(ValueError, match="non-finite features"):
@@ -327,6 +330,13 @@ class TestSmoothing:
         with pytest.raises(ValueError, match="dimension mismatch"):
             predict_one(tree, [0.0], [0.0, 1.0])
 
+    def test_non_finite_features(self):
+        tree = manual_two_level_tree()
+        with pytest.raises(ValueError, match="non-finite features"):
+            predict_one(tree, [np.nan], [0.0])
+        with pytest.raises(ValueError, match="non-finite features"):
+            predict_one(tree, [0.0], [np.inf])
+
 
 def shifted_root_column(r, g, y):
     """The rows with the root's routing column moved down one row."""
@@ -341,10 +351,13 @@ def shifted_root_column(r, g, y):
     (lambda r, g, y: (r, g[:-1], y), "equal row counts"),
     (lambda r, g, y: (r, g, y[:-1]), "one value per routing row"),
     (lambda r, g, y: (r, g, np.where(y == y.max(), np.nan, y)), "non-finite targets"),
+    (lambda r, g, y: (np.where(r == r.max(), np.inf, r), g, y), "non-finite features"),
+    (lambda r, g, y: (r, np.where(g == g.max(), np.nan, g), y), "non-finite features"),
     (lambda r, g, y: (r[1:], g[1:], y[1:]), "node 0 receives 119 rows but was grown on 120"),
     (shifted_root_column, "not the tree's training rows"),
 ], ids=["routing-width", "regression-width", "regression-rows", "target-rows",
-        "non-finite-target", "row-dropped", "column-shifted"])
+        "non-finite-target", "non-finite-routing", "non-finite-regression", "row-dropped",
+        "column-shifted"])
 def test_prune_rejects_rows_that_are_not_the_training_rows(change, message):
     r, g, y = random_tree_data(3, 120, 2, 1, 1.0)
     config = TreeConfig(min_instances=2)
@@ -615,9 +628,10 @@ class TestGrowthMatchesReference:
         assert tree_text(got) == tree_text(want)
         assert tree_text(prune(got, r, g, y, config)) == tree_text(prune(want, r, g, y, config))
 
-    def test_nodes_wider_than_the_scan_width_and_jittered_models(self):
+    def test_wide_lanes_sharing_a_block_and_jittered_models(self):
         r, g, y = tie_heavy_data(7, 3000, 4, 2, 50, collinear=True)
-        assert len(y) > _SCAN_WIDTH
+        # The root's four lanes of 3000 rows fill one block.
+        assert r.shape[1] * len(y) <= _BLOCK_CELLS
         config = TreeConfig(min_instances=3)
         want, jittered = reference_build_tree(r, g, y, config)
         assert any(jittered)
@@ -625,29 +639,39 @@ class TestGrowthMatchesReference:
         assert tree_text(got) == tree_text(want)
         assert tree_text(prune(got, r, g, y, config)) == tree_text(prune(want, r, g, y, config))
 
-    def test_levels_that_span_several_padded_blocks(self):
+    def test_levels_that_span_several_padded_blocks(self, monkeypatch):
         r, g, y = tie_heavy_data(11, 6000, 9, 2, 1000, collinear=False)
         config = TreeConfig(min_instances=3)
         want, _ = reference_build_tree(r, g, y, config)
-        # The root's lanes are scanned one at a time, and the lanes of at most
-        # _SCAN_WIDTH rows of some level already fill more than one padded block.
-        assert len(y) > _SCAN_WIDTH
+        # The root's lanes are scanned two to a block, and the lanes of some
+        # level below it already fill more than one padded block.
+        assert 2 * len(y) <= _BLOCK_CELLS < 3 * len(y)
         assert any(
-            len(widths) * max(widths) > _BLOCK_CELLS for widths in lane_widths_by_depth(want).values()
+            len(widths) * max(widths) > _BLOCK_CELLS
+            for depth, widths in lane_widths_by_depth(want).items() if depth > 0
         )
+        blocks, scan = [], mtree._scan
+
+        def spy(routing, targets, lanes, *rest):
+            blocks.append(lanes.shape)
+            return scan(routing, targets, lanes, *rest)
+
+        monkeypatch.setattr(mtree, "_scan", spy)
         got = build_tree(r, g, y, config)
+        assert all(c * w <= _BLOCK_CELLS or c == 1 for c, w in blocks)
         assert tree_text(got) == tree_text(want)
         assert tree_text(prune(got, r, g, y, config)) == tree_text(prune(want, r, g, y, config))
 
 
 def lane_widths_by_depth(tree):
     """Depth -> the widths of the lanes of that depth's internal nodes of at most
-    _SCAN_WIDTH rows: each such node gives one lane per routing column."""
+    _BLOCK_CELLS / 2 rows, whose lanes may share a block: each such node gives
+    one lane per routing column."""
     widths, stack = {}, [(0, 0)]
     while stack:
         node, depth = stack.pop()
         if tree.feature[node] >= 0:
-            if tree.count[node] <= _SCAN_WIDTH:
+            if 2 * tree.count[node] <= _BLOCK_CELLS:
                 widths.setdefault(depth, []).extend([int(tree.count[node])] * tree.routing_dim)
             stack += (tree.left[node], depth + 1), (tree.right[node], depth + 1)
     return widths
@@ -661,11 +685,12 @@ class TestLanePacking:
         # 27 lanes, at most 16 of 1000 rows to a block: the boundary falls after
         # the second node's seventh lane, and the first node's lanes are padded.
         (9, (990, 1000, 1010), [(16, 1000, [*range(9), *range(7)]), (11, 1010, [7, 8, *range(9)])]),
-        # A lane wider than _SCAN_WIDTH is scanned alone, unpadded, after a block of narrower ones.
-        (1, (30, 500, 2100), [(2, 500, [0, 0]), (1, 2100, [0])]),
-        # One node's lanes fill a block of their own, and a wider node's go one at a time.
-        (3, (50, 2100), [(3, 50, [0, 1, 2]), (1, 2100, [0]), (1, 2100, [1]), (1, 2100, [2])]),
-    ], ids=["boundary-inside-a-node", "wide-lane-beside-narrow", "wide-node-lane-by-lane"])
+        # A lane wider than _BLOCK_CELLS / 2 shares no block: it is scanned alone,
+        # after a block of narrower ones.
+        (1, (30, 500, 8200), [(2, 500, [0, 0]), (1, 8200, [0])]),
+        # Lanes of 2100 rows share a block, with a narrower node's lanes padded to them.
+        (3, (50, 2100), [(6, 2100, [0, 1, 2, 0, 1, 2])]),
+    ], ids=["boundary-inside-a-node", "wide-lane-beside-narrow", "wide-node-in-one-block"])
     def test_blocks_and_splits_match_reference(self, monkeypatch, d, widths, scans):
         rng = np.random.default_rng(5)
         r = np.round(rng.uniform(size=(sum(widths) + 100, d)), 2)
