@@ -38,6 +38,9 @@ VIF_ALARM = 4.0
 MLR_ALPHA = 0.05
 # The largest log-space MLR score whose exp is a finite float.
 _MAX_LOG_EFFORT = math.log(np.finfo(float).max)
+# Treeboost predict walks the rows in blocks of at most this many (stage, row)
+# cells, or of one row, which bounds its leaf index arrays whatever the row count.
+_PREDICT_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -89,12 +92,15 @@ class TreeboostModel:
 
 def huber_loss(targets: np.ndarray, predictions: np.ndarray, delta: float) -> float:
     """Mean Huber loss: quadratic within delta of zero, linear beyond."""
-    residuals = np.abs(np.asarray(targets, float) - np.asarray(predictions, float))
-    if delta <= 0:
-        return float(np.mean(residuals))
-    quad = residuals <= delta
-    out = np.where(quad, 0.5 * residuals**2, delta * (residuals - 0.5 * delta))
-    return float(np.mean(out))
+    return _mean_huber(np.abs(np.asarray(targets, float) - np.asarray(predictions, float)), delta)
+
+
+def _mean_huber(residuals: np.ndarray, delta: float) -> float:
+    """huber_loss of absolute residuals; np.add.reduce over the count is np.mean's sum."""
+    if delta > 0:
+        quad = residuals <= delta
+        residuals = np.where(quad, 0.5 * residuals**2, delta * (residuals - 0.5 * delta))
+    return float(np.add.reduce(residuals) / len(residuals))
 
 
 def _quantile(values: np.ndarray, q: float) -> float:
@@ -116,12 +122,15 @@ def _quantile(values: np.ndarray, q: float) -> float:
 def _stage_leaf_value(diff: np.ndarray, delta: float) -> float:
     """Huber location step: median plus a clipped mean offset around it.
 
-    The offset's np.add.reduce over the count equals np.mean bit for bit, which
+    The offset is summed in the order of `diff`, so only a copy is sorted.
+    Clipping to [-delta, delta] gives the values of sign * min(|centered|,
+    delta), and np.add.reduce over the count equals np.mean bit for bit, which
     costs several times more on the few rows of a leaf.
     """
-    med = median_of_sorted(np.sort(diff))
-    centered = diff - med
-    clipped = np.sign(centered) * np.minimum(np.abs(centered), delta)
+    ordered = diff.copy()
+    ordered.sort()
+    med = median_of_sorted(ordered)
+    clipped = np.minimum(np.maximum(diff - med, -delta), delta)
     return med + float(np.add.reduce(clipped) / len(clipped))
 
 
@@ -131,81 +140,100 @@ def _best_split(
     sorted_residuals: np.ndarray,
     residuals: np.ndarray,
     rows: np.ndarray,
+    cuts: np.ndarray,
 ) -> tuple[int, float] | None:
     """Least-squares split of the node holding `rows`, or None.
 
     `order` holds the stable argsort of each feature over all rows (one row
     of `order` per feature); `sorted_x` and `sorted_residuals` are the
     feature values and residuals in that order.  Masked to the node, `order`
-    equals the node's own stable argsort.  All features are scanned in one
-    pass; ties go to the lowest feature, then the lowest threshold.
+    equals the node's own stable argsort; a node of every row needs no mask.
+    `cuts` is [1.0, ..., len(residuals) - 1.0].  All features are scanned in
+    one pass; ties go to the lowest feature, then the lowest threshold.
     """
     n = len(rows)
-    node_residuals = residuals[rows]
-    if n < 2 or node_residuals.max() == node_residuals.min():
+    if n < 2:
+        return None
+    if n == len(residuals):
+        node_residuals, vs, rs = residuals, sorted_x, sorted_residuals
+    else:
+        node_residuals = residuals[rows]
+        member = np.zeros(len(residuals), dtype=bool)
+        member[rows] = True
+        in_node = member[order]
+        vs = sorted_x[in_node].reshape(-1, n)
+        rs = sorted_residuals[in_node].reshape(-1, n)
+    if np.maximum.reduce(node_residuals) == np.minimum.reduce(node_residuals):
         return None
     # np.add.reduce sums in np.sum's order, so these equal np.sum and np.mean.
     parent_sse = float(np.add.reduce(node_residuals**2)) - n * float(
         np.add.reduce(node_residuals) / n
     ) ** 2
-    member = np.zeros(len(residuals), dtype=bool)
-    member[rows] = True
-    in_node = member[order]
-    vs = sorted_x[in_node].reshape(-1, n)
-    rs = sorted_residuals[in_node].reshape(-1, n)
     cum = rs.cumsum(axis=1)
     cum2 = (rs * rs).cumsum(axis=1)
     total, total2 = cum[:, -1:], cum2[:, -1:]
     left, left2 = cum[:, :-1], cum2[:, :-1]
-    nl = np.arange(1, n, dtype=float)
-    nr = n - nl
+    # Views of cuts: nl = 1, ..., n - 1 rows go left, and nr = n - nl right.
+    nl, nr = cuts[: n - 1], cuts[n - 2 :: -1]
     sse = (left2 - left**2 / nl) + ((total2 - left2) - (total - left) ** 2 / nr)
     gain = parent_sse - sse
     gain[vs[:, 1:] == vs[:, :-1]] = -np.inf
-    cut = gain.argmax(axis=1)
-    best = gain[np.arange(len(cut)), cut]
-    usable = np.isfinite(best) & (best > 0.0)
-    if not usable.any():
+    # The lowest feature of the highest finite, positive best gain; NaN never wins.
+    feature, top = -1, 0.0
+    for f, best in enumerate(np.maximum.reduce(gain, axis=1).tolist()):
+        if top < best < math.inf:
+            feature, top = f, best
+    if feature < 0:
         return None
-    feature = int(np.where(usable, best, -np.inf).argmax())
-    j = cut[feature]
+    j = int(gain[feature].argmax())
     return feature, float((vs[feature, j] + vs[feature, j + 1]) / 2.0)
 
 
 def _grow_stage_tree(
-    xs: np.ndarray, pseudo: np.ndarray, diff: np.ndarray, delta: float, max_depth: int
-) -> StageTree:
-    """Grow one stage depth first: splits fit the pseudo-residuals, and each
-    leaf takes the Huber location step of its rows' raw residuals `diff`."""
+    x: np.ndarray, sub: np.ndarray, pseudo: np.ndarray, diff: np.ndarray, delta: float, depth: int
+) -> tuple[StageTree, np.ndarray]:
+    """Grow one stage depth first on the rows `sub` of x: splits fit the
+    pseudo-residuals, and each leaf takes the Huber location step of its rows'
+    raw residuals `diff`.  Each split also routes every row of x by the same
+    `<=` test, so the stage's value for each row, tree.value[tree.apply(x,
+    root)], comes back with the tree.
+    """
+    xs, ps, ds = x[sub], pseudo[sub], diff[sub]
+    d = xs.shape[1]
     order = np.argsort(xs, axis=0, kind="stable").T
-    sorted_x = np.take_along_axis(xs.T, order, axis=1)
-    sorted_pseudo = pseudo[order]
+    # Gathered through one flat index, as mtree's scan does.
+    sorted_x = xs.ravel()[order * d + np.arange(d)[:, None]]
+    sorted_pseudo = ps[order]
+    cuts = np.arange(1.0, len(sub))
+    step = np.empty(len(x))
     # Preorder node rows [feature, threshold, left, right, value].
     nodes: list[list] = []
 
-    def grow(rows: np.ndarray, depth_left: int) -> int:
+    def grow(rows: np.ndarray, routed: np.ndarray, depth_left: int) -> int:
+        """Grow the node of subsample positions `rows` and rows `routed` of x."""
         node = len(nodes)
         row = [-1, 0.0, -1, -1, 0.0]
         nodes.append(row)
-        split = None
-        if depth_left > 0:
-            split = _best_split(order, sorted_x, sorted_pseudo, pseudo, rows)
-        if split is None:
+        split = depth_left > 0 and _best_split(order, sorted_x, sorted_pseudo, ps, rows, cuts)
+        if not split:
             if len(rows):
-                row[4] = _stage_leaf_value(diff[rows], delta)
+                row[4] = _stage_leaf_value(ds[rows], delta)
+            step[routed] = row[4]
             return node
         feature, threshold = split
-        go_left = xs[rows, feature] <= threshold
+        # One column's rows index faster than xs[rows, feature].
+        go_left = xs.T[feature][rows] <= threshold
+        send_left = x.T[feature][routed] <= threshold
         row[:4] = (
             feature,
             threshold,
-            grow(rows[go_left], depth_left - 1),
-            grow(rows[~go_left], depth_left - 1),
+            grow(rows[go_left], routed[send_left], depth_left - 1),
+            grow(rows[~go_left], routed[~send_left], depth_left - 1),
         )
         return node
 
-    grow(np.arange(len(pseudo)), max_depth)
-    return StageTree.from_rows(nodes)
+    grow(np.arange(len(sub)), np.arange(len(x)), depth)
+    return StageTree.from_rows(nodes), step
 
 
 def fit_treeboost(train: Dataset, config: TreeboostConfig = TreeboostConfig()) -> TreeboostModel:
@@ -229,18 +257,17 @@ def fit_treeboost(train: Dataset, config: TreeboostConfig = TreeboostConfig()) -
     if float(np.ptp(y)) == 0.0:
         return model
     current = np.full(len(y), f0)
-    root = np.zeros(len(y), dtype=np.intp)
     rng = np.random.default_rng(config.seed)
+    trim = int(config.influence_trimming * len(y))
     # Each round's residuals and delta, which also give the previous round's loss.
     diff = y - current
     abs_diff = np.abs(diff)
     delta = _quantile(abs_diff, config.huber_quantile)
     for _ in range(config.n_trees):
-        if float(abs_diff.max()) == 0.0:
+        if np.maximum.reduce(abs_diff) == 0.0:
             break
         pseudo = np.where(abs_diff <= delta, diff, delta * np.sign(diff))
         keep = np.arange(len(y))
-        trim = int(config.influence_trimming * len(y))
         if trim > 0:
             keep = np.argsort(np.abs(pseudo), kind="stable")[trim:]
             keep.sort()
@@ -251,15 +278,15 @@ def fit_treeboost(train: Dataset, config: TreeboostConfig = TreeboostConfig()) -
         # overflow while the targets' own sum of squares does not.
         try:
             with np.errstate(over="raise"):
-                tree = _grow_stage_tree(x[sub], pseudo[sub], diff[sub], delta, config.max_depth)
+                tree, step = _grow_stage_tree(x, sub, pseudo, diff, delta, config.max_depth)
         except FloatingPointError:
             raise ValueError(TARGET_SQUARES_OVERFLOW) from None
         model.trees.append(tree)
-        current = current + config.shrinkage * tree.value[tree.apply(x, root)]
+        current = current + config.shrinkage * step
         diff = y - current
         abs_diff = np.abs(diff)
         delta = _quantile(abs_diff, config.huber_quantile)
-        model.loss_trace.append(huber_loss(y, current, delta))
+        model.loss_trace.append(_mean_huber(abs_diff, delta))
     return model
 
 
@@ -283,14 +310,21 @@ def _forest(trees: list[StageTree]) -> tuple[StageTree, np.ndarray]:
 
 
 def predict_treeboost_dataset(model: TreeboostModel, dataset: Dataset) -> np.ndarray:
-    """Predict every project, adding stages in tree order; finite outputs are floored at 1 PH."""
+    """Predict every project, adding stages in tree order; finite outputs are floored at 1 PH.
+
+    The rows go in blocks of at most _PREDICT_CELLS (stage, row) cells; each
+    row's sum is the same whichever block it falls in.
+    """
     x = dataset.features
     total = np.zeros(len(x))
     if model.trees:
         forest, roots = _forest(model.trees)
-        leaves = forest.apply(x, np.broadcast_to(roots[:, None], (len(roots), len(x))))
-        for stage_values in forest.value[leaves]:
-            total += stage_values
+        block = max(1, _PREDICT_CELLS // len(roots))
+        for start in range(0, len(x), block):
+            rows, part = x[start : start + block], total[start : start + block]
+            leaves = forest.apply(rows, np.broadcast_to(roots[:, None], (len(roots), len(rows))))
+            for stage_values in forest.value[leaves]:
+                part += stage_values
     predictions = model.f0 + model.shrinkage * total
     return np.maximum(predictions, EFFORT_FLOOR_PH, out=predictions, where=np.isfinite(predictions))
 

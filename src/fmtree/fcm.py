@@ -183,6 +183,21 @@ def _as_feature_matrix(features: np.ndarray) -> np.ndarray:
 #   transpose and summed whole: the same values in the same layout.
 
 
+def _power(a: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
+    """a ** p, bit for bit, written into `out`.
+
+    numpy's `**` takes its square and reciprocal shortcuts only for the
+    Python ints 2 and -1, and runs the slower generic pow kernel for the
+    floats 2.0 and -1.0 that fuzzifiers give.  pow(x, 2.0) equals x * x and
+    pow(x, -1.0) equals 1 / x, so those two take np.square and np.reciprocal.
+    """
+    if p == 2.0:
+        return np.square(a, out=out)
+    if p == -1.0:
+        return np.reciprocal(a, out=out)
+    return np.power(a, p, out=out)
+
+
 def _row_major(at: np.ndarray) -> np.ndarray:
     """(n, k) C-ordered copy of a (k, n) array, filled one column at a time."""
     a = np.empty(at.shape[::-1])
@@ -219,7 +234,7 @@ def _memberships_t(
     nearest = d2t.min(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.divide(d2t, nearest, out=out)
-        w **= -1.0 / (fuzzifier_m - 1.0)
+        _power(w, -1.0 / (fuzzifier_m - 1.0), out=w)
     on_center = np.flatnonzero(nearest == 0.0)
     if on_center.size:
         w[:, on_center] = 0.0
@@ -261,18 +276,19 @@ def fcm_cluster(features: np.ndarray, config: FcmConfig = FcmConfig()) -> FuzzyP
     ut = np.ascontiguousarray(u.T)
     ut_next, umt, d2t, work = (np.empty_like(ut) for _ in range(4))
     terms = work.reshape(n, config.k)  # the objective's (n, k) products, in work's memory
-    umt[:] = ut
-    umt **= m
+    _power(ut, m, out=umt)
     centers = np.zeros((config.k, d))
     trace: list[float] = []
     for _ in range(config.max_iterations):
         weights = np.add.accumulate(umt, axis=1, out=work)[:, -1]
         fresh = weights > 0
-        centers[fresh] = (umt[fresh] @ x) / weights[fresh, None]
+        if fresh.all():  # skips umt[fresh], a copy of all of umt
+            np.divide(umt @ x, weights[:, None], out=centers)
+        else:
+            centers[fresh] = (umt[fresh] @ x) / weights[fresh, None]
         _squared_distances_t(xt, centers, out=d2t)
         _memberships_t(d2t, m, out=ut_next)
-        umt[:] = ut_next
-        umt **= m
+        _power(ut_next, m, out=umt)
         np.multiply(umt, d2t, out=terms.T)
         trace.append(float(terms.sum()))
         np.subtract(ut_next, ut, out=work)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,12 +15,15 @@ from scipy.special import stdtr
 
 from conftest import BENCHMARK_TRAIN, piecewise_dataset
 from fmtree.baselines import (
+    _PREDICT_CELLS,
     MLR_TERMS,
     MlrModel,
     StageTree,
     TreeboostConfig,
     TreeboostModel,
     _best_split,
+    _forest,
+    _grow_stage_tree,
     _quantile,
     _stage_leaf_value,
     fit_mlr,
@@ -130,6 +134,13 @@ def reference_split(x, residuals):
     return None if best is None else best[1:]
 
 
+def best_split(x, residuals, rows):
+    order = np.argsort(x, axis=0, kind="stable").T
+    sorted_x = np.take_along_axis(x.T, order, axis=1)
+    cuts = np.arange(1.0, len(residuals))
+    return _best_split(order, sorted_x, residuals[order], residuals, rows, cuts)
+
+
 class TestBestSplit:
     @given(st.data())
     def test_matches_per_feature_scan_on_any_node(self, data):
@@ -138,10 +149,37 @@ class TestBestSplit:
         residuals = data.draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
         member = data.draw(arrays(np.bool_, n))
         rows = np.flatnonzero(member)
-        order = np.argsort(x, axis=0, kind="stable").T
-        sorted_x = np.take_along_axis(x.T, order, axis=1)
-        got = _best_split(order, sorted_x, residuals[order], residuals, rows)
-        assert got == reference_split(x[rows], residuals[rows])
+        assert best_split(x, residuals, rows) == reference_split(x[rows], residuals[rows])
+
+    @given(st.data())
+    def test_node_of_every_row_reads_the_sorted_arrays_unmasked(self, data):
+        n = data.draw(st.integers(1, 30))
+        x = data.draw(arrays(np.float64, (n, 3), elements=st.integers(0, 6).map(float)))
+        residuals = data.draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
+        assert best_split(x, residuals, np.arange(n)) == reference_split(x, residuals)
+
+
+class TestStageRouting:
+    @given(st.data())
+    def test_routed_leaf_values_equal_a_walk_of_the_tree(self, data):
+        # Integer features tie often, and a training row outside the subsample
+        # can sit exactly on a threshold halfway between two subsample values.
+        n = data.draw(st.integers(2, 40))
+        x = data.draw(arrays(np.float64, (n, 3), elements=st.integers(0, 4).map(float)))
+        diff = data.draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
+        sub = np.flatnonzero(data.draw(arrays(np.bool_, n).filter(np.any)))
+        delta = data.draw(st.floats(0.0, 1e3))
+        pseudo = np.where(np.abs(diff) <= delta, diff, delta * np.sign(diff))
+        tree, step = _grow_stage_tree(x, sub, pseudo, diff, delta, data.draw(st.integers(1, 4)))
+        walked = tree.value[tree.apply(x, np.zeros(n, dtype=np.intp))]
+        assert step.tobytes() == walked.tobytes()
+
+    def test_row_on_a_threshold_goes_left(self):
+        x = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        diff = np.array([-1.0, 1.0, 5.0])
+        tree, step = _grow_stage_tree(x, np.array([0, 1]), diff, diff, 10.0, 1)
+        assert tree.threshold[0] == 1.0
+        assert step.tolist() == [-1.0, 1.0, -1.0]
 
 
 class TestStageLeafValue:
@@ -316,6 +354,32 @@ class TestTreeboost:
         assert [
             predict_treeboost_dataset(model, test.take([i]))[0] for i in range(len(test))
         ] == expected
+
+    def test_predict_in_row_blocks_equals_the_whole_forest_in_bounded_memory(self):
+        # The pinned holdout goes in one block.
+        assert (len(piecewise_dataset()) - BENCHMARK_TRAIN) * 1000 <= _PREDICT_CELLS
+        train, _ = split_holdout(piecewise_dataset(), BENCHMARK_TRAIN, seed=2014)
+        model = fit_treeboost(train, TreeboostConfig(n_trees=200, max_depth=4, seed=3))
+        rows = piecewise_dataset(4000, seed=7)
+        assert len(model.trees) * len(rows) > 10 * _PREDICT_CELLS
+        # Every row through every stage at once, as predict went before it took blocks.
+        forest, roots = _forest(model.trees)
+        starts = np.broadcast_to(roots[:, None], (len(roots), len(rows)))
+        leaves = forest.apply(rows.features, starts)
+        total = np.zeros(len(rows))
+        for stage_values in forest.value[leaves]:
+            total += stage_values
+        expected = np.maximum(model.f0 + model.shrinkage * total, 1.0)
+        del leaves
+        tracemalloc.start()
+        try:
+            got = predict_treeboost_dataset(model, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == expected.tobytes()
+        # Whole, the (stage, row) arrays would take 6.4 MB each.
+        assert peak < 16 * 8 * _PREDICT_CELLS
 
     @pytest.mark.parametrize("seed", sorted(TREEBOOST_REFERENCE["fits"]))
     def test_fit_matches_recorded_reference(self, seed):

@@ -290,6 +290,36 @@ def test_fcm_matches_reference_bit_for_bit(data):
     assert_same_partition(x, config)
 
 
+def test_cluster_whose_weight_underflows_keeps_its_center():
+    # At m = 700 the third cluster's memberships raised to m all underflow to
+    # 0 after two iterations, so the third iteration updates the other two
+    # centers only.
+    _, points = planted_points()
+    _, u, _ = reference_fcm(points, FcmConfig(k=3, fuzzifier_m=700.0, max_iterations=2))
+    weights = (u**700.0).sum(axis=0)
+    assert (weights == 0.0).any() and (weights > 0.0).any()
+    assert_same_partition(points, FcmConfig(k=3, fuzzifier_m=700.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.integers(1, 70),
+        elements=st.one_of(
+            st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, 2.0**-1030, 1.0]),
+            st.floats(allow_nan=False),
+        ),
+    ),
+    st.sampled_from([2.0, -1.0, 1.5, 3.0, -0.5]),
+)
+def test_power_equals_the_pow_operator_bit_for_bit(a, p):
+    with np.errstate(all="ignore"):
+        expected = a**p
+        got = fcm._power(a, p, out=np.empty_like(a))
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_point_on_a_center_takes_the_zero_distance_branch(monkeypatch):
     calls = []
     original = fcm._memberships_t
