@@ -22,7 +22,6 @@ from .data import (
 )
 from .evaluation import median_of_sorted
 from .mtree import (
-    SPLIT_KEYS,
     TARGET_SQUARES_OVERFLOW,
     FlatTree,
     check_target_squares,
@@ -330,12 +329,7 @@ def predict_treeboost_dataset(model: TreeboostModel, dataset: Dataset) -> np.nda
 
 
 def _stage_payload(node: dict, path: str, splits: bool) -> tuple:
-    if set(node) != (SPLIT_KEYS if splits else {"value"}):
-        raise ValueError(
-            f"{path} must hold either 'value' or 'feature', 'threshold', 'left' "
-            f"and 'right', got keys {sorted(node)}"
-        )
-    return (0.0,) if splits else (finite_number(node["value"], f"{path}.value"),)
+    return (0.0,) if splits else (finite_number(node.get("value"), f"{path}.value"),)
 
 
 def treeboost_to_json(model: TreeboostModel) -> dict:
@@ -368,7 +362,9 @@ def treeboost_from_json(doc: dict) -> TreeboostModel:
         shrinkage,
         [
             StageTree.from_rows(
-                nodes_from_json(t, f"trees[{i}]", len(FEATURE_NAMES), _stage_payload)
+                nodes_from_json(
+                    t, f"trees[{i}]", len(FEATURE_NAMES), {"value"}, set(), _stage_payload
+                )
             )
             for i, t in enumerate(trees)
         ],

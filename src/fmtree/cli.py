@@ -100,8 +100,7 @@ def _ratio(args: argparse.Namespace) -> float:
 
 
 def _ucp_from_json(doc: dict) -> float:
-    ratio = doc.get("ratio", fmtree.ucp.DEFAULT_EFFORT_RATIO)
-    return fmtree.ucp.check_ratio(finite_number(ratio, "ucp ratio"))
+    return fmtree.ucp.check_ratio(finite_number(doc.get("ratio"), "ucp ratio"))
 
 
 # The lambdas look modules and functions up at call time: a kind's module
@@ -114,7 +113,7 @@ KINDS: dict[str, Kind] = {
         lambda args: fmtree.fcm.FcmConfig(
             **_given(k=args.clusters, fuzzifier_m=args.fuzzifier), seed=args.seed
         ),
-        lambda train, config: fmtree.fmt.train_fmt(train, config, fmtree.mtree.TreeConfig()),
+        lambda train, config: fmtree.fmt.train_fmt(train, config),
         lambda model, dataset: fmtree.fmt.predict_fmt_dataset(model, dataset),
         lambda model: fmtree.fmt.fmt_to_json(model),
         lambda doc: fmtree.fmt.fmt_from_json(doc),

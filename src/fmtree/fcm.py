@@ -103,13 +103,13 @@ class Standardization:
 class FuzzyInferenceModel:
     """One Gaussian membership function per (feature, cluster) pair.
 
-    centers and sigmas are (d, k) arrays in the model's own feature space; if a
-    standardization is attached, inputs are z-scored with it before evaluation.
+    centers and sigmas are (d, k) arrays in the z-scored feature space; inputs
+    are z-scored with the standardization before evaluation.
     """
 
     centers: np.ndarray
     sigmas: np.ndarray
-    standardization: Standardization | None = None
+    standardization: Standardization
 
     @property
     def feature_count(self) -> int:
@@ -123,9 +123,7 @@ class FuzzyInferenceModel:
         return {
             "centers": self.centers.tolist(),
             "sigmas": self.sigmas.tolist(),
-            "standardization": None
-            if self.standardization is None
-            else self.standardization.to_json(),
+            "standardization": self.standardization.to_json(),
         }
 
     @classmethod
@@ -140,11 +138,8 @@ class FuzzyInferenceModel:
             )
         if not np.all(sigmas > 0):
             raise ValueError("fuzzy sigmas must be positive")
-        std = doc.get("standardization")
         return cls(
-            centers,
-            sigmas,
-            None if std is None else Standardization.from_json(std, len(centers)),
+            centers, sigmas, Standardization.from_json(doc.get("standardization"), len(centers))
         )
 
 
@@ -206,13 +201,8 @@ def _row_major(at: np.ndarray) -> np.ndarray:
     return a
 
 
-def _squared_distances_t(
-    xt: np.ndarray, centers: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """(k, n) squared distances from each center to each column of the (d, n) xt.
-
-    Written into `out`, if given.
-    """
+def _squared_distances_t(xt: np.ndarray, centers: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(k, n) squared distances from each center to each column of the (d, n) xt, into `out`."""
     d2t = np.subtract(xt[0], centers[:, :1], out=out)
     d2t **= 2
     term = np.empty_like(d2t)
@@ -223,10 +213,8 @@ def _squared_distances_t(
     return d2t
 
 
-def _memberships_t(
-    d2t: np.ndarray, fuzzifier_m: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """(k, n) memberships from (k, n) squared distances, written into `out` if given.
+def _memberships_t(d2t: np.ndarray, fuzzifier_m: float, out: np.ndarray) -> np.ndarray:
+    """(k, n) memberships from (k, n) squared distances, written into `out`.
 
     A point sitting exactly on a center gets full membership at the first such
     center; its column then sums to exactly 1.0 in the normalization.
@@ -303,9 +291,10 @@ def fcm_cluster(features: np.ndarray, config: FcmConfig = FcmConfig()) -> FuzzyP
 def build_fuzzy_model(
     partition: FuzzyPartition,
     features: np.ndarray,
-    standardization: Standardization | None = None,
+    standardization: Standardization,
 ) -> FuzzyInferenceModel:
-    """Derive Gaussian membership functions from an FCM partition.
+    """Derive Gaussian membership functions from an FCM partition of `features`,
+    which are z-scores under `standardization`.
 
     Per (feature j, cluster c): the Gaussian center is the cluster center's
     j-th coordinate and the width is the membership-weighted standard
@@ -333,7 +322,7 @@ def build_fuzzy_model(
 
 
 def membership_matrix(model: FuzzyInferenceModel, features: np.ndarray) -> np.ndarray:
-    """Evaluate all Gaussian functions on each row.
+    """Evaluate all Gaussian functions on each row, z-scored by the model's standardization.
 
     Returns an (m, d*k) matrix, columns ordered feature-major: all clusters of
     feature 0, then all clusters of feature 1, and so on.
@@ -343,8 +332,7 @@ def membership_matrix(model: FuzzyInferenceModel, features: np.ndarray) -> np.nd
         raise ValueError(
             f"dimension mismatch: model expects {model.feature_count} features, got {x.shape[1]}"
         )
-    if model.standardization is not None:
-        x = model.standardization.apply(x)
+    x = model.standardization.apply(x)
     z = (x[:, :, None] - model.centers[None, :, :]) / model.sigmas[None, :, :]
     values = np.exp(-0.5 * z * z)
     return values.reshape(x.shape[0], model.feature_count * model.cluster_count)

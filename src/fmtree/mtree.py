@@ -496,27 +496,35 @@ SPLIT_KEYS = {"feature", "threshold", "left", "right"}
 
 
 def nodes_from_json(
-    doc, path: str, feature_bound: int, read_payload: Callable[[dict, str, bool], tuple]
+    doc,
+    path: str,
+    feature_bound: int,
+    leaf_keys: set[str],
+    split_keys: set[str],
+    read_payload: Callable[[dict, str, bool], tuple],
 ) -> list[list]:
     """Preorder node rows of a nested JSON tree; ValueError on any malformed node.
 
-    A node that holds any of SPLIT_KEYS splits, and must then hold all four;
-    its feature must lie in [0, feature_bound).  read_payload(node, path,
-    splits) checks the node's own keys and returns its payload.
+    A node that holds any of SPLIT_KEYS splits.  A leaf holds exactly the
+    payload keys leaf_keys, and a split exactly split_keys plus all four
+    SPLIT_KEYS; its feature must lie in [0, feature_bound).
+    read_payload(node, path, splits) reads the payload keys and returns the
+    node's payload.
     """
     rows: list[list] = []
+    split_shape = split_keys | SPLIT_KEYS
 
     def add(node, where: str) -> int:
-        splits = SPLIT_KEYS & json_object(node, where).keys()
-        if splits and splits != SPLIT_KEYS:
-            raise ValueError(
-                f"{where} must hold all or none of 'feature', 'threshold', 'left' and 'right', "
-                f"got keys {sorted(node)}"
-            )
+        splits = not SPLIT_KEYS.isdisjoint(json_object(node, where))
         index = len(rows)
         row = [-1, 0.0, -1, -1]
         rows.append(row)
-        row.extend(read_payload(node, where, bool(splits)))
+        row.extend(read_payload(node, where, splits))
+        if node.keys() != (split_shape if splits else leaf_keys):
+            raise ValueError(
+                f"{where} must hold the keys {sorted(leaf_keys)} at a leaf or "
+                f"{sorted(split_shape)} at a split, got {sorted(node)}"
+            )
         if splits:
             row[0] = json_int(node["feature"], f"{where}.feature", 0, feature_bound)
             row[1] = finite_number(node["threshold"], f"{where}.threshold")
@@ -562,5 +570,8 @@ def tree_from_json(doc: dict) -> ModelTree:
         mae = finite_number(node.get("mae"), f"{path}.mae")
         return count, mae, [intercept, *coefficients]
 
-    rows = nodes_from_json(doc.get("root"), "tree.root", routing_dim, read_payload)
+    payload_keys = {"count", "mae", "model"}
+    rows = nodes_from_json(
+        doc.get("root"), "tree.root", routing_dim, payload_keys, payload_keys, read_payload
+    )
     return ModelTree.from_rows(rows, routing_dim, regression_dim)

@@ -358,6 +358,7 @@ class TestTrainPredictEvaluate:
             ('{"kind": "ucp", "ratio": NaN}', "ucp ratio must be finite"),
             ('{"kind": "ucp", "ratio": null}', "ucp ratio must be a number"),
             ('{"kind": "ucp", "ratio": -2}', "ratio must be positive"),
+            ('{"kind": "ucp"}', "ucp ratio must be a number, got None"),
             ('{"kind": "mlr", "coefficients": null, "diagnostics": {}}', "mlr coefficients"),
             ('{"kind": "mlr", "coefficients": {"intercept": 1, "ln_size": 1, "productivity":'
              ' "x", "complexity": 1}, "diagnostics": {}}', "productivity must be a number"),
@@ -373,14 +374,27 @@ class TestTrainPredictEvaluate:
              ' "fuzzy": {"centers": [[0], [0], [0]], "sigmas": [[1], [1], [0]]}}',
              "sigmas must be positive"),
             ('{"kind": "fmt", "feature_names": ["size_ucp", "productivity", "complexity"],'
-             ' "fuzzy": {"centers": [[0], [0], [0]], "sigmas": [[1], [1], [1]]},'
+             ' "fuzzy": {"centers": [[0], [0], [0]], "sigmas": [[1], [1], [1]],'
+             ' "standardization": null}}',
+             "standardization must be a JSON object, got None"),
+            ('{"kind": "fmt", "feature_names": ["size_ucp", "productivity", "complexity"],'
+             ' "fuzzy": {"centers": [[0], [0], [0]], "sigmas": [[1], [1], [1]],'
+             ' "standardization": {"mean": [0, 0, 0], "scale": [1, 1, 1]}},'
              ' "tree": {"routing_dim": 3, "regression_dim": 3, "root": {"count": 5,'
              ' "mae": 0.0, "model": {"intercept": 1.0, "coefficients": [0, 0, 0]},'
              ' "feature": 3, "threshold": 0.5, "left": {}, "right": {}}}}',
              "tree.root.feature must be an integer in [0, 3)"),
+            ('{"kind": "fmt", "feature_names": ["size_ucp", "productivity", "complexity"],'
+             ' "fuzzy": {"centers": [[0], [0], [0]], "sigmas": [[1], [1], [1]],'
+             ' "standardization": {"mean": [0, 0, 0], "scale": [1, 1, 1]}},'
+             ' "tree": {"routing_dim": 3, "regression_dim": 3, "root": {"count": 5,'
+             ' "mae": 0.0, "model": {"intercept": 1.0, "coefficients": [0, 0, 0]},'
+             ' "bogus": 1}}}',
+             "tree.root must hold the keys ['count', 'mae', 'model'] at a leaf"),
             pytest.param('{"kind": "fmt", "feature_names": ["size_ucp", "productivity",'
                          ' "complexity"], "fuzzy": {"centers": [[0], [0], [0]], "sigmas":'
-                         ' [[1], [1], [1]]}, "tree": {"routing_dim": 3, "regression_dim": 3,'
+                         ' [[1], [1], [1]], "standardization": {"mean": [0, 0, 0], "scale":'
+                         ' [1, 1, 1]}}, "tree": {"routing_dim": 3, "regression_dim": 3,'
                          ' "root": {"count": 1' + "0" * 400 + ', "mae": 0.0, "model":'
                          ' {"intercept": 1.0, "coefficients": [0, 0, 0]}}}}',
                          "tree.root.count must be an integer in [1, 9007199254740992)",

@@ -20,6 +20,11 @@ from fmtree.fcm import (
 )
 
 
+def identity(d):
+    """A standardization that leaves d features as they are: (x - 0.0) / 1.0 is x."""
+    return Standardization(np.zeros(d), np.ones(d))
+
+
 def planted_points(seed=42, per_cluster=100, noise=0.3):
     rng = np.random.default_rng(seed)
     centers = np.array([[0.0, 0.0], [5.0, 5.0], [0.0, 5.0]])
@@ -82,7 +87,7 @@ def test_determinism_per_seed():
 
 def test_zero_distance_guard():
     d2 = np.array([[0.0, 4.0], [4.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
-    u = fcm._memberships_t(d2.T, 2.0).T
+    u = fcm._memberships_t(d2.T, 2.0, np.empty_like(d2.T)).T
     assert_allclose(u[0], [1.0, 0.0])
     assert_allclose(u[1], [0.0, 1.0])
     assert_allclose(u[2], [0.5, 0.5])
@@ -109,7 +114,7 @@ def test_fuzzy_model_shapes_and_center_value():
     rng = np.random.default_rng(0)
     x = rng.uniform(0, 10, size=(60, 3))
     part = fcm_cluster(x, FcmConfig(k=3, seed=2))
-    model = build_fuzzy_model(part, x)
+    model = build_fuzzy_model(part, x, identity(x.shape[1]))
     assert model.centers.shape == (3, 3) and model.sigmas.shape == (3, 3)
     # evaluating any function at its own center yields exactly 1
     for c in range(3):
@@ -121,7 +126,7 @@ def test_fuzzy_model_shapes_and_center_value():
 def test_membership_at_one_sigma():
     x = np.array([[0.0], [2.0], [4.0], [6.0]])
     part = fcm_cluster(x, FcmConfig(k=2, seed=0))
-    model = build_fuzzy_model(part, x)
+    model = build_fuzzy_model(part, x, identity(x.shape[1]))
     center, sigma = model.centers[0, 0], model.sigmas[0, 0]
     value = membership_matrix(model, np.array([[center + sigma]]))[0, 0]
     assert value == pytest.approx(math.exp(-0.5), rel=1e-12)
@@ -130,14 +135,14 @@ def test_membership_at_one_sigma():
 def test_sigma_estimates_population_sd():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((10000, 1))
-    model = build_fuzzy_model(fcm_cluster(x, FcmConfig(k=1)), x)
+    model = build_fuzzy_model(fcm_cluster(x, FcmConfig(k=1)), x, identity(1))
     assert abs(model.sigmas[0, 0] - 1.0) < 0.05
 
 
 def test_sigma_floor_for_constant_feature():
     x = np.array([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
     part = fcm_cluster(x, FcmConfig(k=2, seed=4))
-    model = build_fuzzy_model(part, x)
+    model = build_fuzzy_model(part, x, identity(x.shape[1]))
     assert np.all(model.sigmas[1, :] == 1e-6)
     # the constant feature still evaluates to 1 at its only value
     values = membership_matrix(model, np.array([[1.5, 5.0]]))
@@ -148,7 +153,7 @@ def test_membership_matrix_shape_and_order():
     rng = np.random.default_rng(5)
     x = rng.uniform(0, 1, size=(59, 3))
     part = fcm_cluster(x, FcmConfig(k=3, seed=5))
-    model = build_fuzzy_model(part, x)
+    model = build_fuzzy_model(part, x, identity(x.shape[1]))
     matrix = membership_matrix(model, x)
     assert matrix.shape == (59, 9)
     # column j*k + c must equal the Gaussian of feature j, cluster c
@@ -165,8 +170,10 @@ def test_cluster_permutation_preserves_value_multiset():
     rng = np.random.default_rng(8)
     x = rng.uniform(0, 3, size=(40, 2))
     part = fcm_cluster(x, FcmConfig(k=3, seed=8))
-    model = build_fuzzy_model(part, x)
-    permuted = FuzzyInferenceModel(model.centers[:, [2, 0, 1]], model.sigmas[:, [2, 0, 1]])
+    model = build_fuzzy_model(part, x, identity(x.shape[1]))
+    permuted = FuzzyInferenceModel(
+        model.centers[:, [2, 0, 1]], model.sigmas[:, [2, 0, 1]], model.standardization
+    )
     a = np.sort(membership_matrix(model, x).ravel())
     b = np.sort(membership_matrix(permuted, x).ravel())
     assert_allclose(a, b, rtol=0, atol=0)
@@ -181,7 +188,7 @@ def test_standardization_applied_by_model():
     assert_allclose(z.std(axis=0), 1.0, atol=1e-12)
     part = fcm_cluster(z, FcmConfig(k=2, seed=9))
     with_std = build_fuzzy_model(part, z, standardization=std)
-    without = build_fuzzy_model(part, z)
+    without = build_fuzzy_model(part, z, identity(3))
     assert_allclose(membership_matrix(with_std, x), membership_matrix(without, z), rtol=1e-12)
 
 
@@ -207,8 +214,8 @@ def test_dimension_mismatch_errors():
     x = rng.uniform(0, 1, size=(20, 2))
     part = fcm_cluster(x, FcmConfig(k=2, seed=11))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        build_fuzzy_model(part, x[:, :1])
-    model = build_fuzzy_model(part, x)
+        build_fuzzy_model(part, x[:, :1], identity(1))
+    model = build_fuzzy_model(part, x, identity(x.shape[1]))
     with pytest.raises(ValueError, match="dimension mismatch"):
         membership_matrix(model, np.ones((3, 5)))
 
@@ -388,7 +395,8 @@ def test_each_call_returns_its_own_row_major_arrays():
     st.sampled_from([1.5, 2.0, 3.0]),
 )
 def test_cluster_major_memberships_match_reference(d2, fuzzifier_m):
-    got = fcm._memberships_t(np.ascontiguousarray(d2.T), fuzzifier_m)
+    d2t = np.ascontiguousarray(d2.T)
+    got = fcm._memberships_t(d2t, fuzzifier_m, np.empty_like(d2t))
     assert np.array_equal(got.T, reference_memberships(d2, fuzzifier_m))
 
 
@@ -401,7 +409,7 @@ def test_squared_distances_match_broadcast_sum(data):
     elements = st.floats(-1e3, 1e3)
     x = data.draw(arrays(np.float64, (n, d), elements=elements), label="x")
     centers = data.draw(arrays(np.float64, (k, d), elements=elements), label="centers")
-    got = fcm._squared_distances_t(np.ascontiguousarray(x.T), centers).T
+    got = fcm._squared_distances_t(np.ascontiguousarray(x.T), centers, np.empty((k, n))).T
     expected = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     if d < 8:
         assert np.array_equal(got, expected)

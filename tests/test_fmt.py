@@ -262,12 +262,19 @@ def model_doc():
         (lambda d: d["fuzzy"]["sigmas"][2].__setitem__(0, float("nan")), "must be finite"),
         (lambda d: d["fuzzy"].update(sigmas=d["fuzzy"]["sigmas"][:2]), "sigmas have shape"),
         (lambda d: d["fuzzy"].update(centers=d["fuzzy"]["centers"][:2],
-                                     sigmas=d["fuzzy"]["sigmas"][:2], standardization=None),
+                                     sigmas=d["fuzzy"]["sigmas"][:2],
+                                     standardization={"mean": [0, 0], "scale": [1, 1]}),
          "must have 3 rows"),
+        (lambda d: d["fuzzy"].update(standardization=None),
+         "standardization must be a JSON object, got None"),
+        (lambda d: d["fuzzy"].pop("standardization"),
+         "standardization must be a JSON object, got None"),
         (lambda d: d["fuzzy"]["standardization"].update(scale=[1.0, -1.0, 1.0]),
          "scale must be positive"),
         (lambda d: d["tree"].update(routing_dim=6), "routing 9 / regression 3"),
         (lambda d: d["tree"]["root"].update(count=None), "count must be an integer"),
+        (lambda d: d["tree"]["root"].update(bogus=1), r"tree.root must hold the keys \['count', "
+         r"'mae', 'model'\] at a leaf or .* at a split, got \['bogus', 'count', "),
         (lambda d: d["fcm_config"].update(bogus=1), "malformed fmt fcm_config"),
         (lambda d: d.update(tree_config=[]), "tree_config must be a JSON object"),
         (lambda d: d["tree_config"].update(smoothing_k=float("nan")), "smoothing_k"),
