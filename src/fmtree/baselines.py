@@ -17,8 +17,8 @@ from .data import (
     Dataset,
     check_field_types,
     finite_number,
+    json_fields,
     json_number,
-    json_object,
 )
 from .evaluation import median_of_sorted
 from .mtree import (
@@ -328,8 +328,8 @@ def predict_treeboost_dataset(model: TreeboostModel, dataset: Dataset) -> np.nda
     return np.maximum(predictions, EFFORT_FLOOR_PH, out=predictions, where=np.isfinite(predictions))
 
 
-def _stage_payload(node: dict, path: str, splits: bool) -> tuple:
-    return (0.0,) if splits else (finite_number(node.get("value"), f"{path}.value"),)
+def _stage_payload(values: list, path: str, splits: bool) -> tuple:
+    return (0.0,) if splits else (finite_number(values[0], f"{path}.value"),)
 
 
 def treeboost_to_json(model: TreeboostModel) -> dict:
@@ -350,11 +350,13 @@ def treeboost_from_json(doc: dict) -> TreeboostModel:
     """Rebuild a model from treeboost_to_json output; ValueError on any malformed part."""
     if doc.get("kind") != "treeboost":
         raise ValueError(f"expected model kind 'treeboost', got {doc.get('kind')!r}")
-    trees = doc.get("trees")
+    _, f0, shrinkage, trees = json_fields(
+        doc, "treeboost model", ("kind", "f0", "shrinkage", "trees")
+    )
     if not isinstance(trees, list):
         raise ValueError(f"treeboost 'trees' must be a list, got {trees!r}")
-    f0 = finite_number(doc.get("f0"), "treeboost f0")
-    shrinkage = finite_number(doc.get("shrinkage"), "treeboost shrinkage")
+    f0 = finite_number(f0, "treeboost f0")
+    shrinkage = finite_number(shrinkage, "treeboost shrinkage")
     if not 0.0 < shrinkage <= 1.0:
         raise ValueError(f"treeboost shrinkage must be in (0, 1], got {shrinkage!r}")
     return TreeboostModel(
@@ -363,7 +365,7 @@ def treeboost_from_json(doc: dict) -> TreeboostModel:
         [
             StageTree.from_rows(
                 nodes_from_json(
-                    t, f"trees[{i}]", len(FEATURE_NAMES), {"value"}, set(), _stage_payload
+                    t, f"trees[{i}]", len(FEATURE_NAMES), ("value",), (), _stage_payload
                 )
             )
             for i, t in enumerate(trees)
@@ -501,23 +503,29 @@ def mlr_to_json(model: MlrModel) -> dict:
     }
 
 
-def _number_map(value, what: str) -> dict[str, float]:
-    """A JSON object of name -> number; diagnostics may be infinite or NaN."""
-    return {k: json_number(v, f"{what} {k}") for k, v in json_object(value, what).items()}
+def _number_map(value, what: str, names: tuple[str, ...]) -> dict[str, float]:
+    """A JSON object of exactly `names` -> number; diagnostics may be infinite or NaN."""
+    values = json_fields(value, what, names)
+    return {name: json_number(v, f"{what} {name}") for name, v in zip(names, values)}
 
 
 def mlr_from_json(doc: dict) -> MlrModel:
     """Rebuild a model from mlr_to_json output; ValueError on any malformed part."""
     if doc.get("kind") != "mlr":
         raise ValueError(f"expected model kind 'mlr', got {doc.get('kind')!r}")
-    coef = doc.get("coefficients")
-    if not isinstance(coef, dict) or sorted(coef) != sorted(MLR_TERMS):
-        raise ValueError(f"mlr coefficients must name exactly {', '.join(MLR_TERMS)}, got {coef!r}")
-    diag = json_object(doc.get("diagnostics"), "mlr diagnostics")
+    _, coef, diag = json_fields(doc, "mlr model", ("kind", "coefficients", "diagnostics"))
+    coef = json_fields(coef, "mlr coefficients", MLR_TERMS)
+    r2, vif, _, vif_alarms, t_stats, p_values, _, significant = json_fields(
+        diag, "mlr diagnostics", ("adjusted_r2", "vif", "vif_alarm_threshold", "vif_alarms",
+                                  "t_stats", "p_values", "alpha", "significant")
+    )
+    # The writer derives these two from vif and p_values; only their keys are read.
+    json_fields(vif_alarms, "mlr vif_alarms", MLR_PREDICTORS)
+    json_fields(significant, "mlr significant", MLR_TERMS)
     return MlrModel(
-        {name: finite_number(coef[name], f"mlr coefficient {name}") for name in MLR_TERMS},
-        json_number(diag.get("adjusted_r2"), "mlr adjusted_r2"),
-        _number_map(diag.get("vif"), "mlr vif"),
-        _number_map(diag.get("t_stats"), "mlr t_stats"),
-        _number_map(diag.get("p_values"), "mlr p_values"),
+        {name: finite_number(v, f"mlr coefficient {name}") for name, v in zip(MLR_TERMS, coef)},
+        json_number(r2, "mlr adjusted_r2"),
+        _number_map(vif, "mlr vif", MLR_PREDICTORS),
+        _number_map(t_stats, "mlr t_stats", MLR_TERMS),
+        _number_map(p_values, "mlr p_values", MLR_TERMS),
     )

@@ -34,6 +34,7 @@ from .data import (
     render_table,
     finite_number,
     generate_synthetic,
+    json_fields,
     split_holdout,
 )
 
@@ -100,7 +101,8 @@ def _ratio(args: argparse.Namespace) -> float:
 
 
 def _ucp_from_json(doc: dict) -> float:
-    return fmtree.ucp.check_ratio(finite_number(doc.get("ratio"), "ucp ratio"))
+    _, ratio = json_fields(doc, "ucp model", ("kind", "ratio"))
+    return fmtree.ucp.check_ratio(finite_number(ratio, "ucp ratio"))
 
 
 # The lambdas look modules and functions up at call time: a kind's module

@@ -1,4 +1,4 @@
-"""The project Dataset, the CSV table format, JSON number checks, holdout splits, synthetic data."""
+"""The project Dataset, the CSV table format, JSON value checks, holdout splits, synthetic data."""
 
 from __future__ import annotations
 
@@ -105,11 +105,13 @@ def finite_number(value, what: str) -> float:
     return number
 
 
-def json_object(value, what: str) -> dict:
-    """An object read from JSON."""
+def json_fields(value, what: str, keys: tuple[str, ...]) -> list:
+    """The values, in `keys` order, of a JSON object that must hold exactly `keys`."""
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object, got {value!r}")
-    return value
+    if value.keys() != set(keys):
+        raise ValueError(f"{what} must hold the keys {sorted(keys)}, got {sorted(value)}")
+    return [value[key] for key in keys]
 
 
 def json_int(value, what: str, low: int, high: int | None = None) -> int:

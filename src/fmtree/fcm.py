@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import check_field_types, finite_numbers, json_object
+from .data import check_field_types, finite_numbers, json_fields
 
 _SIGMA_FLOOR_SCALE = 1e-6
 
@@ -91,9 +91,9 @@ class Standardization:
     @classmethod
     def from_json(cls, doc: dict, features: int) -> "Standardization":
         """Rebuild from to_json output for `features` features; ValueError if malformed."""
-        json_object(doc, "standardization")
-        mean = finite_numbers(doc.get("mean"), "standardization mean", features)
-        scale = finite_numbers(doc.get("scale"), "standardization scale", features)
+        mean, scale = json_fields(doc, "standardization", ("mean", "scale"))
+        mean = finite_numbers(mean, "standardization mean", features)
+        scale = finite_numbers(scale, "standardization scale", features)
         if min(scale) <= 0:
             raise ValueError(f"standardization scale must be positive, got {scale}")
         return cls(np.array(mean), np.array(scale))
@@ -129,18 +129,18 @@ class FuzzyInferenceModel:
     @classmethod
     def from_json(cls, doc: dict) -> "FuzzyInferenceModel":
         """Rebuild from to_json output; ValueError on any malformed part."""
-        json_object(doc, "fuzzy model")
-        centers = _matrix_from_json(doc.get("centers"), "fuzzy centers")
-        sigmas = _matrix_from_json(doc.get("sigmas"), "fuzzy sigmas")
+        centers, sigmas, standardization = json_fields(
+            doc, "fuzzy model", ("centers", "sigmas", "standardization")
+        )
+        centers = _matrix_from_json(centers, "fuzzy centers")
+        sigmas = _matrix_from_json(sigmas, "fuzzy sigmas")
         if sigmas.shape != centers.shape:
             raise ValueError(
                 f"fuzzy sigmas have shape {sigmas.shape} but centers {centers.shape}"
             )
         if not np.all(sigmas > 0):
             raise ValueError("fuzzy sigmas must be positive")
-        return cls(
-            centers, sigmas, Standardization.from_json(doc.get("standardization"), len(centers))
-        )
+        return cls(centers, sigmas, Standardization.from_json(standardization, len(centers)))
 
 
 def _matrix_from_json(value, what: str) -> np.ndarray:

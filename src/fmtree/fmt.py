@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .data import EFFORT_FLOOR_PH, FEATURE_NAMES, Dataset, json_object
+from .data import EFFORT_FLOOR_PH, FEATURE_NAMES, Dataset, json_fields
 from .fcm import (
     FcmConfig,
     FuzzyInferenceModel,
@@ -87,21 +87,20 @@ def fmt_to_json(model: FmtModel) -> dict:
 
 
 def _config_from_json(cls, doc, what: str):
-    try:
-        return cls(**json_object(doc, what))
-    except TypeError as exc:
-        raise ValueError(f"malformed {what}: {exc}") from None
+    return cls(*json_fields(doc, what, tuple(field.name for field in fields(cls))))
 
 
 def fmt_from_json(doc: dict) -> FmtModel:
     """Rebuild a model from fmt_to_json output; ValueError on any malformed part."""
     if doc.get("kind") != "fmt":
         raise ValueError(f"expected model kind 'fmt', got {doc.get('kind')!r}")
-    names = doc.get("feature_names")
+    _, names, fcm_config, tree_config, fuzzy, tree = json_fields(
+        doc, "fmt model", ("kind", "feature_names", "fcm_config", "tree_config", "fuzzy", "tree")
+    )
     if names != list(FEATURE_NAMES):
         raise ValueError(f"fmt feature_names must be {list(FEATURE_NAMES)}, got {names!r}")
-    fuzzy = FuzzyInferenceModel.from_json(doc.get("fuzzy"))
-    tree = tree_from_json(doc.get("tree"))
+    fuzzy = FuzzyInferenceModel.from_json(fuzzy)
+    tree = tree_from_json(tree)
     d, k = len(FEATURE_NAMES), fuzzy.cluster_count
     if fuzzy.feature_count != d:
         raise ValueError(f"fmt fuzzy centers must have {d} rows, got {fuzzy.feature_count}")
@@ -110,8 +109,8 @@ def fmt_from_json(doc: dict) -> FmtModel:
             f"fmt tree dimensions must be routing {d * k} / regression {d} for k={k}, "
             f"got {tree.routing_dim} / {tree.regression_dim}"
         )
-    fcm_config = _config_from_json(FcmConfig, doc.get("fcm_config"), "fmt fcm_config")
+    fcm_config = _config_from_json(FcmConfig, fcm_config, "fmt fcm_config")
     if fcm_config.k != k:
         raise ValueError(f"fmt fcm_config k={fcm_config.k} does not match the {k} fuzzy clusters")
-    tree_config = _config_from_json(TreeConfig, doc.get("tree_config"), "fmt tree_config")
+    tree_config = _config_from_json(TreeConfig, tree_config, "fmt tree_config")
     return FmtModel(fuzzy, tree, fcm_config, tree_config)

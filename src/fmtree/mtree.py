@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import check_field_types, finite_number, finite_numbers, json_int, json_object
+from .data import check_field_types, finite_number, finite_numbers, json_fields, json_int
 
 # Error-inflation fallback for nodes with no spare degrees of freedom (n <= v).
 _SMALL_NODE_FACTOR = 10.0
@@ -492,44 +492,41 @@ def nodes_to_json(tree: FlatTree, payload: Callable[[int], dict], node: int = 0)
     return doc
 
 
-SPLIT_KEYS = {"feature", "threshold", "left", "right"}
+SPLIT_KEYS = ("feature", "threshold", "left", "right")
 
 
 def nodes_from_json(
     doc,
     path: str,
     feature_bound: int,
-    leaf_keys: set[str],
-    split_keys: set[str],
-    read_payload: Callable[[dict, str, bool], tuple],
+    leaf_keys: tuple[str, ...],
+    split_keys: tuple[str, ...],
+    read_payload: Callable[[list, str, bool], tuple],
 ) -> list[list]:
     """Preorder node rows of a nested JSON tree; ValueError on any malformed node.
 
     A node that holds any of SPLIT_KEYS splits.  A leaf holds exactly the
     payload keys leaf_keys, and a split exactly split_keys plus all four
     SPLIT_KEYS; its feature must lie in [0, feature_bound).
-    read_payload(node, path, splits) reads the payload keys and returns the
-    node's payload.
+    read_payload(values, path, splits) reads the node's values, in leaf_keys
+    or split_keys + SPLIT_KEYS order, and returns the node's payload.
     """
     rows: list[list] = []
-    split_shape = split_keys | SPLIT_KEYS
+    split_shape = split_keys + SPLIT_KEYS
 
     def add(node, where: str) -> int:
-        splits = not SPLIT_KEYS.isdisjoint(json_object(node, where))
+        splits = isinstance(node, dict) and not node.keys().isdisjoint(SPLIT_KEYS)
+        values = json_fields(node, where, split_shape if splits else leaf_keys)
         index = len(rows)
         row = [-1, 0.0, -1, -1]
         rows.append(row)
-        row.extend(read_payload(node, where, splits))
-        if node.keys() != (split_shape if splits else leaf_keys):
-            raise ValueError(
-                f"{where} must hold the keys {sorted(leaf_keys)} at a leaf or "
-                f"{sorted(split_shape)} at a split, got {sorted(node)}"
-            )
+        row.extend(read_payload(values, where, splits))
         if splits:
-            row[0] = json_int(node["feature"], f"{where}.feature", 0, feature_bound)
-            row[1] = finite_number(node["threshold"], f"{where}.threshold")
-            row[2] = add(node["left"], f"{where}.left")
-            row[3] = add(node["right"], f"{where}.right")
+            feature, threshold, left, right = values[len(split_keys) :]
+            row[0] = json_int(feature, f"{where}.feature", 0, feature_bound)
+            row[1] = finite_number(threshold, f"{where}.threshold")
+            row[2] = add(left, f"{where}.left")
+            row[3] = add(right, f"{where}.right")
         return index
 
     add(doc, path)
@@ -556,22 +553,19 @@ def tree_to_json(tree: ModelTree) -> dict:
 
 def tree_from_json(doc: dict) -> ModelTree:
     """Rebuild a tree from tree_to_json output; ValueError on any malformed part."""
-    json_object(doc, "tree")
-    routing_dim = json_int(doc.get("routing_dim"), "tree routing_dim", 0)
-    regression_dim = json_int(doc.get("regression_dim"), "tree regression_dim", 0)
+    routing, regression, root = json_fields(doc, "tree", ("routing_dim", "regression_dim", "root"))
+    routing_dim = json_int(routing, "tree routing_dim", 0)
+    regression_dim = json_int(regression, "tree regression_dim", 0)
 
-    def read_payload(node: dict, path: str, splits: bool) -> tuple:
-        model = json_object(node.get("model"), f"{path}.model")
-        intercept = finite_number(model.get("intercept"), f"{path}.model.intercept")
-        coefficients = finite_numbers(
-            model.get("coefficients"), f"{path}.model.coefficients", regression_dim
-        )
-        count = json_int(node.get("count"), f"{path}.count", 1, 2**53)  # exact as a float
-        mae = finite_number(node.get("mae"), f"{path}.mae")
+    def read_payload(values: list, path: str, splits: bool) -> tuple:
+        count, mae, model = values[:3]
+        intercept, coefficients = json_fields(model, f"{path}.model", ("intercept", "coefficients"))
+        intercept = finite_number(intercept, f"{path}.model.intercept")
+        coefficients = finite_numbers(coefficients, f"{path}.model.coefficients", regression_dim)
+        count = json_int(count, f"{path}.count", 1, 2**53)  # exact as a float
+        mae = finite_number(mae, f"{path}.mae")
         return count, mae, [intercept, *coefficients]
 
-    payload_keys = {"count", "mae", "model"}
-    rows = nodes_from_json(
-        doc.get("root"), "tree.root", routing_dim, payload_keys, payload_keys, read_payload
-    )
+    payload_keys = ("count", "mae", "model")
+    rows = nodes_from_json(root, "tree.root", routing_dim, payload_keys, payload_keys, read_payload)
     return ModelTree.from_rows(rows, routing_dim, regression_dim)

@@ -321,8 +321,8 @@ class TestTreeboost:
             ({"trees": [3]}, r"trees\[0\] must be a JSON object"),
             ({"trees": [{"value": "5"}]}, r"trees\[0\].value must be a number"),
             ({"trees": [{"feature": 0, "threshold": 1.0, "left": {"value": 1.0}}]},
-             r"trees\[0\] must hold the keys \['value'\] at a leaf or \['feature', 'left', "
-             r"'right', 'threshold'\] at a split, got \['feature', 'left', 'threshold'\]"),
+             r"trees\[0\] must hold the keys \['feature', 'left', 'right', 'threshold'\], "
+             r"got \['feature', 'left', 'threshold'\]"),
             ({"trees": [{"value": 1.0, "bogus": 2.0}]}, r"trees\[0\] must hold the keys"),
             ({"trees": [{"feature": 0, "threshold": 1.0, "left": {"value": 1.0},
                          "right": {"value": 2.0}, "value": 3.0}]},

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 import fmtree
 import fmtree.data
 from conftest import piecewise_dataset
-from fmtree.cli import KINDS, _log_level, _parse_predictions, build_parser, main
+from fmtree.cli import KINDS, _log_level, _parse_model, _parse_predictions, build_parser, main
 from fmtree.data import (
     CSV_COLUMNS,
     PREDICTION_COLUMNS,
@@ -42,6 +43,17 @@ UCP_MODEL = {
 
 # The keys of model-file weights: the ucp ratio, mlr coefficients, tree leaf values and models.
 WEIGHT_KEYS = {"ratio", "f0", "value", "intercept", "coefficients"}
+# Parts of hand-written model files. An FMT reader reaches its configs last, so a case that
+# fails earlier gives them as empty objects; the MLR diagnostics are complete and valid.
+FMT_CONFIGS = '"fcm_config": {}, "tree_config": {}'
+MLR_DIAGNOSTICS = (
+    '{"adjusted_r2": 0, "vif": {"ln_size": 1, "productivity": 1, "complexity": 1},'
+    ' "vif_alarm_threshold": 4.0, "vif_alarms": {"ln_size": false, "productivity": false,'
+    ' "complexity": false}, "t_stats": {"intercept": 0, "ln_size": 0, "productivity": 0,'
+    ' "complexity": 0}, "p_values": {"intercept": 1, "ln_size": 1, "productivity": 1,'
+    ' "complexity": 1}, "alpha": 0.05, "significant": {"intercept": false, "ln_size": false,'
+    ' "productivity": false, "complexity": false}}'
+)
 
 
 def overflowing(doc, value=1e308, weight=False):
@@ -358,45 +370,52 @@ class TestTrainPredictEvaluate:
             ('{"kind": "ucp", "ratio": NaN}', "ucp ratio must be finite"),
             ('{"kind": "ucp", "ratio": null}', "ucp ratio must be a number"),
             ('{"kind": "ucp", "ratio": -2}', "ratio must be positive"),
-            ('{"kind": "ucp"}', "ucp ratio must be a number, got None"),
+            ('{"kind": "ucp"}', "ucp model must hold the keys ['kind', 'ratio'], got ['kind']"),
             ('{"kind": "mlr", "coefficients": null, "diagnostics": {}}', "mlr coefficients"),
             ('{"kind": "mlr", "coefficients": {"intercept": 1, "ln_size": 1, "productivity":'
-             ' "x", "complexity": 1}, "diagnostics": {}}', "productivity must be a number"),
+             ' "x", "complexity": 1}, "diagnostics": ' + MLR_DIAGNOSTICS + '}',
+             "productivity must be a number"),
             ('{"kind": "mlr", "coefficients": {"intercept": 1, "ln_size": 1, "productivity":'
-             ' 0, "complexity": 1}, "diagnostics": {}}', "adjusted_r2 must be a number"),
+             ' 0, "complexity": 1}, "diagnostics": '
+             + MLR_DIAGNOSTICS.replace('"adjusted_r2": 0', '"adjusted_r2": null') + '}',
+             "adjusted_r2 must be a number"),
             ('{"kind": "mlr", "coefficients": {"intercept": 0, "ln_size": 1000, "productivity":'
-             ' 0, "complexity": 0}, "diagnostics": {"adjusted_r2": 0, "vif": {}, "t_stats": {},'
-             ' "p_values": {}}}', "MLR prediction for project 'p001' is not finite: inf"),
+             ' 0, "complexity": 0}, "diagnostics": ' + MLR_DIAGNOSTICS + '}',
+             "MLR prediction for project 'p001' is not finite: inf"),
             pytest.param('{"kind": "ucp", "ratio": 1' + "0" * 400 + "}",
                          "ucp ratio does not fit a float: 401 digits", id="ucp-ratio-401-digits"),
-            ('{"kind": "fmt", "feature_names": null}', "feature_names"),
+            ('{"kind": "fmt", "feature_names": null, ' + FMT_CONFIGS + ', "fuzzy": {},'
+             ' "tree": {}}', "fmt feature_names must be"),
             ('{"kind": "fmt", "feature_names": ["size_ucp", "productivity", "complexity"],'
-             ' "fuzzy": {"centers": [[0], [0], [0]], "sigmas": [[1], [1], [0]]}}',
+             ' ' + FMT_CONFIGS + ', "fuzzy": {"centers": [[0], [0], [0]], "sigmas":'
+             ' [[1], [1], [0]], "standardization": {"mean": [0, 0, 0], "scale": [1, 1, 1]}},'
+             ' "tree": {}}',
              "sigmas must be positive"),
             ('{"kind": "fmt", "feature_names": ["size_ucp", "productivity", "complexity"],'
-             ' "fuzzy": {"centers": [[0], [0], [0]], "sigmas": [[1], [1], [1]],'
-             ' "standardization": null}}',
+             ' ' + FMT_CONFIGS + ', "fuzzy": {"centers": [[0], [0], [0]], "sigmas":'
+             ' [[1], [1], [1]], "standardization": null}, "tree": {}}',
              "standardization must be a JSON object, got None"),
             ('{"kind": "fmt", "feature_names": ["size_ucp", "productivity", "complexity"],'
-             ' "fuzzy": {"centers": [[0], [0], [0]], "sigmas": [[1], [1], [1]],'
-             ' "standardization": {"mean": [0, 0, 0], "scale": [1, 1, 1]}},'
+             ' ' + FMT_CONFIGS + ', "fuzzy": {"centers": [[0], [0], [0]], "sigmas":'
+             ' [[1], [1], [1]], "standardization": {"mean": [0, 0, 0], "scale": [1, 1, 1]}},'
              ' "tree": {"routing_dim": 3, "regression_dim": 3, "root": {"count": 5,'
              ' "mae": 0.0, "model": {"intercept": 1.0, "coefficients": [0, 0, 0]},'
              ' "feature": 3, "threshold": 0.5, "left": {}, "right": {}}}}',
              "tree.root.feature must be an integer in [0, 3)"),
             ('{"kind": "fmt", "feature_names": ["size_ucp", "productivity", "complexity"],'
-             ' "fuzzy": {"centers": [[0], [0], [0]], "sigmas": [[1], [1], [1]],'
-             ' "standardization": {"mean": [0, 0, 0], "scale": [1, 1, 1]}},'
+             ' ' + FMT_CONFIGS + ', "fuzzy": {"centers": [[0], [0], [0]], "sigmas":'
+             ' [[1], [1], [1]], "standardization": {"mean": [0, 0, 0], "scale": [1, 1, 1]}},'
              ' "tree": {"routing_dim": 3, "regression_dim": 3, "root": {"count": 5,'
              ' "mae": 0.0, "model": {"intercept": 1.0, "coefficients": [0, 0, 0]},'
              ' "bogus": 1}}}',
-             "tree.root must hold the keys ['count', 'mae', 'model'] at a leaf"),
+             "tree.root must hold the keys ['count', 'mae', 'model'], "
+             "got ['bogus', 'count', 'mae', 'model']"),
             pytest.param('{"kind": "fmt", "feature_names": ["size_ucp", "productivity",'
-                         ' "complexity"], "fuzzy": {"centers": [[0], [0], [0]], "sigmas":'
-                         ' [[1], [1], [1]], "standardization": {"mean": [0, 0, 0], "scale":'
-                         ' [1, 1, 1]}}, "tree": {"routing_dim": 3, "regression_dim": 3,'
-                         ' "root": {"count": 1' + "0" * 400 + ', "mae": 0.0, "model":'
-                         ' {"intercept": 1.0, "coefficients": [0, 0, 0]}}}}',
+                         ' "complexity"], ' + FMT_CONFIGS + ', "fuzzy": {"centers": [[0], [0],'
+                         ' [0]], "sigmas": [[1], [1], [1]], "standardization": {"mean":'
+                         ' [0, 0, 0], "scale": [1, 1, 1]}}, "tree": {"routing_dim": 3,'
+                         ' "regression_dim": 3, "root": {"count": 1' + "0" * 400 + ', "mae":'
+                         ' 0.0, "model": {"intercept": 1.0, "coefficients": [0, 0, 0]}}}}',
                          "tree.root.count must be an integer in [1, 9007199254740992)",
                          id="fmt-count-401-digits"),
         ],
@@ -774,6 +793,90 @@ def test_every_kind_predicts_each_row_alike(seed, train_count):
         rows = [kind.predict(model, test.take([i]))[0] for i in range(len(test))]
         assert rows == batch.tolist(), name
         assert kind.predict(model, shuffled).tolist() == batch[order].tolist(), name
+
+
+@pytest.fixture(scope="module")
+def model_files():
+    """The JSON text of a model file of each kind, trained on the pinned 84 projects."""
+    args = build_parser().parse_args(["compare", "--data", "-", "--out-dir", "-", "--trees", "3"])
+    return {
+        name: json.dumps(kind.to_json(kind.fit(piecewise_dataset(), kind.config(args))))
+        for name, kind in KINDS.items()
+    }
+
+
+def object_paths(doc, path=()):
+    """The key path of every JSON object in `doc`, in preorder."""
+    if isinstance(doc, dict):
+        yield path
+        for key, value in doc.items():
+            yield from object_paths(value, (*path, key))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from object_paths(value, (*path, i))
+
+
+def at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+OBJECT_NAMES = {
+    ("fcm_config",): "fmt fcm_config",
+    ("tree_config",): "fmt tree_config",
+    ("fuzzy",): "fuzzy model",
+    ("fuzzy", "standardization"): "standardization",
+    ("tree",): "tree",
+}
+
+
+def object_name(kind, path):
+    """The name that a reader's message gives the object at `path` of a `kind` model file."""
+    if not path:
+        return f"{kind} model"
+    if kind == "mlr":
+        return f"mlr {path[-1]}"
+    steps = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path[1:])
+    return OBJECT_NAMES.get(path, f"{path[0]}{steps}")
+
+
+@pytest.mark.parametrize("name", list(KINDS))
+def test_every_model_file_object_holds_exactly_its_keys(model_files, name):
+    """An unknown or a missing key in any object of a model file is refused, and names the
+    object; the file as written reads back to itself."""
+    text = model_files[name]
+    doc = json.loads(text)
+    kind, model = _parse_model(text, name)
+    assert kind.to_json(model) == doc
+    paths = list(object_paths(doc))
+    assert len(paths) > {"ucp": 0, "mlr": 7, "treeboost": 6, "fmt": 9}[name]
+    for path in paths:
+        for key in ["bogus", *at(doc, path)]:
+            changed = json.loads(text)
+            target = at(changed, path)
+            if key == "bogus":
+                target[key] = 1
+            else:
+                del target[key]
+            message = "unknown model kind None" if path == () and key == "kind" else (
+                f"^{re.escape(object_name(name, path))} must hold the keys "
+            )
+            with pytest.raises(ValueError, match=message):
+                _parse_model(json.dumps(changed), None)
+
+
+@pytest.mark.parametrize("name", list(KINDS))
+def test_predict_refuses_an_unknown_key_and_writes_nothing(tmp_path, dataset_csv, capsys,
+                                                           model_files, name):
+    model = tmp_path / "model.json"
+    model.write_text(model_files[name][:-1] + ', "bogus": null}', encoding="utf-8")
+    out = tmp_path / "p.csv"
+    code = main(["predict", "--model-file", str(model), "--data", str(dataset_csv),
+                 "--out", str(out)])
+    assert code == 2
+    assert f"{name} model must hold the keys" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_readme_library_example_runs(capsys):

@@ -268,14 +268,20 @@ def model_doc():
         (lambda d: d["fuzzy"].update(standardization=None),
          "standardization must be a JSON object, got None"),
         (lambda d: d["fuzzy"].pop("standardization"),
-         "standardization must be a JSON object, got None"),
+         r"fuzzy model must hold the keys \['centers', 'sigmas', 'standardization'\], "
+         r"got \['centers', 'sigmas'\]"),
         (lambda d: d["fuzzy"]["standardization"].update(scale=[1.0, -1.0, 1.0]),
          "scale must be positive"),
         (lambda d: d["tree"].update(routing_dim=6), "routing 9 / regression 3"),
         (lambda d: d["tree"]["root"].update(count=None), "count must be an integer"),
         (lambda d: d["tree"]["root"].update(bogus=1), r"tree.root must hold the keys \['count', "
-         r"'mae', 'model'\] at a leaf or .* at a split, got \['bogus', 'count', "),
-        (lambda d: d["fcm_config"].update(bogus=1), "malformed fmt fcm_config"),
+         r"'feature', 'left', 'mae', 'model', 'right', 'threshold'\], got \['bogus', 'count', "),
+        (lambda d: d["fcm_config"].update(bogus=1),
+         r"fmt fcm_config must hold the keys \['fuzzifier_m', 'k', 'max_iterations', 'seed', "
+         r"'tolerance'\], got \['bogus', 'fuzzifier_m', "),
+        (lambda d: d.update(fcm_config={}),
+         r"fmt fcm_config must hold the keys \['fuzzifier_m', 'k', 'max_iterations', 'seed', "
+         r"'tolerance'\], got \[\]"),
         (lambda d: d.update(tree_config=[]), "tree_config must be a JSON object"),
         (lambda d: d["tree_config"].update(smoothing_k=float("nan")), "smoothing_k"),
         (lambda d: d["tree_config"].update(smoothing_k=True),
@@ -293,4 +299,20 @@ def test_from_json_rejects_malformed_models(change, message):
     doc = model_doc()
     change(doc)
     with pytest.raises(ValueError, match=message):
+        fmt_from_json(doc)
+
+
+def test_from_json_refuses_a_missing_config_key():
+    """A config key left out is refused, not given its default: at smoothing_k=0.0 the
+    default of 15.0 would move nearly every holdout prediction."""
+    train, test = split_holdout(piecewise_dataset(2000, 1), 1500, 1)
+    model = train_fmt(train, tree_config=TreeConfig(smoothing_k=0.0))
+    defaulted = dataclasses.replace(model, tree_config=TreeConfig())
+    moved = predict_fmt_dataset(defaulted, test) != predict_fmt_dataset(model, test)
+    assert moved.sum() > 0.9 * len(test)
+    doc = json.loads(json.dumps(fmt_to_json(model)))
+    del doc["tree_config"]["smoothing_k"]
+    with pytest.raises(ValueError, match=r"fmt tree_config must hold the keys \['min_instances', "
+                       r"'pruning_factor', 'sd_fraction', 'smoothing_k'\], got \['min_instances', "
+                       r"'pruning_factor', 'sd_fraction'\]"):
         fmt_from_json(doc)

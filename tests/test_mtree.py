@@ -789,20 +789,23 @@ def sample_tree_doc():
         (lambda d: d["root"].update(count=0),
          r"tree.root.count must be an integer in \[1, 9007199254740992\)"),
         (lambda d: d["root"].update(mae=float("nan")), "tree.root.mae must be finite"),
-        (lambda d: d["root"].pop("model"), "tree.root.model must be a JSON object"),
+        (lambda d: d["root"].pop("model"),
+         r"tree.root must hold the keys \['count', 'feature', 'left', 'mae', 'model', 'right', "
+         r"'threshold'\], got \['count', 'feature', 'left', 'mae', 'right', 'threshold'\]"),
+        (lambda d: d["root"].update(model=None), "tree.root.model must be a JSON object, got None"),
         (lambda d: d["root"]["model"].update(coefficients=[1.0, 2.0]), "list of 1 numbers"),
         (lambda d: d["root"]["model"].update(intercept="3"), "intercept must be a number"),
         (lambda d: d["root"].update(feature=1), r"feature must be an integer in \[0, 1\)"),
         (lambda d: d["root"].pop("right"),
-         r"tree.root must hold the keys \['count', 'mae', 'model'\] at a leaf or \['count', "
-         r"'feature', 'left', 'mae', 'model', 'right', 'threshold'\] at a split, got \['count', "
-         r"'feature', 'left', 'mae', 'model', 'threshold'\]"),
+         r"tree.root must hold the keys \['count', 'feature', 'left', 'mae', 'model', 'right', "
+         r"'threshold'\], got \['count', 'feature', 'left', 'mae', 'model', 'threshold'\]"),
         (lambda d: d["root"].update(threshold=float("inf")), "threshold must be finite"),
         (lambda d: d["root"]["left"].update(left={}),
          r"tree.root.left must hold the keys .* got \['count', 'left', 'mae', 'model'\]"),
         (lambda d: d["root"].update(bogus=1), r"tree.root must hold the keys .* got \['bogus', "),
         (lambda d: d["root"]["right"].update(bogus=None),
-         r"tree.root.right must hold the keys \['count', 'mae', 'model'\] at a leaf"),
+         r"tree.root.right must hold the keys \['count', 'mae', 'model'\], "
+         r"got \['bogus', 'count', 'mae', 'model'\]"),
     ],
 )
 def test_from_json_rejects_malformed_trees(change, message):

@@ -1,5 +1,6 @@
 """The package namespace loads lazily, and the CLI process runs BLAS on one thread."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -68,6 +69,20 @@ def test_submodules_resolve_as_attributes():
     for name in names:
         probe = f"import sys, fmtree; print(fmtree.{name} is sys.modules['fmtree.{name}'])"
         assert run_python(probe) == "True", name
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every name that a module of the package imports is read in that module."""
+    for path in sorted(Path(fmtree.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"
 
 
 def test_unknown_attribute_raises_naming_it():
