@@ -304,16 +304,25 @@ def split_holdout(dataset: Dataset, train_count: int, seed: int) -> tuple[Datase
 
 @dataclass(frozen=True)
 class SourceProfile:
-    """Effort distribution summary used to synthesize datasets."""
+    """Effort distribution summary used to synthesize datasets.
+
+    `draw_mean` and `draw_sd` are the pre-clamp mean and sd generate_synthetic
+    draws with.  Clamping to [min_effort, max_effort] shifts the raw moments,
+    badly so for heavy-tailed profiles, so they are the values whose clamped
+    draws reproduce mean_effort and sd_effort: the result of a fixed-point
+    search over a normal quantile grid that the tests re-run.
+    """
 
     min_effort: float
     max_effort: float
     mean_effort: float
     sd_effort: float
     skewness: float
+    draw_mean: float
+    draw_sd: float
 
     def __post_init__(self) -> None:
-        for name in ("min_effort", "max_effort", "mean_effort", "sd_effort"):
+        for name in ("min_effort", "max_effort", "mean_effort", "sd_effort", "draw_sd"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not math.isfinite(self.skewness):
@@ -322,16 +331,18 @@ class SourceProfile:
             raise ValueError("mean_effort must lie within [min_effort, max_effort]")
 
 
-IND1 = SourceProfile(4648.0, 129350.0, 36849.0, 39350.0, 1.37)
-IND2 = SourceProfile(570.0, 224890.0, 20573.0, 47327.0, 3.26)
-EDU = SourceProfile(850.0, 2380.0, 1689.0, 496.0, -0.24)
+IND1 = SourceProfile(4648.0, 129350.0, 36849.0, 39350.0, 1.37,
+                     30573.145994664388, 57047.893397005144)
+IND2 = SourceProfile(570.0, 224890.0, 20573.0, 47327.0, 3.26,
+                     -15450.298918837849, 81341.92703062587)
+EDU = SourceProfile(850.0, 2380.0, 1689.0, 496.0, -0.24,
+                    1694.7386015542036, 608.1111214965782)
 
 PROFILES = {"ind1": IND1, "ind2": IND2, "edu": EDU}
 
 PRODUCTIVITY_RANGE = (10.0, 35.0)
 COMPLEXITY_RANGE = (1, 5)
 
-_CAL_GRID_SIZE = 8192
 _SKEW_EPS = 1e-8
 
 
@@ -355,61 +366,21 @@ def _shape_transform(z: np.ndarray, mean: float, sd: float, skewness: float) -> 
     return mean + sd * (z + skewness / 6.0 * (z * z - 1.0))
 
 
-def _calibrate(profile: SourceProfile) -> tuple[float, float]:
-    """Pick pre-clamp (mean, sd) so the clamped distribution matches the profile.
-
-    Clamping to [min_effort, max_effort] shifts the raw moments, badly so for
-    heavy-tailed profiles, hence this deterministic fixed-point correction over
-    a quantile grid.
-    """
-    # Imported here so that only the synthetic generator pays scipy's import
-    # and only its users need scipy, through the `synth` extra.
-    try:
-        from scipy.special import ndtri
-    except ImportError:
-        raise ValueError(
-            "synthetic data needs scipy; install it with `pip install fmtree[synth]`"
-        ) from None
-
-    grid = ndtri((np.arange(_CAL_GRID_SIZE) + 0.5) / _CAL_GRID_SIZE)
-    mean, sd = profile.mean_effort, profile.sd_effort
-    for _ in range(300):
-        x = np.clip(
-            _shape_transform(grid, mean, sd, profile.skewness),
-            profile.min_effort,
-            profile.max_effort,
-        )
-        got_mean = float(x.mean())
-        got_sd = float(x.std())
-        if got_sd <= 0:
-            sd *= 0.5
-            continue
-        mean_err = abs(got_mean - profile.mean_effort) / profile.mean_effort
-        sd_err = abs(got_sd - profile.sd_effort) / profile.sd_effort
-        if mean_err < 1e-10 and sd_err < 1e-10:
-            break
-        mean += profile.mean_effort - got_mean
-        ratio = profile.sd_effort / got_sd
-        sd *= min(max(ratio, 0.5), 2.0)
-    return mean, sd
-
-
 def generate_synthetic(profile: SourceProfile, n: int, seed: int) -> Dataset:
     """Generate n synthetic projects whose efforts match the profile's moments.
 
     Efforts come from a shifted log-normal (positive skew) or a Cornish-Fisher
-    skew-adjusted normal, calibrated so the values clamped to the profile's
-    [min, max] range reproduce its mean and standard deviation.  Size is tied
-    to effort through a productivity ratio drawn uniformly from 10-35 PH/UCP,
-    so effort/size always lands in that band.
+    skew-adjusted normal with the profile's draw_mean and draw_sd, so the
+    values clamped to its [min, max] range reproduce its mean and standard
+    deviation.  Size is tied to effort through a productivity ratio drawn
+    uniformly from 10-35 PH/UCP, so effort/size always lands in that band.
     """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    mean, sd = _calibrate(profile)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n)
     efforts = np.clip(
-        _shape_transform(z, mean, sd, profile.skewness),
+        _shape_transform(z, profile.draw_mean, profile.draw_sd, profile.skewness),
         profile.min_effort,
         profile.max_effort,
     )

@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .data import json_fields
+
 ACTOR_WEIGHTS = {"simple": 1.0, "average": 2.0, "complex": 3.0}
 USE_CASE_WEIGHTS = {"simple": 5.0, "average": 10.0, "complex": 15.0}
 
@@ -107,13 +109,9 @@ def check_ratio(ratio: float) -> float:
 
 def use_case_model_from_json(doc: dict) -> UseCaseModel:
     """Build a UseCaseModel from {actors, use_cases, technical, environmental}."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"use-case model must be a JSON object, got {type(doc).__name__}")
-    required = ("actors", "use_cases", "technical", "environmental")
-    missing = [key for key in required if key not in doc]
-    if missing:
-        raise ValueError(f"missing key(s): {', '.join(missing)}")
-    not_lists = [key for key in required if not isinstance(doc[key], list)]
+    keys = ("actors", "use_cases", "technical", "environmental")
+    json_fields(doc, "use-case model", keys)
+    not_lists = [key for key in keys if not isinstance(doc[key], list)]
     if not_lists:
         raise ValueError(f"{', '.join(not_lists)} must be JSON list(s)")
     return UseCaseModel(

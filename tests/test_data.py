@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import ndtri
 
 import fmtree.data
 from fmtree.cli import _parse_predictions
@@ -497,9 +498,44 @@ def test_split_holdout_range_errors():
 
 def test_profile_validation():
     with pytest.raises(ValueError, match="sd_effort"):
-        SourceProfile(1.0, 10.0, 5.0, 0.0, 0.5)
+        SourceProfile(1.0, 10.0, 5.0, 0.0, 0.5, 5.0, 1.0)
     with pytest.raises(ValueError, match="mean_effort"):
-        SourceProfile(6.0, 10.0, 5.0, 1.0, 0.5)
+        SourceProfile(6.0, 10.0, 5.0, 1.0, 0.5, 5.0, 1.0)
+    with pytest.raises(ValueError, match="draw_sd"):
+        SourceProfile(1.0, 10.0, 5.0, 1.0, 0.5, 5.0, 0.0)
+
+
+def search_draw_parameters(profile):
+    """The pre-clamp (mean, sd) whose clamped draws match the profile's mean and sd.
+
+    A deterministic fixed-point correction over an 8192-point normal quantile
+    grid, started at the profile's own mean and sd.  Its result is what each
+    profile stores as (draw_mean, draw_sd); a new profile takes its two draw
+    fields from here.
+    """
+    grid = ndtri((np.arange(8192) + 0.5) / 8192)
+    mean, sd = profile.mean_effort, profile.sd_effort
+    for _ in range(300):
+        x = np.clip(fmtree.data._shape_transform(grid, mean, sd, profile.skewness),
+                    profile.min_effort, profile.max_effort)
+        got_mean = float(x.mean())
+        got_sd = float(x.std())
+        if got_sd <= 0:
+            sd *= 0.5
+            continue
+        mean_err = abs(got_mean - profile.mean_effort) / profile.mean_effort
+        sd_err = abs(got_sd - profile.sd_effort) / profile.sd_effort
+        if mean_err < 1e-10 and sd_err < 1e-10:
+            break
+        mean += profile.mean_effort - got_mean
+        sd *= min(max(profile.sd_effort / got_sd, 0.5), 2.0)
+    return mean, sd
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_stored_draw_parameters_are_the_search_result(name):
+    profile = PROFILES[name]
+    assert search_draw_parameters(profile) == (profile.draw_mean, profile.draw_sd)
 
 
 def test_generate_synthetic_ranges_and_determinism():
@@ -538,6 +574,9 @@ def test_generate_synthetic_moments_pinned_seed():
 )
 def test_generate_synthetic_bytes_are_pinned(name, digest):
     # Digests of the CSVs written when the calibration grid came from scipy.stats.norm.ppf.
+    # The profiles' stored draw_mean and draw_sd, which these bytes depend on,
+    # are pinned to the search that produced them by
+    # test_stored_draw_parameters_are_the_search_result.
     text = render_dataset(generate_synthetic(PROFILES[name], 64, seed=4))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 

@@ -220,6 +220,48 @@ class TestWilcoxon:
             wilcoxon_signed_rank([1.0] * 4, [2.0] * 4)
 
 
+# Paired MRE-like rows for the comparison layer's properties: 5-40 rows of values in
+# [0, 5], often from a few values so that ties and zero differences are common.
+PAIRED_VALUE = st.floats(min_value=0.0, max_value=5.0) | st.sampled_from([0.0, 0.5, 1.0, 5.0])
+
+
+@st.composite
+def mre_columns(draw, min_methods=2, max_methods=2):
+    """A list of equal-length value lists, one per method."""
+    n = draw(st.integers(5, 40))
+    count = draw(st.integers(min_methods, max_methods))
+    column = st.lists(PAIRED_VALUE, min_size=n, max_size=n)
+    return [draw(column) for _ in range(count)]
+
+
+class TestComparisonProperties:
+    @given(mre_columns())
+    def test_wilcoxon_is_symmetric_in_its_sides(self, columns):
+        a, b = columns
+        ab, ba = wilcoxon_signed_rank(a, b), wilcoxon_signed_rank(b, a)
+        assert (ab.p_value, ab.same) == (ba.p_value, ba.same)
+
+    @given(mre_columns(), st.randoms(use_true_random=False))
+    def test_wilcoxon_p_ignores_the_order_of_the_pairs(self, columns, random):
+        a, b = columns
+        order = list(range(len(a)))
+        random.shuffle(order)
+        shuffled = wilcoxon_signed_rank([a[i] for i in order], [b[i] for i in order])
+        assert shuffled.p_value == wilcoxon_signed_rank(a, b).p_value
+
+    @given(mre_columns(2, 4), st.randoms(use_true_random=False))
+    def test_win_tie_loss_ignores_the_order_of_the_methods(self, columns, random):
+        methods = {f"m{k}": column for k, column in enumerate(columns)}
+        names = list(methods)
+        random.shuffle(names)
+        assert win_tie_loss({name: methods[name] for name in names}) == win_tie_loss(methods)
+
+    @given(mre_columns(2, 4))
+    def test_win_tie_loss_wins_equal_losses(self, columns):
+        records = win_tie_loss({f"m{k}": column for k, column in enumerate(columns)}).values()
+        assert sum(r.win for r in records) == sum(r.loss for r in records)
+
+
 class TestEvaluate:
     def test_report_values(self):
         actuals = [100.0, 200.0, 400.0]

@@ -71,10 +71,15 @@ def test_submodules_resolve_as_attributes():
         assert run_python(probe) == "True", name
 
 
+def module_trees():
+    """(file name, syntax tree) of each module of the package."""
+    for path in sorted(Path(fmtree.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_no_module_imports_a_name_it_never_uses():
     """Every name that a module of the package imports is read in that module."""
-    for path in sorted(Path(fmtree.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for name, tree in module_trees():
         imported = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -82,7 +87,23 @@ def test_no_module_imports_a_name_it_never_uses():
             elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
                 imported.update(alias.asname or alias.name for alias in node.names)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"
+        assert imported <= used, f"{name} never uses {sorted(imported - used)}"
+
+
+def test_every_import_is_the_standard_library_numpy_or_fmtree():
+    """numpy is the one runtime dependency: every import statement of the package,
+    those inside functions too, names a standard-library module, numpy or fmtree."""
+    allowed = sys.stdlib_module_names | {"numpy", "fmtree"}
+    for name, tree in module_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue  # not an import, or a relative one, which stays in fmtree
+            outside = [m for m in modules if m.split(".")[0] not in allowed]
+            assert not outside, f"{name} imports {outside}"
 
 
 def test_unknown_attribute_raises_naming_it():

@@ -117,7 +117,8 @@ def test_from_json():
     }
     model = use_case_model_from_json(doc)
     assert compute_ucp(model).ucp == pytest.approx(35.5215, abs=1e-4)
-    with pytest.raises(ValueError, match="missing key"):
+    missing = r"use-case model must hold the keys .*, got \['actors', 'use_cases'\]"
+    with pytest.raises(ValueError, match=missing):
         use_case_model_from_json({"actors": [], "use_cases": ["simple"]})
     doc_bad = dict(doc, technical=[3.5] + [3] * 12)
     with pytest.raises(ValueError, match="integers"):
