@@ -19,6 +19,7 @@ from .data import (
     finite_number,
     json_fields,
     json_number,
+    model_fields,
 )
 from .evaluation import median_of_sorted
 from .mtree import (
@@ -348,11 +349,7 @@ def treeboost_to_json(model: TreeboostModel) -> dict:
 
 def treeboost_from_json(doc: dict) -> TreeboostModel:
     """Rebuild a model from treeboost_to_json output; ValueError on any malformed part."""
-    if doc.get("kind") != "treeboost":
-        raise ValueError(f"expected model kind 'treeboost', got {doc.get('kind')!r}")
-    _, f0, shrinkage, trees = json_fields(
-        doc, "treeboost model", ("kind", "f0", "shrinkage", "trees")
-    )
+    f0, shrinkage, trees = model_fields(doc, "treeboost", ("f0", "shrinkage", "trees"))
     if not isinstance(trees, list):
         raise ValueError(f"treeboost 'trees' must be a list, got {trees!r}")
     f0 = finite_number(f0, "treeboost f0")
@@ -441,8 +438,8 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     return beta, r2
 
 
-def fit_mlr(train: Dataset) -> MlrModel:
-    """Fit ln(effort) on [1, ln(size), productivity, complexity] by OLS."""
+def fit_mlr(train: Dataset, config: None = None) -> MlrModel:
+    """Fit ln(effort) on [1, ln(size), productivity, complexity] by OLS; MLR has no config."""
     if len(train) < 5:
         raise ValueError(f"need at least 5 training projects, got {len(train)}")
     y = np.log(train.efforts)
@@ -511,9 +508,7 @@ def _number_map(value, what: str, names: tuple[str, ...]) -> dict[str, float]:
 
 def mlr_from_json(doc: dict) -> MlrModel:
     """Rebuild a model from mlr_to_json output; ValueError on any malformed part."""
-    if doc.get("kind") != "mlr":
-        raise ValueError(f"expected model kind 'mlr', got {doc.get('kind')!r}")
-    _, coef, diag = json_fields(doc, "mlr model", ("kind", "coefficients", "diagnostics"))
+    coef, diag = model_fields(doc, "mlr", ("coefficients", "diagnostics"))
     coef = json_fields(coef, "mlr coefficients", MLR_TERMS)
     r2, vif, _, vif_alarms, t_stats, p_values, _, significant = json_fields(
         diag, "mlr diagnostics", ("adjusted_r2", "vif", "vif_alarm_threshold", "vif_alarms",

@@ -32,9 +32,7 @@ from .data import (
     read_numbers,
     render_dataset,
     render_table,
-    finite_number,
     generate_synthetic,
-    json_fields,
     split_holdout,
 )
 
@@ -95,57 +93,31 @@ def _given(**knobs: Any) -> dict[str, Any]:
     return {name: value for name, value in knobs.items() if value is not None}
 
 
-def _ratio(args: argparse.Namespace) -> float:
-    """--ratio, or ucp.DEFAULT_EFFORT_RATIO when it was not given."""
-    return fmtree.ucp.DEFAULT_EFFORT_RATIO if args.ratio is None else args.ratio
+def _kind(label: str, module: str, names: str, config: Callable[[argparse.Namespace], Any]) -> Kind:
+    """The kind whose fit, predict, to_json and from_json are fmtree.<module>'s `names`,
+    looked up at each call: the module loads the first time the kind is used, and a
+    wrapper installed on its attribute (a tracer, a test double) is the one called."""
+    def late(name: str) -> Callable:
+        def call(*args):
+            return getattr(getattr(fmtree, module), name)(*args)
+        return call
+
+    return Kind(label, config, *map(late, names.split()))
 
 
-def _ucp_from_json(doc: dict) -> float:
-    _, ratio = json_fields(doc, "ucp model", ("kind", "ratio"))
-    return fmtree.ucp.check_ratio(finite_number(ratio, "ucp ratio"))
-
-
-# The lambdas look modules and functions up at call time: a kind's module
-# loads the first time the kind is used, and a wrapper installed on a module
-# attribute (a tracer, a test double) is used.  The ucp model is its PH/UCP
-# ratio; it needs no training data.
 KINDS: dict[str, Kind] = {
-    "fmt": Kind(
-        "FMT",
-        lambda args: fmtree.fcm.FcmConfig(
-            **_given(k=args.clusters, fuzzifier_m=args.fuzzifier), seed=args.seed
-        ),
-        lambda train, config: fmtree.fmt.train_fmt(train, config),
-        lambda model, dataset: fmtree.fmt.predict_fmt_dataset(model, dataset),
-        lambda model: fmtree.fmt.fmt_to_json(model),
-        lambda doc: fmtree.fmt.fmt_from_json(doc),
-    ),
-    "treeboost": Kind(
-        "Treeboost",
+    "fmt": _kind("FMT", "fmt", "train_fmt predict_fmt_dataset fmt_to_json fmt_from_json",
+                 lambda args: fmtree.fcm.FcmConfig(
+                     **_given(k=args.clusters, fuzzifier_m=args.fuzzifier), seed=args.seed)),
+    "treeboost": _kind(
+        "Treeboost", "baselines",
+        "fit_treeboost predict_treeboost_dataset treeboost_to_json treeboost_from_json",
         lambda args: fmtree.baselines.TreeboostConfig(
-            **_given(n_trees=args.trees, shrinkage=args.shrinkage), seed=args.seed
-        ),
-        lambda train, config: fmtree.baselines.fit_treeboost(train, config),
-        lambda model, dataset: fmtree.baselines.predict_treeboost_dataset(model, dataset),
-        lambda model: fmtree.baselines.treeboost_to_json(model),
-        lambda doc: fmtree.baselines.treeboost_from_json(doc),
-    ),
-    "mlr": Kind(
-        "MLR",
-        lambda args: None,
-        lambda train, config: fmtree.baselines.fit_mlr(train),
-        lambda model, dataset: fmtree.baselines.predict_mlr_dataset(model, dataset),
-        lambda model: fmtree.baselines.mlr_to_json(model),
-        lambda doc: fmtree.baselines.mlr_from_json(doc),
-    ),
-    "ucp": Kind(
-        "UCP",
-        lambda args: fmtree.ucp.check_ratio(_ratio(args)),
-        lambda train, ratio: ratio,
-        lambda ratio, dataset: dataset.features[:, 0] * ratio,
-        lambda ratio: {"kind": "ucp", "ratio": ratio},
-        _ucp_from_json,
-    ),
+            **_given(n_trees=args.trees, shrinkage=args.shrinkage), seed=args.seed)),
+    "mlr": _kind("MLR", "baselines", "fit_mlr predict_mlr_dataset mlr_to_json mlr_from_json",
+                 lambda args: None),
+    "ucp": _kind("UCP", "ucp", "fit_ucp predict_ucp_dataset ucp_to_json ucp_from_json",
+                 lambda args: fmtree.ucp.effort_ratio(args.ratio)),
 }
 
 
@@ -284,7 +256,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_ucp(args: argparse.Namespace) -> int:
     ucp = fmtree.ucp
-    ratio = _ratio(args)
+    ratio = ucp.effort_ratio(args.ratio)
     model = _load(args.model_json, lambda text: ucp.use_case_model_from_json(json.loads(text)))
     breakdown = ucp.compute_ucp(model)
     effort = ucp.classical_effort(breakdown.ucp, ratio)
@@ -312,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_seed, default=0, help="RNG seed, >= 0 (default 0)")
 
     # A knob left out stays None, and its kind's config class supplies the
-    # default (see _given and _ratio), so the parser loads no estimator.
+    # default (see _given and ucp.effort_ratio), so the parser loads no estimator.
     def add_model_knobs(p: argparse.ArgumentParser) -> None:
         p.add_argument("--clusters", type=int, help="FCM cluster count")
         p.add_argument("--fuzzifier", type=float, help="FCM fuzzifier m")

@@ -114,6 +114,13 @@ def json_fields(value, what: str, keys: tuple[str, ...]) -> list:
     return [value[key] for key in keys]
 
 
+def model_fields(doc, kind: str, keys: tuple[str, ...]) -> list:
+    """The values, in `keys` order, of a `kind` model file's object: exactly "kind" and `keys`."""
+    if isinstance(doc, dict) and doc.get("kind") != kind:
+        raise ValueError(f"expected model kind {kind!r}, got {doc.get('kind')!r}")
+    return json_fields(doc, f"{kind} model", ("kind", *keys))[1:]
+
+
 def json_int(value, what: str, low: int, high: int | None = None) -> int:
     """An integer read from JSON (not a bool) in [low, high), or at least low."""
     if (

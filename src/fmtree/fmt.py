@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .data import EFFORT_FLOOR_PH, FEATURE_NAMES, Dataset, json_fields
+from .data import EFFORT_FLOOR_PH, FEATURE_NAMES, Dataset, json_fields, model_fields
 from .fcm import (
     FcmConfig,
     FuzzyInferenceModel,
@@ -92,10 +92,8 @@ def _config_from_json(cls, doc, what: str):
 
 def fmt_from_json(doc: dict) -> FmtModel:
     """Rebuild a model from fmt_to_json output; ValueError on any malformed part."""
-    if doc.get("kind") != "fmt":
-        raise ValueError(f"expected model kind 'fmt', got {doc.get('kind')!r}")
-    _, names, fcm_config, tree_config, fuzzy, tree = json_fields(
-        doc, "fmt model", ("kind", "feature_names", "fcm_config", "tree_config", "fuzzy", "tree")
+    names, fcm_config, tree_config, fuzzy, tree = model_fields(
+        doc, "fmt", ("feature_names", "fcm_config", "tree_config", "fuzzy", "tree")
     )
     if names != list(FEATURE_NAMES):
         raise ValueError(f"fmt feature_names must be {list(FEATURE_NAMES)}, got {names!r}")

@@ -6,7 +6,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .data import json_fields
+import numpy as np
+
+from .data import Dataset, finite_number, json_fields, model_fields
 
 ACTOR_WEIGHTS = {"simple": 1.0, "average": 2.0, "complex": 3.0}
 USE_CASE_WEIGHTS = {"simple": 5.0, "average": 10.0, "complex": 15.0}
@@ -105,6 +107,31 @@ def check_ratio(ratio: float) -> float:
     if not 0 < ratio < math.inf:
         raise ValueError(f"ratio must be positive and finite, got {ratio}")
     return ratio
+
+
+def effort_ratio(ratio: float | None) -> float:
+    """The checked PH/UCP ratio to use: `ratio`, or DEFAULT_EFFORT_RATIO (read now) if None."""
+    return check_ratio(DEFAULT_EFFORT_RATIO if ratio is None else ratio)
+
+
+def fit_ucp(train: Dataset | None, ratio: float) -> float:
+    """The classical estimator's model: the checked PH/UCP ratio.  It reads no training data."""
+    return check_ratio(ratio)
+
+
+def predict_ucp_dataset(ratio: float, dataset: Dataset) -> np.ndarray:
+    """Effort (PH) for every project: its size in UCP times the ratio."""
+    return dataset.features[:, 0] * ratio
+
+
+def ucp_to_json(ratio: float) -> dict:
+    return {"kind": "ucp", "ratio": ratio}
+
+
+def ucp_from_json(doc: dict) -> float:
+    """Read a ratio back from ucp_to_json output; ValueError on any malformed part."""
+    (ratio,) = model_fields(doc, "ucp", ("ratio",))
+    return check_ratio(finite_number(ratio, "ucp ratio"))
 
 
 def use_case_model_from_json(doc: dict) -> UseCaseModel:

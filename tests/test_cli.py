@@ -877,6 +877,56 @@ def test_predict_refuses_an_unknown_key_and_writes_nothing(tmp_path, dataset_csv
     assert not out.exists()
 
 
+# Each kind's module and its fit, predict, to_json and from_json: the attributes
+# that perfbench/tracer.py and test doubles replace.
+KIND_FUNCTIONS = {
+    "fmt": ("fmt", "train_fmt", "predict_fmt_dataset", "fmt_to_json", "fmt_from_json"),
+    "treeboost": ("baselines", "fit_treeboost", "predict_treeboost_dataset",
+                  "treeboost_to_json", "treeboost_from_json"),
+    "mlr": ("baselines", "fit_mlr", "predict_mlr_dataset", "mlr_to_json", "mlr_from_json"),
+    "ucp": ("ucp", "fit_ucp", "predict_ucp_dataset", "ucp_to_json", "ucp_from_json"),
+}
+
+
+@pytest.mark.parametrize("name", list(KINDS))
+@pytest.mark.parametrize("doc", [5, [], None, "x", "other-kind"])
+def test_each_reader_refuses_what_is_not_a_model_of_its_kind(model_files, name, doc):
+    """A kind's public reader raises ValueError on a JSON value that is not an object,
+    and on a file of its own shape whose "kind" names another kind."""
+    module, *_, reader = KIND_FUNCTIONS[name]
+    if doc == "other-kind":
+        doc = json.loads(model_files[name])
+        doc["kind"] = "ucp" if name == "fmt" else "fmt"
+        message = f"^expected model kind '{name}', got '{doc['kind']}'$"
+    else:
+        message = f"^{name} model must be a JSON object, got {re.escape(repr(doc))}$"
+    with pytest.raises(ValueError, match=message):
+        getattr(getattr(fmtree, module), reader)(doc)
+
+
+@pytest.mark.parametrize("name", list(KINDS))
+def test_train_and_predict_call_the_module_functions_at_call_time(tmp_path, dataset_csv,
+                                                                  monkeypatch, name):
+    """cli.KINDS looks each kind's functions up on its module at every call, so a
+    wrapper installed after `import fmtree.cli` is the one that runs."""
+    module, fit, predict, to_json, from_json = KIND_FUNCTIONS[name]
+    calls = []
+    for function in fit, predict, to_json, from_json:
+        original = getattr(getattr(fmtree, module), function)
+
+        def wrapper(*args, original=original, function=function):
+            calls.append(function)
+            return original(*args)
+
+        monkeypatch.setattr(getattr(fmtree, module), function, wrapper)
+    model = tmp_path / "model.json"
+    assert main(["train", "--model", name, "--trees", "5", "--data", str(dataset_csv),
+                 "--out", str(model)]) == 0
+    assert main(["predict", "--model-file", str(model), "--data", str(dataset_csv),
+                 "--out", str(tmp_path / "predictions.csv")]) == 0
+    assert calls == [fit, to_json, from_json, predict]
+
+
 def test_readme_library_example_runs(capsys):
     readme = Path(__file__).resolve().parents[1] / "README.md"
     block = readme.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]

@@ -1,7 +1,10 @@
+import json
 import math
 
 import pytest
 
+import fmtree.ucp
+from fmtree.data import Dataset
 from fmtree.ucp import (
     ENVIRONMENTAL_WEIGHTS,
     TECHNICAL_WEIGHTS,
@@ -10,6 +13,11 @@ from fmtree.ucp import (
     compute_adjustment_factors,
     compute_ucp,
     compute_uucp,
+    effort_ratio,
+    fit_ucp,
+    predict_ucp_dataset,
+    ucp_from_json,
+    ucp_to_json,
     use_case_model_from_json,
 )
 
@@ -123,3 +131,24 @@ def test_from_json():
     doc_bad = dict(doc, technical=[3.5] + [3] * 12)
     with pytest.raises(ValueError, match="integers"):
         use_case_model_from_json(doc_bad)
+
+
+def test_effort_ratio_reads_the_default_when_called(monkeypatch):
+    assert effort_ratio(None) == 20.0
+    assert effort_ratio(30.0) == 30.0
+    monkeypatch.setattr(fmtree.ucp, "DEFAULT_EFFORT_RATIO", 25.0)
+    assert effort_ratio(None) == 25.0
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="ratio must be positive and finite"):
+            effort_ratio(bad)
+
+
+def test_ucp_kind_predicts_size_times_ratio_and_reads_back_its_file():
+    dataset = Dataset(("a", "b"), [[10.0, 1.0, 1.0], [2.5, 2.0, 3.0]], [100.0, 40.0])
+    ratio = fit_ucp(None, 18.0)
+    assert predict_ucp_dataset(ratio, dataset).tolist() == [180.0, 45.0]
+    doc = json.loads(json.dumps(ucp_to_json(ratio)))
+    assert doc == {"kind": "ucp", "ratio": 18.0}
+    assert ucp_from_json(doc) == ratio
+    with pytest.raises(ValueError, match="ratio must be positive and finite"):
+        fit_ucp(None, 0.0)
