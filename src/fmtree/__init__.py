@@ -25,8 +25,7 @@ _MODULES = {
     "fcm_cluster membership_matrix",
     "fmt": "FmtModel predict_fmt_dataset train_fmt",
     "mtree": "ModelTree TreeConfig build_tree prune",
-    "ucp": "UcpBreakdown UseCaseModel classical_effort compute_adjustment_factors compute_ucp "
-    "compute_uucp",
+    "ucp": "UcpBreakdown UseCaseModel classical_effort compute_ucp",
 }
 # Each exported name mapped to the module that defines it.
 _SOURCES = {name: module for module, names in _MODULES.items() for name in names.split()}

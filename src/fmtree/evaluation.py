@@ -206,9 +206,10 @@ class EvalReport:
 
 def evaluate(actuals: Sequence[float], predictions: Sequence[float]) -> EvalReport:
     """Summarize prediction accuracy for one model on one test set."""
+    accuracy = scores(mre_vector(actuals, predictions))  # checks both inputs first
     residuals = np.abs(np.asarray(actuals, float) - np.asarray(predictions, float))
     return EvalReport(
-        **scores(mre_vector(actuals, predictions)),
+        **accuracy,
         abs_residuals=tuple(residuals.tolist()),
         boxplot=boxplot_summary(residuals),
     )

@@ -88,9 +88,10 @@ def render_boxplot_svg(summaries: Mapping[str, BoxplotSummary]) -> str:
                 f'<circle cx="{_fmt(cx)}" cy="{_fmt(y_pixel(value))}" r="3" '
                 f'fill="none" stroke="black"/>'
             )
+        label = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<text x="{_fmt(cx)}" y="{_MARGIN_TOP + _PLOT_HEIGHT + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{name}</text>'
+            f'font-family="sans-serif" font-size="12">{label}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

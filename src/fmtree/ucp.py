@@ -72,51 +72,36 @@ class UcpBreakdown:
     ucp: float
 
 
-def compute_uucp(model: UseCaseModel) -> tuple[float, float, float]:
-    """Return (UWA, UUC, UUCP): weighted actors, weighted use cases, their sum."""
+def compute_ucp(model: UseCaseModel) -> UcpBreakdown:
+    """Full breakdown: UUCP = UWA + UUC, then UCP = UUCP * TCF * EF."""
     uwa = sum(ACTOR_WEIGHTS[a] for a in model.actors)
     uuc = sum(USE_CASE_WEIGHTS[u] for u in model.use_cases)
-    return uwa, uuc, uwa + uuc
-
-
-def compute_adjustment_factors(model: UseCaseModel) -> tuple[float, float]:
-    """Return (TCF, EF) from the weighted factor ratings."""
+    uucp = uwa + uuc
     tfactor = sum(w * r for w, r in zip(TECHNICAL_WEIGHTS, model.technical_ratings))
     efactor = sum(w * r for w, r in zip(ENVIRONMENTAL_WEIGHTS, model.environmental_ratings))
     tcf = 0.6 + 0.01 * tfactor
     ef = 1.4 - 0.03 * efactor
-    return tcf, ef
-
-
-def compute_ucp(model: UseCaseModel) -> UcpBreakdown:
-    """Full breakdown: UCP = UUCP * TCF * EF."""
-    uwa, uuc, uucp = compute_uucp(model)
-    tcf, ef = compute_adjustment_factors(model)
     return UcpBreakdown(uwa, uuc, uucp, tcf, ef, uucp * tcf * ef)
 
 
-def classical_effort(ucp: float, ratio: float = DEFAULT_EFFORT_RATIO) -> float:
-    """Effort in person-hours as UCP times a fixed PH/UCP ratio."""
-    if ucp <= 0:
-        raise ValueError(f"ucp must be positive, got {ucp}")
-    return ucp * check_ratio(ratio)
-
-
-def check_ratio(ratio: float) -> float:
-    """Return a PH/UCP ratio after checking that it is positive and finite."""
+def effort_ratio(ratio: float | None) -> float:
+    """The checked PH/UCP ratio to use: `ratio`, or DEFAULT_EFFORT_RATIO (read now) if None."""
+    ratio = DEFAULT_EFFORT_RATIO if ratio is None else ratio
     if not 0 < ratio < math.inf:
         raise ValueError(f"ratio must be positive and finite, got {ratio}")
     return ratio
 
 
-def effort_ratio(ratio: float | None) -> float:
-    """The checked PH/UCP ratio to use: `ratio`, or DEFAULT_EFFORT_RATIO (read now) if None."""
-    return check_ratio(DEFAULT_EFFORT_RATIO if ratio is None else ratio)
+def classical_effort(ucp: float, ratio: float | None = None) -> float:
+    """Effort in person-hours as UCP times a fixed PH/UCP ratio (see effort_ratio)."""
+    if ucp <= 0:
+        raise ValueError(f"ucp must be positive, got {ucp}")
+    return ucp * effort_ratio(ratio)
 
 
 def fit_ucp(train: Dataset | None, ratio: float) -> float:
     """The classical estimator's model: the checked PH/UCP ratio.  It reads no training data."""
-    return check_ratio(ratio)
+    return effort_ratio(ratio)
 
 
 def predict_ucp_dataset(ratio: float, dataset: Dataset) -> np.ndarray:
@@ -131,7 +116,7 @@ def ucp_to_json(ratio: float) -> dict:
 def ucp_from_json(doc: dict) -> float:
     """Read a ratio back from ucp_to_json output; ValueError on any malformed part."""
     (ratio,) = model_fields(doc, "ucp", ("ratio",))
-    return check_ratio(finite_number(ratio, "ucp ratio"))
+    return effort_ratio(finite_number(ratio, "ucp ratio"))
 
 
 def use_case_model_from_json(doc: dict) -> UseCaseModel:

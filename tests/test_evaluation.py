@@ -283,6 +283,10 @@ class TestEvaluate:
         assert set(doc["boxplot"]) == BOXPLOT_KEYS
         assert doc["boxplot"]["outliers"] == []
 
+    def test_length_mismatch_is_reported_before_residuals(self):
+        with pytest.raises(ValueError, match="length mismatch: 3 actuals vs 2 predictions"):
+            evaluate([1.0, 2.0, 3.0], [1.0, 2.0])
+
 
 class TestWinTieLoss:
     def test_clear_dominance(self):

@@ -1,3 +1,5 @@
+from xml.dom import minidom
+
 import pytest
 
 from fmtree.evaluation import boxplot_summary
@@ -25,3 +27,10 @@ def test_output_is_deterministic():
 def test_empty_rejected():
     with pytest.raises(ValueError, match="nothing to plot"):
         render_boxplot_svg({})
+
+
+def test_model_names_are_escaped_into_well_formed_xml():
+    svg = render_boxplot_svg({"R&D <new>": boxplot_summary([1.0, 2.0, 3.0, 100.0])})
+    labels = minidom.parseString(svg).getElementsByTagName("text")
+    assert labels[-1].firstChild.data == "R&D <new>"
+    assert "R&amp;D &lt;new&gt;" in svg

@@ -10,9 +10,7 @@ from fmtree.ucp import (
     TECHNICAL_WEIGHTS,
     UseCaseModel,
     classical_effort,
-    compute_adjustment_factors,
     compute_ucp,
-    compute_uucp,
     effort_ratio,
     fit_ucp,
     predict_ucp_dataset,
@@ -30,16 +28,16 @@ ALL_THREES = UseCaseModel(
 
 
 def test_unadjusted_points_worked_example():
-    uwa, uuc, uucp = compute_uucp(ALL_THREES)
-    assert uwa == 5.0
-    assert uuc == 30.0
-    assert uucp == 35.0
+    breakdown = compute_ucp(ALL_THREES)
+    assert breakdown.uwa == 5.0
+    assert breakdown.uuc == 30.0
+    assert breakdown.uucp == 35.0
 
 
 def test_adjustment_factors_at_all_threes():
-    tcf, ef = compute_adjustment_factors(ALL_THREES)
-    assert tcf == pytest.approx(1.02, abs=1e-12)
-    assert ef == pytest.approx(0.995, abs=1e-12)
+    breakdown = compute_ucp(ALL_THREES)
+    assert breakdown.tcf == pytest.approx(1.02, abs=1e-12)
+    assert breakdown.ef == pytest.approx(0.995, abs=1e-12)
 
 
 def test_ucp_product():
@@ -50,9 +48,9 @@ def test_ucp_product():
 
 def test_zero_ratings_boundary_factors():
     model = UseCaseModel(("simple",), ("simple",), (0,) * 13, (0,) * 8)
-    tcf, ef = compute_adjustment_factors(model)
-    assert tcf == 0.6
-    assert ef == 1.4
+    breakdown = compute_ucp(model)
+    assert breakdown.tcf == 0.6
+    assert breakdown.ef == 1.4
 
 
 def test_factor_formulas_match_manual_dot_product():
@@ -63,11 +61,11 @@ def test_factor_formulas_match_manual_dot_product():
         tech = tuple(rng.randint(0, 5) for _ in range(13))
         env = tuple(rng.randint(0, 5) for _ in range(8))
         model = UseCaseModel(("average",), ("complex",), tech, env)
-        tcf, ef = compute_adjustment_factors(model)
-        assert tcf == pytest.approx(
+        breakdown = compute_ucp(model)
+        assert breakdown.tcf == pytest.approx(
             0.6 + 0.01 * sum(w * r for w, r in zip(TECHNICAL_WEIGHTS, tech)), abs=1e-12
         )
-        assert ef == pytest.approx(
+        assert breakdown.ef == pytest.approx(
             1.4 - 0.03 * sum(w * r for w, r in zip(ENVIRONMENTAL_WEIGHTS, env)), abs=1e-12
         )
 
@@ -99,6 +97,11 @@ def test_classical_effort():
 
 def test_classical_effort_linear_in_ratio():
     assert classical_effort(12.0, 30.0) == pytest.approx(2 * classical_effort(12.0, 15.0))
+
+
+def test_classical_effort_reads_the_default_ratio_when_called(monkeypatch):
+    monkeypatch.setattr(fmtree.ucp, "DEFAULT_EFFORT_RATIO", 25.0)
+    assert classical_effort(10.0) == 250.0
 
 
 def test_model_validation():
