@@ -39,8 +39,9 @@ MLR_ALPHA = 0.05
 # The largest log-space MLR score whose exp is a finite float.
 _MAX_LOG_EFFORT = math.log(np.finfo(float).max)
 # Treeboost predict walks the rows in blocks of at most this many (stage, row)
-# cells, or of one row, which bounds its leaf index arrays whatever the row count.
-_PREDICT_CELLS = 2**16
+# cells, which bounds its working set whatever the row and stage counts. It joins
+# _PREDICT_CELLS // 64 stages at a time, so a block has room for 64 rows.
+_PREDICT_CELLS = 2**13
 
 
 @dataclass(frozen=True)
@@ -312,19 +313,22 @@ def _forest(trees: list[StageTree]) -> tuple[StageTree, np.ndarray]:
 def predict_treeboost_dataset(model: TreeboostModel, dataset: Dataset) -> np.ndarray:
     """Predict every project, adding stages in tree order; finite outputs are floored at 1 PH.
 
-    The rows go in blocks of at most _PREDICT_CELLS (stage, row) cells; each
-    row's sum is the same whichever block it falls in.
+    The stages are joined a chunk at a time and the rows go through each chunk
+    in blocks of at most _PREDICT_CELLS (stage, row) cells. Each block's stage
+    values are added to its rows' running totals by one ordered accumulate, so
+    every row's sum is ((0 + v0) + v1) + ... in tree order, whatever the blocks.
     """
     x = dataset.features
     total = np.zeros(len(x))
-    if model.trees:
-        forest, roots = _forest(model.trees)
-        block = max(1, _PREDICT_CELLS // len(roots))
+    chunk = max(1, _PREDICT_CELLS // 64)
+    for first in range(0, len(model.trees), chunk):
+        forest, roots = _forest(model.trees[first : first + chunk])
+        block = _PREDICT_CELLS // len(roots)
         for start in range(0, len(x), block):
             rows, part = x[start : start + block], total[start : start + block]
             leaves = forest.apply(rows, np.broadcast_to(roots[:, None], (len(roots), len(rows))))
-            for stage_values in forest.value[leaves]:
-                part += stage_values
+            # An accumulate adds in order along the stages; a reduce may sum pairwise.
+            part[:] = np.add.accumulate(np.vstack((part, forest.value[leaves])))[-1]
     predictions = model.f0 + model.shrinkage * total
     return np.maximum(predictions, EFFORT_FLOOR_PH, out=predictions, where=np.isfinite(predictions))
 

@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 from scipy.special import stdtr
 
 from conftest import BENCHMARK_TRAIN, piecewise_dataset
+from fmtree import baselines
 from fmtree.baselines import (
     _PREDICT_CELLS,
     MLR_TERMS,
@@ -64,6 +65,26 @@ def log_linear_dataset(n=60, seed=2, noise_sd=0.0, coef_complexity=0.08):
     )
     ids = tuple(f"m{i}" for i in range(n))
     return Dataset(ids, np.column_stack([size, productivity, complexity]), np.exp(log_effort))
+
+
+def whole_forest_prediction(model: TreeboostModel, dataset: Dataset) -> np.ndarray:
+    """Every row through every stage at once, each row's stages added in a Python loop."""
+    forest, roots = _forest(model.trees)
+    starts = np.broadcast_to(roots[:, None], (len(roots), len(dataset)))
+    total = np.zeros(len(dataset))
+    for stage_values in forest.value[forest.apply(dataset.features, starts)]:
+        total += stage_values
+    return np.maximum(model.f0 + model.shrinkage * total, 1.0)
+
+
+def traced_predict(model: TreeboostModel, dataset: Dataset) -> tuple[np.ndarray, int]:
+    """predict_treeboost_dataset's result and the peak of its traced allocations."""
+    tracemalloc.start()
+    try:
+        got = predict_treeboost_dataset(model, dataset)
+        return got, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestTreeboostConfig:
@@ -362,30 +383,46 @@ class TestTreeboost:
         ] == expected
 
     def test_predict_in_row_blocks_equals_the_whole_forest_in_bounded_memory(self):
-        # The pinned holdout goes in one block.
-        assert (len(piecewise_dataset()) - BENCHMARK_TRAIN) * 1000 <= _PREDICT_CELLS
-        train, _ = split_holdout(piecewise_dataset(), BENCHMARK_TRAIN, seed=2014)
+        # The stages are joined in chunks, and the rows go through each chunk in blocks.
+        train, test = split_holdout(piecewise_dataset(), BENCHMARK_TRAIN, seed=2014)
         model = fit_treeboost(train, TreeboostConfig(n_trees=200, max_depth=4, seed=3))
         rows = piecewise_dataset(4000, seed=7)
+        assert len(model.trees) > _PREDICT_CELLS // 64
         assert len(model.trees) * len(rows) > 10 * _PREDICT_CELLS
-        # Every row through every stage at once, as predict went before it took blocks.
-        forest, roots = _forest(model.trees)
-        starts = np.broadcast_to(roots[:, None], (len(roots), len(rows)))
-        leaves = forest.apply(rows.features, starts)
-        total = np.zeros(len(rows))
-        for stage_values in forest.value[leaves]:
-            total += stage_values
-        expected = np.maximum(model.f0 + model.shrinkage * total, 1.0)
-        del leaves
-        tracemalloc.start()
-        try:
-            got = predict_treeboost_dataset(model, rows)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        expected = whole_forest_prediction(model, rows)
+        got, peak = traced_predict(model, rows)
         assert got.tobytes() == expected.tobytes()
         # Whole, the (stage, row) arrays would take 6.4 MB each.
         assert peak < 16 * 8 * _PREDICT_CELLS
+        # The pinned compare's holdout under its 1000-stage model: the whole forest
+        # and its (stage, row) arrays took 1569 KB.
+        pinned = fit_treeboost(train, TreeboostConfig(seed=2014))
+        assert len(pinned.trees) == 1000
+        got, peak = traced_predict(pinned, test)
+        assert got.tobytes() == whole_forest_prediction(pinned, test).tobytes()
+        assert peak < 512 * 1024
+
+    @pytest.mark.parametrize("cells", [1, 7, _PREDICT_CELLS, 2**20])
+    def test_predict_equals_the_whole_forest_for_any_cell_budget(self, monkeypatch, cells):
+        train, test = split_holdout(piecewise_dataset(), BENCHMARK_TRAIN, seed=2014)
+        model = fit_treeboost(train, TreeboostConfig(n_trees=150, max_depth=4, seed=3))
+        assert len(model.trees) == 150
+        expected = whole_forest_prediction(model, test)
+        monkeypatch.setattr(baselines, "_PREDICT_CELLS", cells)
+        assert predict_treeboost_dataset(model, test).tobytes() == expected.tobytes()
+        singles = [predict_treeboost_dataset(model, test.take([i])) for i in range(len(test))]
+        assert np.concatenate(singles).tobytes() == expected.tobytes()
+        if cells < _PREDICT_CELLS:
+            return
+        # More stages than the default budget has cells: the working set still
+        # depends on the cells only.
+        repeats = _PREDICT_CELLS // len(model.trees) + 1
+        long = TreeboostModel(model.f0, model.shrinkage, model.trees * repeats)
+        expected = whole_forest_prediction(long, test)
+        got, peak = traced_predict(long, test)
+        assert got.tobytes() == expected.tobytes()
+        if cells == _PREDICT_CELLS:
+            assert peak < 16 * 8 * _PREDICT_CELLS
 
     @pytest.mark.parametrize("seed", sorted(TREEBOOST_REFERENCE["fits"]))
     def test_fit_matches_recorded_reference(self, seed):
