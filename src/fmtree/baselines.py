@@ -1,12 +1,14 @@
 """Reference estimators: Huber-loss stochastic gradient boosting and log-space MLR.
 
-Each boosting stage is an `mtree.FlatTree` with one value per leaf, and is
-written and read by the same nested-JSON node codec as the model tree.
+A Treeboost model holds its boosting stages in one `mtree.FlatTree` with one
+value per leaf, and writes and reads each stage by the same nested-JSON node
+codec as the model tree.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +41,7 @@ MLR_ALPHA = 0.05
 # The largest log-space MLR score whose exp is a finite float.
 _MAX_LOG_EFFORT = math.log(np.finfo(float).max)
 # Treeboost predict walks the rows in blocks of at most this many (stage, row)
-# cells, which bounds its working set whatever the row and stage counts. It joins
+# cells, which bounds its working set whatever the row and stage counts. It walks
 # _PREDICT_CELLS // 64 stages at a time, so a block has room for 64 rows.
 _PREDICT_CELLS = 2**13
 
@@ -76,18 +78,51 @@ class TreeboostConfig:
 
 @dataclass(eq=False)
 class StageTree(FlatTree):
-    """One boosting stage: a FlatTree whose leaf i predicts value[i]."""
+    """Boosting stages' nodes: a FlatTree whose leaf i predicts value[i]."""
 
     value: np.ndarray
 
 
+class _StageTable:
+    """A Treeboost node table being built, each column an array.array that grows in place."""
+
+    def __init__(self) -> None:
+        # feature, threshold, left, right and value, as StageTree holds them.
+        self.columns = tuple(array(code) for code in "qdqqd")
+        self.roots = array("q")
+
+    def append(self, rows: list[list]) -> None:
+        """Add one stage's preorder node rows [feature, threshold, left, right, value],
+        its links shifted from stage to table indices."""
+        feature, threshold, left, right, value = self.columns
+        first = len(feature)
+        self.roots.append(first)
+        for f, t, low, high, v in rows:
+            feature.append(f)
+            threshold.append(t)
+            left.append(low + first if low >= 0 else -1)
+            right.append(high + first if high >= 0 else -1)
+            value.append(v)
+
+    def nodes(self) -> StageTree:
+        return StageTree(*(np.frombuffer(c, c.typecode) for c in self.columns))
+
+    def trees(self) -> np.ndarray:
+        return np.frombuffer(self.roots, self.roots.typecode)
+
+
 @dataclass
 class TreeboostModel:
-    """f0 plus a series of shallow trees; shrinkage scales every tree output."""
+    """f0 plus a series of shallow trees; shrinkage scales every tree output.
+
+    `nodes` holds every stage's nodes, stage after stage and each stage in
+    preorder, with links that index `nodes`; `trees` holds each stage's root.
+    """
 
     f0: float
     shrinkage: float
-    trees: list[StageTree] = field(default_factory=list)
+    nodes: StageTree = field(default_factory=lambda: _StageTable().nodes())
+    trees: np.ndarray = field(default_factory=lambda: _StageTable().trees())
     loss_trace: list[float] = field(default_factory=list)
 
 
@@ -192,12 +227,12 @@ def _best_split(
 
 def _grow_stage_tree(
     x: np.ndarray, sub: np.ndarray, pseudo: np.ndarray, diff: np.ndarray, delta: float, depth: int
-) -> tuple[StageTree, np.ndarray]:
+) -> tuple[list[list], np.ndarray]:
     """Grow one stage depth first on the rows `sub` of x: splits fit the
     pseudo-residuals, and each leaf takes the Huber location step of its rows'
     raw residuals `diff`.  Each split also routes every row of x by the same
-    `<=` test, so the stage's value for each row, tree.value[tree.apply(x,
-    root)], comes back with the tree.
+    `<=` test, so the stage's value for each row comes back with its preorder
+    node rows [feature, threshold, left, right, value].
     """
     xs, ps, ds = x[sub], pseudo[sub], diff[sub]
     d = xs.shape[1]
@@ -234,7 +269,7 @@ def _grow_stage_tree(
         return node
 
     grow(np.arange(len(sub)), np.arange(len(x)), depth)
-    return StageTree.from_rows(nodes), step
+    return nodes, step
 
 
 def fit_treeboost(train: Dataset, config: TreeboostConfig = TreeboostConfig()) -> TreeboostModel:
@@ -254,9 +289,6 @@ def fit_treeboost(train: Dataset, config: TreeboostConfig = TreeboostConfig()) -
     y = train.efforts
     check_target_squares(y)
     f0 = median_of_sorted(np.sort(y))
-    model = TreeboostModel(f0, config.shrinkage)
-    if float(np.ptp(y)) == 0.0:
-        return model
     current = np.full(len(y), f0)
     rng = np.random.default_rng(config.seed)
     trim = int(config.influence_trimming * len(y))
@@ -264,6 +296,7 @@ def fit_treeboost(train: Dataset, config: TreeboostConfig = TreeboostConfig()) -
     diff = y - current
     abs_diff = np.abs(diff)
     delta = _quantile(abs_diff, config.huber_quantile)
+    table, loss_trace = _StageTable(), []
     for _ in range(config.n_trees):
         if np.maximum.reduce(abs_diff) == 0.0:
             break
@@ -279,56 +312,38 @@ def fit_treeboost(train: Dataset, config: TreeboostConfig = TreeboostConfig()) -
         # overflow while the targets' own sum of squares does not.
         try:
             with np.errstate(over="raise"):
-                tree, step = _grow_stage_tree(x, sub, pseudo, diff, delta, config.max_depth)
+                rows, step = _grow_stage_tree(x, sub, pseudo, diff, delta, config.max_depth)
         except FloatingPointError:
             raise ValueError(TARGET_SQUARES_OVERFLOW) from None
-        model.trees.append(tree)
+        table.append(rows)
         current = current + config.shrinkage * step
         diff = y - current
         abs_diff = np.abs(diff)
         delta = _quantile(abs_diff, config.huber_quantile)
-        model.loss_trace.append(_mean_huber(abs_diff, delta))
-    return model
-
-
-def _forest(trees: list[StageTree]) -> tuple[StageTree, np.ndarray]:
-    """All stages joined into one StageTree, and the index of each stage's root."""
-    sizes = [len(t.feature) for t in trees]
-    roots = np.cumsum([0] + sizes[:-1])
-    shift = np.repeat(roots, sizes)
-
-    def joined(name: str) -> np.ndarray:
-        return np.concatenate([getattr(t, name) for t in trees])
-
-    def links(name: str) -> np.ndarray:
-        child = joined(name)
-        return np.where(child >= 0, child + shift, -1)
-
-    forest = StageTree(
-        joined("feature"), joined("threshold"), links("left"), links("right"), joined("value")
-    )
-    return forest, roots
+        loss_trace.append(_mean_huber(abs_diff, delta))
+    return TreeboostModel(f0, config.shrinkage, table.nodes(), table.trees(), loss_trace)
 
 
 def predict_treeboost_dataset(model: TreeboostModel, dataset: Dataset) -> np.ndarray:
     """Predict every project, adding stages in tree order; finite outputs are floored at 1 PH.
 
-    The stages are joined a chunk at a time and the rows go through each chunk
+    The stages are walked a chunk at a time and the rows go through each chunk
     in blocks of at most _PREDICT_CELLS (stage, row) cells. Each block's stage
     values are added to its rows' running totals by one ordered accumulate, so
     every row's sum is ((0 + v0) + v1) + ... in tree order, whatever the blocks.
     """
     x = dataset.features
+    nodes = model.nodes
     total = np.zeros(len(x))
     chunk = max(1, _PREDICT_CELLS // 64)
     for first in range(0, len(model.trees), chunk):
-        forest, roots = _forest(model.trees[first : first + chunk])
+        roots = model.trees[first : first + chunk]
         block = _PREDICT_CELLS // len(roots)
         for start in range(0, len(x), block):
             rows, part = x[start : start + block], total[start : start + block]
-            leaves = forest.apply(rows, np.broadcast_to(roots[:, None], (len(roots), len(rows))))
+            leaves = nodes.apply(rows, np.broadcast_to(roots[:, None], (len(roots), len(rows))))
             # An accumulate adds in order along the stages; a reduce may sum pairwise.
-            part[:] = np.add.accumulate(np.vstack((part, forest.value[leaves])))[-1]
+            part[:] = np.add.accumulate(np.vstack((part, nodes.value[leaves])))[-1]
     predictions = model.f0 + model.shrinkage * total
     return np.maximum(predictions, EFFORT_FLOOR_PH, out=predictions, where=np.isfinite(predictions))
 
@@ -338,16 +353,16 @@ def _stage_payload(values: list, path: str, splits: bool) -> tuple:
 
 
 def treeboost_to_json(model: TreeboostModel) -> dict:
+    nodes = model.nodes
+
+    def payload(i: int) -> dict:
+        return {"value": float(nodes.value[i])} if nodes.feature[i] < 0 else {}
+
     return {
         "kind": "treeboost",
         "f0": model.f0,
         "shrinkage": model.shrinkage,
-        "trees": [
-            nodes_to_json(
-                t, lambda i, t=t: {"value": float(t.value[i])} if t.feature[i] < 0 else {}
-            )
-            for t in model.trees
-        ],
+        "trees": [nodes_to_json(nodes, payload, root) for root in model.trees.tolist()],
     }
 
 
@@ -360,18 +375,12 @@ def treeboost_from_json(doc: dict) -> TreeboostModel:
     shrinkage = finite_number(shrinkage, "treeboost shrinkage")
     if not 0.0 < shrinkage <= 1.0:
         raise ValueError(f"treeboost shrinkage must be in (0, 1], got {shrinkage!r}")
-    return TreeboostModel(
-        f0,
-        shrinkage,
-        [
-            StageTree.from_rows(
-                nodes_from_json(
-                    t, f"trees[{i}]", len(FEATURE_NAMES), ("value",), (), _stage_payload
-                )
-            )
-            for i, t in enumerate(trees)
-        ],
-    )
+    table = _StageTable()
+    for i, t in enumerate(trees):
+        table.append(
+            nodes_from_json(t, f"trees[{i}]", len(FEATURE_NAMES), ("value",), (), _stage_payload)
+        )
+    return TreeboostModel(f0, shrinkage, table.nodes(), table.trees())
 
 
 @dataclass

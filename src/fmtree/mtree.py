@@ -51,12 +51,13 @@ class TreeConfig:
 class FlatTree:
     """Binary tree nodes as parallel arrays, the layout of scikit-learn's Tree.
 
-    Node 0 is the root.  An internal node i sends a row to left[i] when
-    row[feature[i]] <= threshold[i] and to right[i] otherwise.  A leaf has
-    feature == left == right == -1.  Boosting stages, pruned trees and trees
-    read from JSON number their nodes in preorder; build_tree numbers them in
-    the breadth-first order of growth.  Nothing reads more into the numbering
-    than that node 0 is the root.
+    Node 0 is the root of a single tree; a table of Treeboost stages records
+    each stage's root beside it.  An internal node i sends a row to left[i]
+    when row[feature[i]] <= threshold[i] and to right[i] otherwise.  A leaf
+    has feature == left == right == -1.  Boosting stages, pruned trees and
+    trees read from JSON number their nodes in preorder; build_tree numbers
+    them in the breadth-first order of growth.  Nothing reads more into the
+    numbering than where the roots are.
     """
 
     feature: np.ndarray

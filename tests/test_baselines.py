@@ -23,7 +23,6 @@ from fmtree.baselines import (
     TreeboostConfig,
     TreeboostModel,
     _best_split,
-    _forest,
     _grow_stage_tree,
     _quantile,
     _stage_leaf_value,
@@ -68,20 +67,19 @@ def log_linear_dataset(n=60, seed=2, noise_sd=0.0, coef_complexity=0.08):
 
 
 def whole_forest_prediction(model: TreeboostModel, dataset: Dataset) -> np.ndarray:
-    """Every row through every stage at once, each row's stages added in a Python loop."""
-    forest, roots = _forest(model.trees)
-    starts = np.broadcast_to(roots[:, None], (len(roots), len(dataset)))
-    total = np.zeros(len(dataset))
-    for stage_values in forest.value[forest.apply(dataset.features, starts)]:
-        total += stage_values
+    """Every row through each stage on its own, the stages added in a Python loop."""
+    nodes, x = model.nodes, dataset.features
+    total = np.zeros(len(x))
+    for root in model.trees:
+        total += nodes.value[nodes.apply(x, np.full(len(x), root))]
     return np.maximum(model.f0 + model.shrinkage * total, 1.0)
 
 
-def traced_predict(model: TreeboostModel, dataset: Dataset) -> tuple[np.ndarray, int]:
-    """predict_treeboost_dataset's result and the peak of its traced allocations."""
+def traced(call, *args):
+    """call(*args)'s result and the peak of its traced allocations."""
     tracemalloc.start()
     try:
-        got = predict_treeboost_dataset(model, dataset)
+        got = call(*args)
         return got, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -191,15 +189,16 @@ class TestStageRouting:
         sub = np.flatnonzero(data.draw(arrays(np.bool_, n).filter(np.any)))
         delta = data.draw(st.floats(0.0, 1e3))
         pseudo = np.where(np.abs(diff) <= delta, diff, delta * np.sign(diff))
-        tree, step = _grow_stage_tree(x, sub, pseudo, diff, delta, data.draw(st.integers(1, 4)))
+        rows, step = _grow_stage_tree(x, sub, pseudo, diff, delta, data.draw(st.integers(1, 4)))
+        tree = StageTree.from_rows(rows)
         walked = tree.value[tree.apply(x, np.zeros(n, dtype=np.intp))]
         assert step.tobytes() == walked.tobytes()
 
     def test_row_on_a_threshold_goes_left(self):
         x = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         diff = np.array([-1.0, 1.0, 5.0])
-        tree, step = _grow_stage_tree(x, np.array([0, 1]), diff, diff, 10.0, 1)
-        assert tree.threshold[0] == 1.0
+        rows, step = _grow_stage_tree(x, np.array([0, 1]), diff, diff, 10.0, 1)
+        assert StageTree.from_rows(rows).threshold[0] == 1.0
         assert step.tolist() == [-1.0, 1.0, -1.0]
 
 
@@ -241,7 +240,7 @@ class TestTreeboost:
         features = np.column_stack([np.arange(1.0, 13.0), np.full(12, 20.0), np.full(12, 3.0)])
         data = Dataset(tuple(f"c{i}" for i in range(12)), features, np.full(12, 500.0))
         model = fit_treeboost(data, TreeboostConfig(n_trees=50))
-        assert model.trees == []
+        assert len(model.trees) == 0
         assert model.f0 == 500.0
         assert predict_treeboost_dataset(model, data.take([0]))[0] == 500.0
 
@@ -255,7 +254,7 @@ class TestTreeboost:
 
     def test_single_leaf_series_arithmetic(self):
         leaf = StageTree.from_rows([[-1, 0.0, -1, -1, 5.0]])
-        model = TreeboostModel(f0=100.0, shrinkage=0.1, trees=[leaf])
+        model = TreeboostModel(f0=100.0, shrinkage=0.1, nodes=leaf, trees=np.array([0]))
         probe = Dataset(("p",), [[100.0, 20.0, 3.0]], [1.0])
         assert predict_treeboost_dataset(model, probe)[0] == 100.5
 
@@ -390,7 +389,7 @@ class TestTreeboost:
         assert len(model.trees) > _PREDICT_CELLS // 64
         assert len(model.trees) * len(rows) > 10 * _PREDICT_CELLS
         expected = whole_forest_prediction(model, rows)
-        got, peak = traced_predict(model, rows)
+        got, peak = traced(predict_treeboost_dataset, model, rows)
         assert got.tobytes() == expected.tobytes()
         # Whole, the (stage, row) arrays would take 6.4 MB each.
         assert peak < 16 * 8 * _PREDICT_CELLS
@@ -398,7 +397,7 @@ class TestTreeboost:
         # and its (stage, row) arrays took 1569 KB.
         pinned = fit_treeboost(train, TreeboostConfig(seed=2014))
         assert len(pinned.trees) == 1000
-        got, peak = traced_predict(pinned, test)
+        got, peak = traced(predict_treeboost_dataset, pinned, test)
         assert got.tobytes() == whole_forest_prediction(pinned, test).tobytes()
         assert peak < 512 * 1024
 
@@ -417,12 +416,31 @@ class TestTreeboost:
         # More stages than the default budget has cells: the working set still
         # depends on the cells only.
         repeats = _PREDICT_CELLS // len(model.trees) + 1
-        long = TreeboostModel(model.f0, model.shrinkage, model.trees * repeats)
+        doc = treeboost_to_json(model)
+        long = treeboost_from_json({**doc, "trees": doc["trees"] * repeats})
+        assert len(long.trees) == len(model.trees) * repeats
         expected = whole_forest_prediction(long, test)
-        got, peak = traced_predict(long, test)
+        got, peak = traced(predict_treeboost_dataset, long, test)
         assert got.tobytes() == expected.tobytes()
         if cells == _PREDICT_CELLS:
             assert peak < 16 * 8 * _PREDICT_CELLS
+
+    def test_pinned_fit_holds_one_node_table_in_bounded_memory(self):
+        # The 1000 stages' nodes take about 550 KB as one table; held as one
+        # StageTree per stage they took 1416 KB, and the fit peaked at 1557 KB.
+        train, _ = split_holdout(piecewise_dataset(), BENCHMARK_TRAIN, seed=2014)
+        model, peak = traced(fit_treeboost, train, TreeboostConfig(seed=2014))
+        assert len(model.trees) == 1000
+        assert peak < 1152 * 1024
+
+    def test_pinned_model_reads_into_one_node_table_in_bounded_memory(self):
+        # Read as one StageTree per stage, the pinned model's document peaked at 1222 KB.
+        train, _ = split_holdout(piecewise_dataset(), BENCHMARK_TRAIN, seed=2014)
+        model = fit_treeboost(train, TreeboostConfig(seed=2014))
+        doc = json.loads(json.dumps(treeboost_to_json(model)))
+        restored, peak = traced(treeboost_from_json, doc)
+        assert treeboost_to_json(restored) == doc
+        assert peak < 800 * 1024
 
     @pytest.mark.parametrize("seed", sorted(TREEBOOST_REFERENCE["fits"]))
     def test_fit_matches_recorded_reference(self, seed):

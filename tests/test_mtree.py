@@ -870,6 +870,14 @@ stage_docs = st.recursive(
 )
 
 
+def preorder(node):
+    """The nodes of a nested tree doc in preorder."""
+    yield node
+    if "feature" in node:
+        yield from preorder(node["left"])
+        yield from preorder(node["right"])
+
+
 class TestCodecProperties:
     @settings(max_examples=80, deadline=None)
     @given(m5_tree_docs(), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1.0, 15.0]))
@@ -891,6 +899,31 @@ class TestCodecProperties:
         got = treeboost_to_json(model)
         assert json.dumps(got, sort_keys=True) == json.dumps(doc, sort_keys=True)
         x = np.random.default_rng(seed).integers(-12, 13, size=(16, 3)) / 2.0
-        for stage, stage_doc in zip(model.trees, trees):
-            got = stage.value[stage.apply(x, np.zeros(len(x), dtype=np.intp))]
+        nodes = model.nodes
+        for root, stage_doc in zip(model.trees, trees):
+            got = nodes.value[nodes.apply(x, np.full(len(x), root))]
             assert got.tolist() == [route(stage_doc, row)[-1]["value"] for row in x]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(stage_docs, max_size=4))
+    def test_stages_fill_one_node_table_back_to_back_in_preorder(self, trees):
+        model = treeboost_from_json(
+            {"kind": "treeboost", "f0": 1.0, "shrinkage": 0.5, "trees": trees}
+        )
+        nodes, roots = model.nodes, model.trees.tolist()
+        assert len(roots) == len(trees) and roots == sorted(roots)
+        assert not trees or roots[0] == 0
+        ends = roots[1:] + [len(nodes.feature)]
+        for start, end, stage_doc in zip(roots, ends, trees):
+            stage = list(preorder(stage_doc))
+            assert end - start == len(stage)
+            for i, node in enumerate(stage, start):
+                if "feature" not in node:
+                    assert (nodes.feature[i], nodes.left[i], nodes.right[i]) == (-1, -1, -1)
+                    continue
+                # The left child follows its parent, the right one the left subtree.
+                right = i + 1 + len(list(preorder(node["left"])))
+                assert (nodes.feature[i], nodes.left[i], nodes.right[i]) == (
+                    node["feature"], i + 1, right
+                )
+                assert start < right < end

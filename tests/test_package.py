@@ -90,6 +90,36 @@ def test_no_module_imports_a_name_it_never_uses():
         assert imported <= used, f"{name} never uses {sorted(imported - used)}"
 
 
+def defined_names(statement: ast.stmt) -> set[str]:
+    """The names that a module-level statement binds by def, class or assignment."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {statement.name}
+    targets = statement.targets if isinstance(statement, ast.Assign) else (
+        [statement.target] if isinstance(statement, ast.AnnAssign) else []
+    )
+    return {node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)}
+
+
+def test_every_private_name_is_used_in_the_package():
+    """Every module-level `_name` that the package defines is read somewhere in the
+    package outside its own definition: a name that only the tests read is dead code."""
+    defined, used = {}, set()
+    for module, tree in module_trees():
+        for statement in tree.body:
+            names = defined_names(statement)
+            defined.update((name, module) for name in names
+                           if name.startswith("_") and not name.startswith("__"))
+            reads = {node.id for node in ast.walk(statement)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            reads.update(node.attr for node in ast.walk(statement)
+                         if isinstance(node, ast.Attribute))
+            # A definition that reads only itself, as a recursive function does, is unused.
+            used |= reads - names
+    unused = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
+    assert not unused, f"private names nothing in the package reads: {unused}"
+
+
 def test_every_import_is_the_standard_library_numpy_or_fmtree():
     """numpy is the one runtime dependency: every import statement of the package,
     those inside functions too, names a standard-library module, numpy or fmtree."""
