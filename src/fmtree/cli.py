@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib.util
 import json
 import logging
 import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 # Before numpy loads: every matrix product fmtree makes is at most n x 4, too
 # narrow to gain from OpenBLAS's worker threads, whose start-up each process
@@ -78,9 +79,12 @@ def _load(path: str, parse: Callable[[str], Any]) -> Any:
 
 
 class Kind(NamedTuple):
-    """One model kind: `fit(train, config(args))` gives a model for `predict(model, dataset)`."""
+    """One model kind: `fit(train, config(args))` gives a model for `predict(model, dataset)`.
+
+    `knobs` names the parsed arguments of its own flags, which `config` reads with --seed."""
 
     label: str
+    knobs: tuple[str, ...]
     config: Callable[[argparse.Namespace], Any]
     fit: Callable[[Dataset | None, Any], Any]
     predict: Callable[[Any, Dataset], np.ndarray]
@@ -93,7 +97,8 @@ def _given(**knobs: Any) -> dict[str, Any]:
     return {name: value for name, value in knobs.items() if value is not None}
 
 
-def _kind(label: str, module: str, names: str, config: Callable[[argparse.Namespace], Any]) -> Kind:
+def _kind(label: str, module: str, names: str, knobs: str,
+          config: Callable[[argparse.Namespace], Any]) -> Kind:
     """The kind whose fit, predict, to_json and from_json are fmtree.<module>'s `names`,
     looked up at each call: the module loads the first time the kind is used, and a
     wrapper installed on its attribute (a tracer, a test double) is the one called."""
@@ -102,22 +107,24 @@ def _kind(label: str, module: str, names: str, config: Callable[[argparse.Namesp
             return getattr(getattr(fmtree, module), name)(*args)
         return call
 
-    return Kind(label, config, *map(late, names.split()))
+    return Kind(label, tuple(knobs.split()), config, *map(late, names.split()))
 
 
 KINDS: dict[str, Kind] = {
     "fmt": _kind("FMT", "fmt", "train_fmt predict_fmt_dataset fmt_to_json fmt_from_json",
+                 "clusters fuzzifier",
                  lambda args: fmtree.fcm.FcmConfig(
                      **_given(k=args.clusters, fuzzifier_m=args.fuzzifier), seed=args.seed)),
     "treeboost": _kind(
         "Treeboost", "baselines",
         "fit_treeboost predict_treeboost_dataset treeboost_to_json treeboost_from_json",
+        "trees shrinkage",
         lambda args: fmtree.baselines.TreeboostConfig(
             **_given(n_trees=args.trees, shrinkage=args.shrinkage), seed=args.seed)),
     "mlr": _kind("MLR", "baselines", "fit_mlr predict_mlr_dataset mlr_to_json mlr_from_json",
-                 lambda args: None),
+                 "", lambda args: None),
     "ucp": _kind("UCP", "ucp", "fit_ucp predict_ucp_dataset ucp_to_json ucp_from_json",
-                 lambda args: fmtree.ucp.effort_ratio(args.ratio)),
+                 "ratio", lambda args: fmtree.ucp.effort_ratio(args.ratio)),
 }
 
 
@@ -133,9 +140,10 @@ def _predict(kind: Kind, model, dataset: Dataset) -> np.ndarray:
     return predictions
 
 
-def _configs(args: argparse.Namespace) -> dict[str, Any]:
-    """Every kind's configuration, so that each knob is checked before data is read."""
-    return {name: kind.config(args) for name, kind in KINDS.items()}
+def _configs(args: argparse.Namespace, names: Iterable[str] = KINDS) -> dict[str, Any]:
+    """The configuration of each kind in `names`, every kind by default: built before
+    data is read, so that its knobs are checked first.  Each loads its kind's module."""
+    return {name: KINDS[name].config(args) for name in names}
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -197,7 +205,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     kind = KINDS[args.model]
-    config = _configs(args)[args.model]
+    # The configs of the kind trained and of each kind a knob was given for: every
+    # knob given is checked before data is read, and a knob left out has a valid default.
+    needed = [name for name, other in KINDS.items() if name == args.model
+              or any(getattr(args, knob) is not None for knob in other.knobs)]
+    config = _configs(args, needed)[args.model]
     train = _load(args.data, parse_dataset) if args.data else None
     _write_json(Path(args.out), kind.to_json(kind.fit(train, config)))
     print(f"wrote {args.model} model to {args.out}")
@@ -336,7 +348,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The C modules that hashlib falls back to when OpenSSL's _hashlib cannot be
+# imported: one per algorithm family that hashlib builds at import.
+_BUILTIN_HASHES = (("_md5", "_sha1", "_sha256", "_sha512", "_blake2", "_sha3")
+                   if sys.version_info < (3, 12) else ("_md5", "_sha1", "_sha2", "_blake2", "_sha3"))
+
+
+def _keep_openssl_out() -> None:
+    """Make `import _hashlib` fail, so that this process never maps OpenSSL's libcrypto.
+
+    numpy.random, which loads on the first default_rng, imports `secrets` and so
+    hashlib and hmac, which fall back to CPython's built-in hash modules: the same
+    digests, without libcrypto's ~3.3 MB.  fmtree always seeds its generators and
+    hashes nothing.  Applied only where every built-in fallback exists (else hashlib
+    logs an error for each missing one) and where _hashlib is not yet imported.
+    """
+    if "_hashlib" not in sys.modules and all(map(importlib.util.find_spec, _BUILTIN_HASHES)):
+        sys.modules["_hashlib"] = None
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_openssl_out()
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)

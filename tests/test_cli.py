@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import logging
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fmtree
+import fmtree.cli
 import fmtree.data
 from conftest import piecewise_dataset
 from fmtree.cli import KINDS, _log_level, _parse_model, _parse_predictions, build_parser, main
@@ -935,18 +937,21 @@ def test_readme_library_example_runs(capsys):
 
 
 # Imports fmtree.cli in a fresh interpreter, runs main on the arguments if there
-# are any, and prints as its last line the fmtree modules loaded, with numpy.ma
-# and any scipy module.
+# are any, and prints as its last line the fmtree modules loaded, with numpy.ma,
+# any scipy module and OpenSSL's _hashlib if it was loaded.
 FOOTPRINT_PROBE = """
 import json, sys
 import fmtree.cli
 if sys.argv[1:] and fmtree.cli.main(sys.argv[1:]) != 0:
     raise SystemExit("the command failed")
-print(json.dumps(sorted(m for m in sys.modules
-                        if m.split(".")[0] in ("fmtree", "scipy") or m == "numpy.ma")))
+print(json.dumps(sorted(m for m, module in sys.modules.items() if module is not None and (
+    m.split(".")[0] in ("fmtree", "scipy") or m in ("numpy.ma", "_hashlib")))))
 """
 EVERY_MODULE = {"fmtree"} | {f"fmtree.{path.stem}" for path in
                              Path(fmtree.__file__).parent.glob("*.py") if path.stem != "__init__"}
+# Whether this Python has every built-in hash module that main needs before it
+# keeps OpenSSL out of the process (see cli._keep_openssl_out).
+BUILTIN_HASHES = all(importlib.util.find_spec(name) for name in fmtree.cli._BUILTIN_HASHES)
 
 
 @pytest.mark.parametrize("command, added", [
@@ -956,16 +961,20 @@ EVERY_MODULE = {"fmtree"} | {f"fmtree.{path.stem}" for path in
     ("predict", {"fcm", "mtree", "fmt"}),
     ("predict-treeboost", {"mtree", "evaluation", "baselines"}),
     ("ucp", {"ucp"}),
-    # `train` checks every kind's knobs before it reads data (cli._configs, pinned by
-    # BAD_FLAGS), so it loads each config's module and what those import: every
-    # module but svgplot.  Loading less for `train` means changing that contract.
-    ("train", {"fcm", "mtree", "fmt", "baselines", "evaluation", "ucp"}),
+    # `train` builds the config of the kind it trains, and of each kind whose knob
+    # flag was given, so that every knob given is checked before data is read
+    # (pinned by BAD_FLAGS): an FMT model alone loads only the FMT modules, and a
+    # Treeboost knob adds the Treeboost modules.
+    ("train", {"fcm", "mtree", "fmt"}),
+    ("train-knob", {"fcm", "mtree", "fmt", "baselines", "evaluation"}),
     ("compare", None),
-], ids=["import", "synth", "evaluate", "predict", "predict-treeboost", "ucp", "train", "compare"])
+], ids=["import", "synth", "evaluate", "predict", "predict-treeboost", "ucp", "train",
+        "train-knob", "compare"])
 def test_each_command_loads_only_the_modules_it_uses(tmp_path, dataset_csv, command, added):
     """`import fmtree.cli` loads fmtree and its cli and data modules; each command adds
     the modules it calls into (`compare` all of them).  None loads numpy.ma, which
-    np.median's NaN check imports, or scipy."""
+    np.median's NaN check imports, or scipy, nor, where this Python has the built-in
+    hashes, OpenSSL's _hashlib, which numpy.random's import of `secrets` would load."""
     model, predictions, use_cases = (tmp_path / name for name in
                                      ("fmt.json", "predictions.csv", "usecases.json"))
     assert main(["train", "--model", "fmt", "--data", str(dataset_csv), "--out", str(model)]) == 0
@@ -988,6 +997,8 @@ def test_each_command_loads_only_the_modules_it_uses(tmp_path, dataset_csv, comm
         "ucp": ["ucp", str(use_cases)],
         "train": ["train", "--model", "fmt", "--data", str(dataset_csv),
                   "--out", str(tmp_path / "again.json")],
+        "train-knob": ["train", "--model", "fmt", "--trees", "5", "--data", str(dataset_csv),
+                       "--out", str(tmp_path / "again.json")],
         "compare": ["compare", "--data", str(dataset_csv), "--trees", "5",
                     "--out-dir", str(tmp_path / "reports")],
     }[command]
@@ -997,9 +1008,83 @@ def test_each_command_loads_only_the_modules_it_uses(tmp_path, dataset_csv, comm
         check=True, env={**os.environ, "PYTHONPATH": src},
     )
     loaded = set(json.loads(result.stdout.splitlines()[-1]))
+    if not BUILTIN_HASHES:
+        loaded.discard("_hashlib")
     expected = EVERY_MODULE if added is None else (
         {"fmtree", "fmtree.cli", "fmtree.data"} | {f"fmtree.{name}" for name in added})
     assert loaded == expected
+
+
+# Runs main on argv[2:] in a fresh interpreter, which has loaded no hashlib yet, then
+# prints whether OpenSSL's libcrypto is mapped and _hashlib loaded, and two digests.
+# argv[1] sets the scene: "plain"; "openssl-first", which imports _hashlib before main;
+# or "no-sha3", where find_spec finds no built-in _sha3.
+OPENSSL_PROBE = """
+import importlib.util, json, sys
+import fmtree.cli
+if sys.argv[1] == "openssl-first":
+    import _hashlib
+elif sys.argv[1] == "no-sha3":
+    find_spec = importlib.util.find_spec
+    importlib.util.find_spec = lambda name, *a: None if name == "_sha3" else find_spec(name, *a)
+if fmtree.cli.main(sys.argv[2:]) != 0:
+    raise SystemExit("the command failed")
+import hashlib, hmac, pathlib
+maps = pathlib.Path("/proc/self/maps")
+libcrypto = maps.exists() and "libcrypto" in maps.read_text(encoding="utf-8")
+print(json.dumps([libcrypto, sys.modules.get("_hashlib") is not None,
+                  hashlib.sha256(b"abc").hexdigest(), hmac.new(b"k", b"m", "sha256").hexdigest()]))
+"""
+SHA256_ABC = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+HMAC_SHA256_K_M = "b60090e3052297aeb5a080889ce2fc4bca957e756faeb4df7d31800ca1e771ec"
+
+
+def run_openssl_probe(scene, argv):
+    src = str(Path(fmtree.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "FMT_LOG"}
+    result = subprocess.run(
+        [sys.executable, "-c", OPENSSL_PROBE, scene, *argv], capture_output=True, text=True,
+        check=True, env={**env, "PYTHONPATH": src},
+    )
+    return json.loads(result.stdout.splitlines()[-1]), result.stderr
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
+@pytest.mark.skipif(not BUILTIN_HASHES, reason="this Python lacks a built-in hash module")
+def test_compare_maps_no_openssl_and_hashes_alike(tmp_path, dataset_csv):
+    """`compare` draws from numpy.random, whose import of `secrets` loads hashlib and
+    hmac, yet maps no libcrypto; their digests, the reports and stderr are the same as
+    in a process that loaded OpenSSL's _hashlib first."""
+    runs = {}
+    for scene in ("plain", "openssl-first"):
+        runs[scene] = run_openssl_probe(scene, [
+            "compare", "--data", str(dataset_csv), "--trees", "5",
+            "--out-dir", str(tmp_path / scene)])
+    (libcrypto, openssl, sha256, mac), stderr = runs["plain"]
+    assert not libcrypto and not openssl
+    assert (sha256, mac) == (SHA256_ABC, HMAC_SHA256_K_M)
+    assert runs["openssl-first"][0][2:] == [sha256, mac]
+    assert runs["openssl-first"][1] == stderr
+    for path in (tmp_path / "plain").iterdir():
+        assert path.read_bytes() == (tmp_path / "openssl-first" / path.name).read_bytes()
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_hashlib") is None, reason="no OpenSSL _hashlib")
+def test_without_a_built_in_hash_main_leaves_openssl_importable(tmp_path):
+    """Where a built-in hash module is missing, hashlib needs OpenSSL, so main leaves
+    `_hashlib` importable and nothing is logged."""
+    (libcrypto, openssl, sha256, mac), stderr = run_openssl_probe(
+        "no-sha3", ["synth", "ind2", "20", "--out", str(tmp_path / "synth.csv")])
+    assert openssl
+    assert (sha256, mac) == (SHA256_ABC, HMAC_SHA256_K_M)
+    assert stderr == ""
+
+
+def test_main_leaves_an_imported_openssl_as_it_is(tmp_path, capsys):
+    """A `_hashlib` that is already imported, as pytest's is, stays in sys.modules."""
+    openssl = pytest.importorskip("_hashlib")
+    assert main(["synth", "ind2", "20", "--out", str(tmp_path / "synth.csv")]) == 0
+    assert sys.modules["_hashlib"] is openssl
 
 
 class TestCompare:
