@@ -19,8 +19,8 @@ _MODULES = {
     "predict_mlr_dataset predict_treeboost_dataset",
     "data": "EDU IND1 IND2 PROFILES Dataset SourceProfile generate_synthetic parse_dataset "
     "render_dataset split_holdout",
-    "evaluation": "BoxplotSummary EvalReport boxplot_summary evaluate mdmre mmre mre_vector "
-    "pred wilcoxon_signed_rank win_tie_loss",
+    "evaluation": "BoxplotSummary EvalReport boxplot_summary compare evaluate mdmre mmre "
+    "mre_vector pred wilcoxon_signed_rank win_tie_loss",
     "fcm": "FcmConfig FuzzyInferenceModel FuzzyPartition Standardization build_fuzzy_model "
     "fcm_cluster membership_matrix",
     "fmt": "FmtModel predict_fmt_dataset train_fmt",

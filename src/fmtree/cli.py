@@ -178,13 +178,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     logger.info("split %d projects into %d train / %d test", len(dataset), len(train), len(test))
 
     models = {name: kind.fit(train, configs[name]) for name, kind in KINDS.items()}
-    actuals = test.efforts
     predictions = {
         kind.label: _predict(kind, models[name], test) for name, kind in KINDS.items()
     }
-    reports = {name: evaluation.evaluate(actuals, preds) for name, preds in predictions.items()}
-    mres = {name: evaluation.mre_vector(actuals, preds) for name, preds in predictions.items()}
-    wtl = evaluation.win_tie_loss(mres)
+    reports, wtl = evaluation.compare(test.efforts, predictions)
 
     out_dir = Path(args.out_dir)
     metrics_json = {name: report.scores() for name, report in reports.items()}
@@ -246,6 +243,12 @@ def _parse_predictions(text: str) -> dict[str, float]:
     return dict(zip(rows, values[:, 0].tolist()))
 
 
+def _first_ids(ids: list[str]) -> str:
+    """The first 5 of `ids`, then the count of the rest: a message stays short."""
+    rest = len(ids) - 5
+    return ", ".join(ids[:5]) + (f" and {rest} more" if rest > 0 else "")
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     dataset = _load(args.data, parse_dataset)
     predicted = _load(args.predictions, _parse_predictions)
@@ -255,8 +258,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if missing or extra:
         raise ValueError(
             "prediction ids do not match dataset ids"
-            + (f"; missing: {', '.join(missing)}" if missing else "")
-            + (f"; unmatched: {', '.join(extra)}" if extra else "")
+            + (f"; missing: {_first_ids(missing)}" if missing else "")
+            + (f"; unmatched: {_first_ids(extra)}" if extra else "")
         )
     predictions = [predicted[pid] for pid in dataset.ids]
     report = fmtree.evaluation.evaluate(dataset.efforts, predictions)

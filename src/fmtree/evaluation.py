@@ -268,6 +268,20 @@ def win_tie_loss(mre_by_method: Mapping[str, Sequence[float]]) -> dict[str, Meth
     }
 
 
+def compare(
+    actuals: Sequence[float], predictions: Mapping[str, Sequence[float]]
+) -> tuple[dict[str, EvalReport], dict[str, MethodRecord]]:
+    """The EvalReport of each method's predictions, and their win_tie_loss scoreboard.
+
+    Each method's predictions are checked and differenced once, by evaluate: the
+    scoreboard's MRE vectors are the reports' abs_residuals / actuals, which are
+    mre_vector's bits.  Both are keyed by method, in the input's order.
+    """
+    reports = {name: evaluate(actuals, preds) for name, preds in predictions.items()}
+    mres = {name: np.divide(report.abs_residuals, actuals) for name, report in reports.items()}
+    return reports, win_tie_loss(mres)
+
+
 def render_metrics_table(reports: Mapping[str, EvalReport]) -> str:
     """Fixed-width table of MMRE/MdMRE (as percentages) and pred levels."""
     header = f"{'Model':<12} {'MMRE%':>8} {'MdMRE%':>8} {'Pred(0.25)':>11} {'Pred(0.5)':>10}"

@@ -310,6 +310,21 @@ class TestTrainPredictEvaluate:
         assert "missing: " in err and "p002" in err
         assert "unmatched: ghost" in err
 
+    def test_evaluate_names_only_the_first_mismatched_ids(self, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        data.write_text(render_dataset(piecewise_dataset(1200)), encoding="utf-8")
+        predictions = tmp_path / "pred.csv"
+        ghosts = "".join(f"ghost{i},50.0\n" for i in range(7))
+        predictions.write_text("id,predicted_ph\np001,100.0\n" + ghosts, encoding="utf-8")
+        code = main(["evaluate", "--predictions", str(predictions),
+                     "--data", str(data), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == ("error: prediction ids do not match dataset ids; missing: p002, p003,"
+                       " p004, p005, p006 and 1194 more; unmatched: ghost0, ghost1, ghost2,"
+                       " ghost3, ghost4 and 2 more\n")
+        assert len(err.encode()) < 300
+
     def test_evaluate_rejects_wrong_header(self, tmp_path, dataset_csv, capsys):
         predictions = tmp_path / "pred.csv"
         predictions.write_text("name,value\np001,100.0\n", encoding="utf-8")
@@ -1183,6 +1198,31 @@ class TestCompare:
         assert code == 2
         assert "error: UCP prediction for project " in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    def test_each_method_is_scored_once_through_the_tracers_patch_points(
+            self, tmp_path, dataset_csv, monkeypatch):
+        """compare reaches evaluate and win_tie_loss through fmtree.evaluation's
+        attributes, where the tracer wraps them, and each MRE vector is computed once,
+        inside evaluate."""
+        evaluation = fmtree.evaluation
+        calls = []
+        depth = [0]
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls.append((name, depth[0]))
+                depth[0] += 1
+                try:
+                    return original(*args)
+                finally:
+                    depth[0] -= 1
+            return wrapper
+
+        for name in ("evaluate", "win_tie_loss", "mre_vector"):
+            monkeypatch.setattr(evaluation, name, counted(name, getattr(evaluation, name)))
+        assert main(["compare", "--data", str(dataset_csv), "--train-count", "59",
+                     "--seed", "2014", "--out-dir", str(tmp_path / "r")]) == 0
+        assert calls == [("evaluate", 0), ("mre_vector", 1)] * 4 + [("win_tie_loss", 0)]
 
     def test_missing_data_file_exits_2(self, tmp_path, capsys):
         code = main(["compare", "--data", str(tmp_path / "absent.csv"),

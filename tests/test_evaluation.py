@@ -9,10 +9,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import piecewise_dataset
+from fmtree.baselines import (
+    TreeboostConfig,
+    fit_mlr,
+    fit_treeboost,
+    predict_mlr_dataset,
+    predict_treeboost_dataset,
+)
 from fmtree.cli import _dataclass_fields
+from fmtree.data import split_holdout
 from fmtree.evaluation import (
     average_ranks,
     boxplot_summary,
+    compare,
     evaluate,
     mdmre,
     median_of_sorted,
@@ -25,6 +35,9 @@ from fmtree.evaluation import (
     wilcoxon_signed_rank,
     win_tie_loss,
 )
+from fmtree.fcm import FcmConfig
+from fmtree.fmt import predict_fmt_dataset, train_fmt
+from fmtree.ucp import classical_effort
 
 SAMPLE_ERRORS = [0.1, 0.2, 0.3, 0.6]
 BOXPLOT_KEYS = {
@@ -352,6 +365,68 @@ class TestWinTieLoss:
             win_tie_loss({"only": [0.1] * 6})
         with pytest.raises(ValueError, match="equal length"):
             win_tie_loss({"a": [0.1] * 6, "b": [0.2] * 7})
+
+
+@pytest.fixture(scope="module")
+def pinned_predictions():
+    """The test efforts of the pinned 59/25 split and the four models' predictions of
+    them, built as test_acceptance.py::test_end_to_end_nonlinearity builds them."""
+    train, test = split_holdout(piecewise_dataset(), 59, seed=2014)
+    return test.efforts, {
+        "FMT": predict_fmt_dataset(train_fmt(train, FcmConfig(seed=2014)), test),
+        "Treeboost": predict_treeboost_dataset(
+            fit_treeboost(train, TreeboostConfig(seed=2014)), test),
+        "MLR": predict_mlr_dataset(fit_mlr(train), test),
+        "UCP": np.array([classical_effort(size) for size in test.features[:, 0].tolist()]),
+    }
+
+
+@st.composite
+def actuals_and_predictions(draw):
+    """5-40 positive actuals and 2-4 methods' predictions of them, ties common."""
+    n = draw(st.integers(5, 40))
+    value = st.floats(min_value=0.5, max_value=1e4) | st.sampled_from([1.0, 100.0, 250.5])
+    actuals = draw(st.lists(value, min_size=n, max_size=n))
+    count = draw(st.integers(2, 4))
+    column = st.lists(value | st.just(0.0), min_size=n, max_size=n)
+    return actuals, {f"m{k}": draw(column) for k in range(count)}
+
+
+def assert_compare_is_the_separate_calls(actuals, predictions):
+    reports, records = compare(actuals, predictions)
+    assert reports == {name: evaluate(actuals, p) for name, p in predictions.items()}
+    assert tuple(reports) == tuple(records) == tuple(predictions)
+    mres = {name: mre_vector(actuals, p) for name, p in predictions.items()}
+    assert records == win_tie_loss(mres)
+    for name, report in reports.items():
+        assert np.array_equal(np.divide(report.abs_residuals, actuals), mres[name])
+
+
+def raised(call, *args):
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    return str(info.value)
+
+
+class TestCompare:
+    def test_pinned_split_is_the_separate_calls(self, pinned_predictions):
+        assert_compare_is_the_separate_calls(*pinned_predictions)
+
+    @given(actuals_and_predictions())
+    def test_drawn_inputs_are_the_separate_calls(self, drawn):
+        assert_compare_is_the_separate_calls(*drawn)
+
+    def test_errors_are_the_separate_calls_errors(self):
+        actuals = [100.0, 200.0, 300.0, 400.0, 500.0]
+        good = [110.0, 190.0, 300.0, 420.0, 480.0]
+        short = {"a": good, "b": good[:4]}
+        assert raised(compare, actuals, short) == raised(evaluate, actuals, good[:4])
+        not_positive = [100.0, 0.0, 300.0, 400.0, 500.0]
+        assert raised(compare, not_positive, {"a": good, "b": good}) == raised(
+            evaluate, not_positive, good)
+        for methods in ({"a": good}, {}):
+            mres = {name: mre_vector(actuals, p) for name, p in methods.items()}
+            assert raised(compare, actuals, methods) == raised(win_tie_loss, mres)
 
 
 class TestRendering:
