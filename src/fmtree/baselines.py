@@ -1,14 +1,13 @@
 """Reference estimators: Huber-loss stochastic gradient boosting and log-space MLR.
 
-A Treeboost model holds its boosting stages in one `mtree.FlatTree` with one
-value per leaf, and writes and reads each stage by the same nested-JSON node
-codec as the model tree.
+A Treeboost model holds its boosting stages as complete binary trees of one
+depth, in three dense tables, and reads each stage's nested JSON nodes with
+the model tree's validating decoder.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,13 +23,7 @@ from .data import (
     model_fields,
 )
 from .evaluation import median_of_sorted
-from .mtree import (
-    TARGET_SQUARES_OVERFLOW,
-    FlatTree,
-    check_target_squares,
-    nodes_from_json,
-    nodes_to_json,
-)
+from .mtree import TARGET_SQUARES_OVERFLOW, check_target_squares, nodes_from_json
 
 MLR_PREDICTORS = ("ln_size", "productivity", "complexity")
 # The names of MlrModel.coefficients, in the order of the design matrix's columns.
@@ -44,6 +37,9 @@ _MAX_LOG_EFFORT = math.log(np.finfo(float).max)
 # cells, which bounds its working set whatever the row and stage counts. It walks
 # _PREDICT_CELLS // 64 stages at a time, so a block has room for 64 rows.
 _PREDICT_CELLS = 2**13
+# A model's stages are padded to one depth D, so its tables hold stages x 2^D
+# leaves and about as many split slots: 2^22 leaves take about 100 MB in all.
+_MAX_LEAVES = 2**22
 
 
 @dataclass(frozen=True)
@@ -74,56 +70,73 @@ class TreeboostConfig:
             )
         if self.max_depth < 1:
             raise ValueError(f"max_depth must be at least 1, got {self.max_depth}")
-
-
-@dataclass(eq=False)
-class StageTree(FlatTree):
-    """Boosting stages' nodes: a FlatTree whose leaf i predicts value[i]."""
-
-    value: np.ndarray
-
-
-class _StageTable:
-    """A Treeboost node table being built, each column an array.array that grows in place."""
-
-    def __init__(self) -> None:
-        # feature, threshold, left, right and value, as StageTree holds them.
-        self.columns = tuple(array(code) for code in "qdqqd")
-        self.roots = array("q")
-
-    def append(self, rows: list[list]) -> None:
-        """Add one stage's preorder node rows [feature, threshold, left, right, value],
-        its links shifted from stage to table indices."""
-        feature, threshold, left, right, value = self.columns
-        first = len(feature)
-        self.roots.append(first)
-        for f, t, low, high, v in rows:
-            feature.append(f)
-            threshold.append(t)
-            left.append(low + first if low >= 0 else -1)
-            right.append(high + first if high >= 0 else -1)
-            value.append(v)
-
-    def nodes(self) -> StageTree:
-        return StageTree(*(np.frombuffer(c, c.typecode) for c in self.columns))
-
-    def trees(self) -> np.ndarray:
-        return np.frombuffer(self.roots, self.roots.typecode)
+        _check_padding(
+            self.n_trees, self.max_depth, f"n_trees={self.n_trees} at max_depth={self.max_depth}"
+        )
 
 
 @dataclass
 class TreeboostModel:
     """f0 plus a series of shallow trees; shrinkage scales every tree output.
 
-    `nodes` holds every stage's nodes, stage after stage and each stage in
-    preorder, with links that index `nodes`; `trees` holds each stage's root.
+    Every stage is a complete binary tree of depth D: row s of `feature` and
+    `threshold` holds stage s's 2^D - 1 split slots breadth first, slot i's
+    children being 2i + 1 and 2i + 2, and row s of `value` its 2^D leaves.
+    A leaf above depth D is a slot of threshold +inf, which every (finite)
+    row passes left, with its value at its leftmost leaf.
     """
 
     f0: float
     shrinkage: float
-    nodes: StageTree = field(default_factory=lambda: _StageTable().nodes())
-    trees: np.ndarray = field(default_factory=lambda: _StageTable().trees())
+    feature: np.ndarray
+    threshold: np.ndarray
+    value: np.ndarray
     loss_trace: list[float] = field(default_factory=list)
+
+    @property
+    def trees(self) -> range:
+        """The stages' indices, so len(model.trees) is the stage count."""
+        return range(len(self.value))
+
+
+def _check_padding(stages: int, depth: int, what: str) -> None:
+    """ValueError if `stages` stages padded to depth `depth`, however deep, hold
+    more than _MAX_LEAVES leaves."""
+    if stages << min(depth, _MAX_LEAVES.bit_length()) > _MAX_LEAVES:
+        raise ValueError(f"{what}: {stages} stages x 2^{depth} leaves exceed {_MAX_LEAVES}")
+
+
+def _stage_tables(stages: int, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Feature, threshold and value tables of `stages` stages of depth `depth`,
+    every slot passing left and every leaf 0."""
+    width = (1 << depth) - 1
+    shape = (stages, width)
+    return np.zeros(shape, dtype=np.intp), np.full(shape, np.inf), np.zeros((stages, width + 1))
+
+
+def _leftmost_leaf(slot: int, depth: int) -> int:
+    """The index, among a depth-`depth` stage's leaves, of the leftmost leaf under `slot`."""
+    below = depth - ((slot + 1).bit_length() - 1)
+    return ((slot + 1) << below) - (1 << depth)
+
+
+def _leaves(x: np.ndarray, feature: np.ndarray, threshold: np.ndarray) -> np.ndarray:
+    """The (k, n) leaves of x's n rows in the k stages of `feature` and `threshold`,
+    as indices into the stages' flattened (k, 2^D) leaf values.
+
+    A row walks D steps from slot 0, slot i leading to 2i + 1 + (row[feature[i]]
+    > threshold[i]); every value is gathered through a flat index.
+    """
+    k, width = feature.shape
+    n, d = x.shape
+    x, feature, threshold = x.ravel(), feature.ravel(), threshold.ravel()
+    stage = np.arange(k)[:, None]
+    row = np.arange(n) * d
+    slot = np.zeros((k, n), dtype=np.intp)
+    for _ in range(width.bit_length()):
+        at = stage * width + slot
+        slot = 2 * slot + 1 + (x[row + feature[at]] > threshold[at])
+    return stage * (width + 1) + slot - width
 
 
 def huber_loss(targets: np.ndarray, predictions: np.ndarray, delta: float) -> float:
@@ -222,54 +235,45 @@ def _best_split(
     if feature < 0:
         return None
     j = int(gain[feature].argmax())
-    return feature, float((vs[feature, j] + vs[feature, j + 1]) / 2.0)
+    # The midpoint, unless it rounds up to b or overflows (in Python floats, which
+    # do not raise), either of which would send every row left.
+    a, b = vs[feature, j : j + 2].tolist()
+    mid = (a + b) / 2.0
+    return feature, mid if a <= mid < b else a
 
 
 def _grow_stage_tree(
-    x: np.ndarray, sub: np.ndarray, pseudo: np.ndarray, diff: np.ndarray, delta: float, depth: int
-) -> tuple[list[list], np.ndarray]:
-    """Grow one stage depth first on the rows `sub` of x: splits fit the
+    x: np.ndarray, sub: np.ndarray, pseudo: np.ndarray, diff: np.ndarray, delta: float,
+    feature: np.ndarray, threshold: np.ndarray, value: np.ndarray,
+) -> None:
+    """Grow one stage depth first on the rows `sub` of x into its pass-through
+    slots `feature` and `threshold` and its zero leaf `value`s: splits fit the
     pseudo-residuals, and each leaf takes the Huber location step of its rows'
-    raw residuals `diff`.  Each split also routes every row of x by the same
-    `<=` test, so the stage's value for each row comes back with its preorder
-    node rows [feature, threshold, left, right, value].
+    raw residuals `diff`.  The stage's depth is that of its tables.
     """
     xs, ps, ds = x[sub], pseudo[sub], diff[sub]
     d = xs.shape[1]
+    depth = len(feature).bit_length()
     order = np.argsort(xs, axis=0, kind="stable").T
     # Gathered through one flat index, as mtree's scan does.
     sorted_x = xs.ravel()[order * d + np.arange(d)[:, None]]
     sorted_pseudo = ps[order]
     cuts = np.arange(1.0, len(sub))
-    step = np.empty(len(x))
-    # Preorder node rows [feature, threshold, left, right, value].
-    nodes: list[list] = []
 
-    def grow(rows: np.ndarray, routed: np.ndarray, depth_left: int) -> int:
-        """Grow the node of subsample positions `rows` and rows `routed` of x."""
-        node = len(nodes)
-        row = [-1, 0.0, -1, -1, 0.0]
-        nodes.append(row)
-        split = depth_left > 0 and _best_split(order, sorted_x, sorted_pseudo, ps, rows, cuts)
+    def grow(rows: np.ndarray, slot: int) -> None:
+        """Grow the node of subsample positions `rows` at `slot`."""
+        split = slot < len(feature) and _best_split(order, sorted_x, sorted_pseudo, ps, rows, cuts)
         if not split:
             if len(rows):
-                row[4] = _stage_leaf_value(ds[rows], delta)
-            step[routed] = row[4]
-            return node
-        feature, threshold = split
+                value[_leftmost_leaf(slot, depth)] = _stage_leaf_value(ds[rows], delta)
+            return
+        feature[slot], threshold[slot] = split
         # One column's rows index faster than xs[rows, feature].
-        go_left = xs.T[feature][rows] <= threshold
-        send_left = x.T[feature][routed] <= threshold
-        row[:4] = (
-            feature,
-            threshold,
-            grow(rows[go_left], routed[send_left], depth_left - 1),
-            grow(rows[~go_left], routed[~send_left], depth_left - 1),
-        )
-        return node
+        go_left = xs.T[split[0]][rows] <= split[1]
+        grow(rows[go_left], 2 * slot + 1)
+        grow(rows[~go_left], 2 * slot + 2)
 
-    grow(np.arange(len(sub)), np.arange(len(x)), depth)
-    return nodes, step
+    grow(np.arange(len(sub)), 0)
 
 
 def fit_treeboost(train: Dataset, config: TreeboostConfig = TreeboostConfig()) -> TreeboostModel:
@@ -296,8 +300,9 @@ def fit_treeboost(train: Dataset, config: TreeboostConfig = TreeboostConfig()) -
     diff = y - current
     abs_diff = np.abs(diff)
     delta = _quantile(abs_diff, config.huber_quantile)
-    table, loss_trace = _StageTable(), []
-    for _ in range(config.n_trees):
+    feature, threshold, value = _stage_tables(config.n_trees, config.max_depth)
+    loss_trace = []
+    for stage in range(config.n_trees):
         if np.maximum.reduce(abs_diff) == 0.0:
             break
         pseudo = np.where(abs_diff <= delta, diff, delta * np.sign(diff))
@@ -308,20 +313,25 @@ def fit_treeboost(train: Dataset, config: TreeboostConfig = TreeboostConfig()) -
         size = max(1, int(config.stochastic_fraction * len(keep)))
         sub = rng.choice(keep, size=size, replace=False)
         sub.sort()
-        # The split scans square partial sums of the pseudo-residuals, which can
+        # The split scan squares partial sums of the pseudo-residuals, which can
         # overflow while the targets' own sum of squares does not.
         try:
             with np.errstate(over="raise"):
-                rows, step = _grow_stage_tree(x, sub, pseudo, diff, delta, config.max_depth)
+                _grow_stage_tree(
+                    x, sub, pseudo, diff, delta, feature[stage], threshold[stage], value[stage]
+                )
         except FloatingPointError:
             raise ValueError(TARGET_SQUARES_OVERFLOW) from None
-        table.append(rows)
+        step = value[stage][_leaves(x, feature[stage, None], threshold[stage, None])[0]]
         current = current + config.shrinkage * step
         diff = y - current
         abs_diff = np.abs(diff)
         delta = _quantile(abs_diff, config.huber_quantile)
         loss_trace.append(_mean_huber(abs_diff, delta))
-    return TreeboostModel(f0, config.shrinkage, table.nodes(), table.trees(), loss_trace)
+    if len(loss_trace) < config.n_trees:  # stopped early: keep the fitted stages alone
+        fitted = slice(len(loss_trace))
+        feature, threshold, value = (t[fitted].copy() for t in (feature, threshold, value))
+    return TreeboostModel(f0, config.shrinkage, feature, threshold, value, loss_trace)
 
 
 def predict_treeboost_dataset(model: TreeboostModel, dataset: Dataset) -> np.ndarray:
@@ -333,17 +343,18 @@ def predict_treeboost_dataset(model: TreeboostModel, dataset: Dataset) -> np.nda
     every row's sum is ((0 + v0) + v1) + ... in tree order, whatever the blocks.
     """
     x = dataset.features
-    nodes = model.nodes
     total = np.zeros(len(x))
     chunk = max(1, _PREDICT_CELLS // 64)
-    for first in range(0, len(model.trees), chunk):
-        roots = model.trees[first : first + chunk]
-        block = _PREDICT_CELLS // len(roots)
+    for first in range(0, len(model.value), chunk):
+        stages = slice(first, first + chunk)
+        feature, threshold = model.feature[stages], model.threshold[stages]
+        value = model.value[stages]
+        block = _PREDICT_CELLS // len(value)
         for start in range(0, len(x), block):
-            rows, part = x[start : start + block], total[start : start + block]
-            leaves = nodes.apply(rows, np.broadcast_to(roots[:, None], (len(roots), len(rows))))
+            part = total[start : start + block]
+            leaves = _leaves(x[start : start + block], feature, threshold)
             # An accumulate adds in order along the stages; a reduce may sum pairwise.
-            part[:] = np.add.accumulate(np.vstack((part, nodes.value[leaves])))[-1]
+            part[:] = np.add.accumulate(np.vstack((part, value.ravel()[leaves])))[-1]
     predictions = model.f0 + model.shrinkage * total
     return np.maximum(predictions, EFFORT_FLOOR_PH, out=predictions, where=np.isfinite(predictions))
 
@@ -353,21 +364,25 @@ def _stage_payload(values: list, path: str, splits: bool) -> tuple:
 
 
 def treeboost_to_json(model: TreeboostModel) -> dict:
-    nodes = model.nodes
+    """The model with one nested JSON node object per stage; a pass-through
+    slot is written as the leaf of its value."""
+    depth = model.feature.shape[1].bit_length()
 
-    def payload(i: int) -> dict:
-        return {"value": float(nodes.value[i])} if nodes.feature[i] < 0 else {}
+    def node(stage: tuple[list, list, list], slot: int) -> dict:
+        feature, threshold, value = stage
+        if slot >= len(feature) or threshold[slot] == math.inf:
+            return {"value": value[_leftmost_leaf(slot, depth)]}
+        left, right = node(stage, 2 * slot + 1), node(stage, 2 * slot + 2)
+        return dict(feature=feature[slot], threshold=threshold[slot], left=left, right=right)
 
-    return {
-        "kind": "treeboost",
-        "f0": model.f0,
-        "shrinkage": model.shrinkage,
-        "trees": [nodes_to_json(nodes, payload, root) for root in model.trees.tolist()],
-    }
+    tables = zip(model.feature.tolist(), model.threshold.tolist(), model.value.tolist())
+    trees = [node(stage, 0) for stage in tables]
+    return {"kind": "treeboost", "f0": model.f0, "shrinkage": model.shrinkage, "trees": trees}
 
 
 def treeboost_from_json(doc: dict) -> TreeboostModel:
-    """Rebuild a model from treeboost_to_json output; ValueError on any malformed part."""
+    """Rebuild a model from treeboost_to_json output; ValueError on any malformed
+    part, and on stages too deep to pad within _MAX_LEAVES leaves."""
     f0, shrinkage, trees = model_fields(doc, "treeboost", ("f0", "shrinkage", "trees"))
     if not isinstance(trees, list):
         raise ValueError(f"treeboost 'trees' must be a list, got {trees!r}")
@@ -375,12 +390,34 @@ def treeboost_from_json(doc: dict) -> TreeboostModel:
     shrinkage = finite_number(shrinkage, "treeboost shrinkage")
     if not 0.0 < shrinkage <= 1.0:
         raise ValueError(f"treeboost shrinkage must be in (0, 1], got {shrinkage!r}")
-    table = _StageTable()
-    for i, t in enumerate(trees):
-        table.append(
-            nodes_from_json(t, f"trees[{i}]", len(FEATURE_NAMES), ("value",), (), _stage_payload)
-        )
-    return TreeboostModel(f0, shrinkage, table.nodes(), table.trees())
+    depth = 0
+    _check_padding(len(trees), depth, "treeboost 'trees'")
+    feature, threshold, value = _stage_tables(len(trees), depth)
+    for stage, tree in enumerate(trees):
+        where = f"trees[{stage}]"
+        rows = nodes_from_json(tree, where, len(FEATURE_NAMES), ("value",), (), _stage_payload)
+        # Each node's slot, set by its parent before the loop reaches it in preorder.
+        slots = [0] * len(rows)
+        for slot, (f, _, left, right, _) in zip(slots, rows):
+            if f >= 0:
+                slots[left], slots[right] = 2 * slot + 1, 2 * slot + 2
+        deepest = (max(slots) + 1).bit_length() - 1
+        if deepest > depth:
+            _check_padding(len(trees), deepest, f"treeboost {where} is {deepest} deep")
+            # Every slot keeps its number in the deeper tables, and each old leaf
+            # becomes a pass-through slot over its value at its new leftmost leaf.
+            shallow = feature, threshold, value
+            feature, threshold, value = _stage_tables(len(trees), deepest)
+            width = shallow[0].shape[1]
+            feature[:, :width], threshold[:, :width] = shallow[:2]
+            value[:, :: 1 << (deepest - depth)] = shallow[2]
+            depth = deepest
+        for (f, t, _, _, v), slot in zip(rows, slots):
+            if f >= 0:
+                feature[stage, slot], threshold[stage, slot] = f, t
+            else:
+                value[stage, _leftmost_leaf(slot, depth)] = v
+    return TreeboostModel(f0, shrinkage, feature, threshold, value)
 
 
 @dataclass

@@ -3,8 +3,8 @@
 Splits are chosen on the routing matrix by standard-deviation reduction while
 every node also carries a linear model over the regression features; this lets
 the tree route on derived columns (e.g. fuzzy memberships) yet keep leaves
-expressed in the original units.  Its nodes, like the boosting stages', are a
-`FlatTree` of parallel arrays, written as nested JSON by one shared codec.
+expressed in the original units.  Its nodes are a `FlatTree` of parallel
+arrays, written as nested JSON; the boosting stages share its JSON decoder.
 """
 
 from __future__ import annotations
@@ -51,13 +51,12 @@ class TreeConfig:
 class FlatTree:
     """Binary tree nodes as parallel arrays, the layout of scikit-learn's Tree.
 
-    Node 0 is the root of a single tree; a table of Treeboost stages records
-    each stage's root beside it.  An internal node i sends a row to left[i]
-    when row[feature[i]] <= threshold[i] and to right[i] otherwise.  A leaf
-    has feature == left == right == -1.  Boosting stages, pruned trees and
-    trees read from JSON number their nodes in preorder; build_tree numbers
-    them in the breadth-first order of growth.  Nothing reads more into the
-    numbering than where the roots are.
+    Node 0 is the root.  An internal node i sends a row to left[i] when
+    row[feature[i]] <= threshold[i] and to right[i] otherwise.  A leaf has
+    feature == left == right == -1.  Pruned trees and trees read from JSON
+    number their nodes in preorder; build_tree numbers them in the
+    breadth-first order of growth.  Nothing reads more into the numbering
+    than where the root is.
     """
 
     feature: np.ndarray
@@ -71,12 +70,10 @@ class FlatTree:
         being node i; `args` fill the fields that follow the payload arrays."""
         return cls(*map(np.array, zip(*rows)), *args)
 
-    def apply(self, x: np.ndarray, node: np.ndarray) -> np.ndarray:
-        """Walk the rows of x from start nodes to leaves.
-
-        `node` has shape (n,) or (k, n): one start node per row, or k of them.
-        """
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Each row of x's leaf, walked from the root."""
         rows = np.arange(len(x))
+        node = np.zeros(len(x), dtype=np.intp)
         while True:
             feature = self.feature[node]
             inner = feature >= 0
@@ -183,8 +180,9 @@ def _scan(
     A lane is one (node, routing column) pair: lanes[i] holds its node's
     sizes[i] rows sorted by routing column columns[i], then padding, which
     may be any row index.  parent_sd[i] is the population sd of the node's y.
-    A cut falls between consecutive distinct values and leaves both sides at
-    least min_instances rows; ties break toward the lowest threshold.
+    A cut falls between consecutive distinct values a < b and leaves both
+    sides at least min_instances rows; ties break toward the lowest threshold.
+    The threshold is the midpoint of a and b where that is below b, else a.
     """
     c, w = lanes.shape
     d = routing.shape[1]
@@ -213,8 +211,10 @@ def _scan(
     sdr[(vs[:, lo:hi] == vs[:, lo - 1 : hi - 1]) | (nl > size - lo)] = -np.inf
     cut = sdr.argmax(axis=1)
     at = lane * w + lo + cut
-    values = vs.ravel()
-    return sdr.ravel()[lane * (hi - lo) + cut], (values[at - 1] + values[at]) / 2.0
+    a, b = vs.ravel()[at - 1], vs.ravel()[at]
+    with np.errstate(over="ignore"):  # a midpoint that rounds up to b, or overflows, is not used
+        mid = (a + b) / 2.0
+    return sdr.ravel()[lane * (hi - lo) + cut], np.where((a <= mid) & (mid < b), mid, a)
 
 
 def _best_splits(
@@ -413,7 +413,7 @@ def prune(
     count, node_mae = tree.count.tolist(), tree.mae.tolist()
     # Each training row's raw prediction by the pruned subtree walked last, starting
     # from its raw leaf's: node_values gives a row the same bits in any batch.
-    predictions = tree.node_values(tree.apply(r, np.zeros(len(r), dtype=np.intp)), g)
+    predictions = tree.node_values(tree.apply(r), g)
     rows: list[list] = []
 
     def walk(node: int, idx: np.ndarray) -> int:
@@ -467,7 +467,7 @@ def predict_tree(
     parent = np.full(len(tree.feature), -1)
     inner = np.flatnonzero(tree.feature >= 0)
     parent[tree.left[inner]] = parent[tree.right[inner]] = inner
-    node = tree.apply(r, np.zeros(len(r), dtype=np.intp))
+    node = tree.apply(r)
     p = tree.node_values(node, g)
     rows = np.flatnonzero(parent[node] >= 0)
     while rows.size:
@@ -477,20 +477,6 @@ def predict_tree(
         p[rows] = (tree.count[child] * p[rows] + k * own) / (tree.count[child] + k)
         rows = rows[parent[node[rows]] >= 0]
     return p
-
-
-def nodes_to_json(tree: FlatTree, payload: Callable[[int], dict], node: int = 0) -> dict:
-    """The nested JSON object of `node`'s subtree: payload(node) plus, at a
-    split, 'feature', 'threshold', 'left' and 'right'."""
-    doc = payload(node)
-    if tree.feature[node] >= 0:
-        doc.update(
-            feature=int(tree.feature[node]),
-            threshold=float(tree.threshold[node]),
-            left=nodes_to_json(tree, payload, int(tree.left[node])),
-            right=nodes_to_json(tree, payload, int(tree.right[node])),
-        )
-    return doc
 
 
 SPLIT_KEYS = ("feature", "threshold", "left", "right")
@@ -535,20 +521,29 @@ def nodes_from_json(
 
 
 def tree_to_json(tree: ModelTree) -> dict:
-    def payload(node: int) -> dict:
-        return {
-            "count": int(tree.count[node]),
-            "mae": float(tree.mae[node]),
+    def node(i: int) -> dict:
+        """The nested JSON object of node i's subtree."""
+        doc = {
+            "count": int(tree.count[i]),
+            "mae": float(tree.mae[i]),
             "model": {
-                "intercept": float(tree.beta[node, 0]),
-                "coefficients": tree.beta[node, 1:].tolist(),
+                "intercept": float(tree.beta[i, 0]),
+                "coefficients": tree.beta[i, 1:].tolist(),
             },
         }
+        if tree.feature[i] >= 0:
+            doc.update(
+                feature=int(tree.feature[i]),
+                threshold=float(tree.threshold[i]),
+                left=node(int(tree.left[i])),
+                right=node(int(tree.right[i])),
+            )
+        return doc
 
     return {
         "routing_dim": tree.routing_dim,
         "regression_dim": tree.regression_dim,
-        "root": nodes_to_json(tree, payload),
+        "root": node(0),
     }
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -16,16 +16,18 @@ from scipy.special import stdtr
 from conftest import BENCHMARK_TRAIN, piecewise_dataset
 from fmtree import baselines
 from fmtree.baselines import (
+    _MAX_LEAVES,
     _PREDICT_CELLS,
     MLR_TERMS,
     MlrModel,
-    StageTree,
     TreeboostConfig,
     TreeboostModel,
     _best_split,
     _grow_stage_tree,
+    _leaves,
     _quantile,
     _stage_leaf_value,
+    _stage_tables,
     fit_mlr,
     fit_treeboost,
     huber_loss,
@@ -66,13 +68,24 @@ def log_linear_dataset(n=60, seed=2, noise_sd=0.0, coef_complexity=0.08):
     return Dataset(ids, np.column_stack([size, productivity, complexity]), np.exp(log_effort))
 
 
+def stage_doc_values(node: dict, x: np.ndarray) -> np.ndarray:
+    """Each row of x's value under one stage's JSON node object, by the `<=` rule."""
+    if "value" in node:
+        return np.full(len(x), node["value"])
+    go_left = x[:, node["feature"]] <= node["threshold"]
+    values = np.empty(len(x))
+    values[go_left] = stage_doc_values(node["left"], x[go_left])
+    values[~go_left] = stage_doc_values(node["right"], x[~go_left])
+    return values
+
+
 def whole_forest_prediction(model: TreeboostModel, dataset: Dataset) -> np.ndarray:
-    """Every row through each stage on its own, the stages added in a Python loop."""
-    nodes, x = model.nodes, dataset.features
+    """Every row through each stage's JSON node objects, the stages added in a Python loop."""
+    doc, x = treeboost_to_json(model), dataset.features
     total = np.zeros(len(x))
-    for root in model.trees:
-        total += nodes.value[nodes.apply(x, np.full(len(x), root))]
-    return np.maximum(model.f0 + model.shrinkage * total, 1.0)
+    for stage in doc["trees"]:
+        total += stage_doc_values(stage, x)
+    return np.maximum(doc["f0"] + doc["shrinkage"] * total, 1.0)
 
 
 def traced(call, *args):
@@ -100,11 +113,20 @@ class TestTreeboostConfig:
             ({"max_depth": 0}, "max_depth"),
             ({"n_trees": 2.5}, "n_trees must be an integer"),
             ({"shrinkage": True}, "shrinkage must be a number"),
+            ({"n_trees": 2**20}, r"n_trees=1048576 at max_depth=3: 1048576 stages x 2\^3 "
+                                 r"leaves exceed 4194304"),
+            ({"n_trees": 1, "max_depth": 23}, r"1 stages x 2\^23 leaves exceed"),
+            ({"max_depth": 10**9}, r"1000 stages x 2\^1000000000 leaves exceed"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             TreeboostConfig(**kwargs)
+
+    def test_stages_may_pad_to_exactly_the_leaf_cap(self):
+        assert _MAX_LEAVES == 2**22
+        TreeboostConfig(n_trees=2**19)  # 2^19 stages x 2^3 leaves
+        TreeboostConfig(n_trees=1, max_depth=22)
 
 
 class TestHuberLoss:
@@ -177,10 +199,28 @@ class TestBestSplit:
         residuals = data.draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
         assert best_split(x, residuals, np.arange(n)) == reference_split(x, residuals)
 
+    @pytest.mark.parametrize(
+        "a, b", [(1 - 2**-53, 1.0), (1.6e308, 1.7e308), (-1.7e308, -1.6e308)]
+    )
+    def test_threshold_whose_midpoint_is_not_below_b_is_a(self, a, b):
+        # (a + b) / 2 rounds to b, overflows to inf or overflows to -inf.
+        x = np.column_stack([np.repeat([a, b], 3), np.zeros(6), np.zeros(6)])
+        residuals = np.repeat([-1.0, 1.0], 3)
+        with np.errstate(over="raise"):
+            assert best_split(x, residuals, np.arange(6)) == (0, a)
 
-class TestStageRouting:
+
+def grown_stage(x, sub, diff, delta, depth):
+    """The tables of one stage of depth `depth` grown on the rows `sub` of x."""
+    pseudo = np.where(np.abs(diff) <= delta, diff, delta * np.sign(diff))
+    feature, threshold, value = _stage_tables(1, depth)
+    _grow_stage_tree(x, sub, pseudo, diff, delta, feature[0], threshold[0], value[0])
+    return feature, threshold, value
+
+
+class TestStageGrowth:
     @given(st.data())
-    def test_routed_leaf_values_equal_a_walk_of_the_tree(self, data):
+    def test_leaves_hold_the_steps_of_the_rows_that_walk_to_them(self, data):
         # Integer features tie often, and a training row outside the subsample
         # can sit exactly on a threshold halfway between two subsample values.
         n = data.draw(st.integers(2, 40))
@@ -188,18 +228,28 @@ class TestStageRouting:
         diff = data.draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
         sub = np.flatnonzero(data.draw(arrays(np.bool_, n).filter(np.any)))
         delta = data.draw(st.floats(0.0, 1e3))
-        pseudo = np.where(np.abs(diff) <= delta, diff, delta * np.sign(diff))
-        rows, step = _grow_stage_tree(x, sub, pseudo, diff, delta, data.draw(st.integers(1, 4)))
-        tree = StageTree.from_rows(rows)
-        walked = tree.value[tree.apply(x, np.zeros(n, dtype=np.intp))]
-        assert step.tobytes() == walked.tobytes()
+        feature, threshold, value = grown_stage(x, sub, diff, delta, data.draw(st.integers(1, 4)))
+        leaves = _leaves(x[sub], feature, threshold)[0]
+        for leaf in np.unique(leaves):
+            assert value[0, leaf] == _stage_leaf_value(diff[sub[leaves == leaf]], delta)
+        walked = value[0][_leaves(x, feature, threshold)[0]]
+        doc = treeboost_to_json(TreeboostModel(0.0, 1.0, feature, threshold, value))
+        assert walked.tobytes() == stage_doc_values(doc["trees"][0], x).tobytes()
 
     def test_row_on_a_threshold_goes_left(self):
         x = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         diff = np.array([-1.0, 1.0, 5.0])
-        rows, step = _grow_stage_tree(x, np.array([0, 1]), diff, diff, 10.0, 1)
-        assert StageTree.from_rows(rows).threshold[0] == 1.0
-        assert step.tolist() == [-1.0, 1.0, -1.0]
+        feature, threshold, value = grown_stage(x, np.array([0, 1]), diff, 10.0, 1)
+        assert threshold.tolist() == [[1.0]]
+        assert value[0][_leaves(x, feature, threshold)[0]].tolist() == [-1.0, 1.0, -1.0]
+
+    def test_leaf_above_the_depth_passes_every_row_to_its_leftmost_leaf(self):
+        x = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        diff = np.array([3.0, 3.0, 5.0])
+        feature, threshold, value = grown_stage(x, np.array([0, 1]), diff, 10.0, 3)
+        assert threshold.tolist() == [[math.inf] * 7]
+        assert value.tolist() == [[3.0] + [0.0] * 7]
+        assert _leaves(x, feature, threshold).tolist() == [[0, 0, 0]]
 
 
 class TestStageLeafValue:
@@ -253,8 +303,8 @@ class TestTreeboost:
         assert_allclose(predict_treeboost_dataset(model, data), median, rtol=1e-6)
 
     def test_single_leaf_series_arithmetic(self):
-        leaf = StageTree.from_rows([[-1, 0.0, -1, -1, 5.0]])
-        model = TreeboostModel(f0=100.0, shrinkage=0.1, nodes=leaf, trees=np.array([0]))
+        feature, threshold = np.zeros((1, 0), dtype=np.intp), np.zeros((1, 0))
+        model = TreeboostModel(100.0, 0.1, feature, threshold, np.array([[5.0]]))
         probe = Dataset(("p",), [[100.0, 20.0, 3.0]], [1.0])
         assert predict_treeboost_dataset(model, probe)[0] == 100.5
 
@@ -281,7 +331,7 @@ class TestTreeboost:
         assert np.all(np.isfinite(predictions))
 
     def test_prediction_floor(self):
-        model = TreeboostModel(f0=0.25, shrinkage=0.1)
+        model = TreeboostModel(0.25, 0.1, *_stage_tables(0, 1))
         probe = Dataset(("p",), [[100.0, 20.0, 3.0]], [1.0])
         assert predict_treeboost_dataset(model, probe)[0] == 1.0
         # Only finite values are floored: -inf is returned for the caller to refuse.
@@ -363,6 +413,48 @@ class TestTreeboost:
         with pytest.raises(ValueError, match=message):
             treeboost_from_json(doc)
 
+    def test_from_json_refuses_stages_that_pad_past_the_leaf_cap(self):
+        def chain(depth):
+            node = {"value": 1.0}
+            for _ in range(depth):
+                node = {"feature": 0, "threshold": 0.5, "left": node, "right": {"value": 2.0}}
+            return node
+
+        doc = {"kind": "treeboost", "f0": 100.0, "shrinkage": 0.1}
+        with pytest.raises(ValueError, match=r"treeboost trees\[0\] is 600 deep: 1 stages x "
+                                             r"2\^600 leaves exceed 4194304"):
+            treeboost_from_json({**doc, "trees": [chain(600)]})
+        with pytest.raises(ValueError, match=r"treeboost 'trees': 4194305 stages x 2\^0 leaves"):
+            treeboost_from_json({**doc, "trees": [{"value": 1.0}] * (_MAX_LEAVES + 1)})
+        # The stage that first takes the padding past the cap is named.
+        with pytest.raises(ValueError, match=r"treeboost trees\[2\] is 21 deep: 3 stages x "
+                                             r"2\^21 leaves exceed"):
+            treeboost_from_json({**doc, "trees": [chain(2), {"value": 1.0}, chain(21)]})
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(1, 5), st.integers(1, 30), st.floats(0.05, 1.0), st.floats(0.0, 0.5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_fit_round_trips_through_json_to_the_same_bytes_and_bits(
+        self, max_depth, n_trees, stochastic_fraction, influence_trimming, seed
+    ):
+        train, test = split_holdout(piecewise_dataset(), BENCHMARK_TRAIN, seed % 1000)
+        config = TreeboostConfig(
+            n_trees=n_trees, max_depth=max_depth, stochastic_fraction=stochastic_fraction,
+            influence_trimming=influence_trimming, seed=seed,
+        )
+        model = fit_treeboost(train, config)
+        text = json.dumps(treeboost_to_json(model))
+        restored = treeboost_from_json(json.loads(text))
+        assert json.dumps(treeboost_to_json(restored)) == text
+        # A stage stops above max_depth where a node has no split; a model read
+        # back has the depth of its deepest stage.
+        assert restored.value.shape[1] <= model.value.shape[1] == 2**max_depth
+        assert predict_treeboost_dataset(restored, test).tobytes() == (
+            predict_treeboost_dataset(model, test).tobytes()
+        )
+
     def test_batch_predict_equals_per_row_walk(self):
         train, test = split_holdout(piecewise_dataset(), 59, seed=2014)
         model = fit_treeboost(train, TreeboostConfig(n_trees=150, max_depth=4, seed=3))
@@ -425,16 +517,18 @@ class TestTreeboost:
         if cells == _PREDICT_CELLS:
             assert peak < 16 * 8 * _PREDICT_CELLS
 
-    def test_pinned_fit_holds_one_node_table_in_bounded_memory(self):
-        # The 1000 stages' nodes take about 550 KB as one table; held as one
-        # StageTree per stage they took 1416 KB, and the fit peaked at 1557 KB.
+    def test_pinned_fit_in_bounded_memory(self):
+        # The 1000 stages' tables take 176 KB; as one node table they took about
+        # 550 KB, and as one node-table object per stage 1416 KB, when the fit
+        # peaked at 879 and 1557 KB.
         train, _ = split_holdout(piecewise_dataset(), BENCHMARK_TRAIN, seed=2014)
         model, peak = traced(fit_treeboost, train, TreeboostConfig(seed=2014))
         assert len(model.trees) == 1000
         assert peak < 1152 * 1024
 
-    def test_pinned_model_reads_into_one_node_table_in_bounded_memory(self):
-        # Read as one StageTree per stage, the pinned model's document peaked at 1222 KB.
+    def test_pinned_model_reads_in_bounded_memory(self):
+        # Read into one node table the pinned model's document peaked at 640 KB,
+        # and into one node-table object per stage at 1222 KB.
         train, _ = split_holdout(piecewise_dataset(), BENCHMARK_TRAIN, seed=2014)
         model = fit_treeboost(train, TreeboostConfig(seed=2014))
         doc = json.loads(json.dumps(treeboost_to_json(model)))

@@ -68,6 +68,14 @@ def overflowing(doc, value=1e308, weight=False):
     return value if weight else doc
 
 
+def deep_stage_model(depth):
+    """A treeboost model file of one stage, a chain of `depth` splits."""
+    node = {"value": 1.0}
+    for _ in range(depth):
+        node = {"feature": 0, "threshold": 0.5, "left": node, "right": {"value": 2.0}}
+    return json.dumps({"kind": "treeboost", "f0": 100.0, "shrinkage": 0.1, "trees": [node]})
+
+
 def deep_tree_model(depth):
     """An fmt model file whose tree is a chain of `depth` splits, too deep to read."""
     node = {"count": 5, "mae": 0.0, "model": {"intercept": 1.0, "coefficients": [0, 0, 0]}}
@@ -211,6 +219,20 @@ class TestTrainPredictEvaluate:
             assert main(["train", "--model", kind, "--data", str(dataset_csv),
                          "--out", str(model), *extra]) == 0
             assert json.loads(model.read_text(encoding="utf-8"))["kind"] == kind
+
+    def test_treeboost_splits_between_values_whose_midpoint_overflows(self, tmp_path, capsys):
+        # The midpoint of 1.6e308 and 1.7e308 overflows to inf; the threshold is then 1.6e308.
+        data = tmp_path / "huge.csv"
+        lines = ["id,size_ucp,productivity,complexity,effort_ph"]
+        lines += [f"h{i},100,{1.7e308 if i % 2 else 1.6e308},3,{5000 if i % 2 else 1000}"
+                  for i in range(30)]
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        model = tmp_path / "tb.json"
+        assert main(["train", "--model", "treeboost", "--data", str(data), "--trees", "5",
+                     "--out", str(model)]) == 0
+        assert capsys.readouterr().err == ""
+        stages = json.loads(model.read_text(encoding="utf-8"))["trees"]
+        assert [stage["threshold"] for stage in stages] == [1.6e308] * 5
 
     def test_ucp_model_multiplies_size_by_ratio(self, tmp_path, dataset_csv):
         model = tmp_path / "ucp.json"
@@ -399,6 +421,8 @@ class TestTrainPredictEvaluate:
              "MLR prediction for project 'p001' is not finite: inf"),
             pytest.param('{"kind": "ucp", "ratio": 1' + "0" * 400 + "}",
                          "ucp ratio does not fit a float: 401 digits", id="ucp-ratio-401-digits"),
+            pytest.param(deep_stage_model(600), "treeboost trees[0] is 600 deep: 1 stages x "
+                         "2^600 leaves exceed 4194304", id="treeboost-stage-600-deep"),
             ('{"kind": "fmt", "feature_names": null, ' + FMT_CONFIGS + ', "fuzzy": {},'
              ' "tree": {}}', "fmt feature_names must be"),
             ('{"kind": "fmt", "feature_names": ["size_ucp", "productivity", "complexity"],'

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fmtree import mtree
-from fmtree.baselines import treeboost_from_json, treeboost_to_json
+from fmtree.baselines import _leaves, treeboost_from_json, treeboost_to_json
 from fmtree.mtree import (
     _BLOCK_CELLS,
     ModelTree,
@@ -141,6 +141,16 @@ class TestBestSplit:
         y = np.array([0.0, 1.0, 2.0, 3.0])
         assert best_split(routing, y, 1)[0] == -np.inf
 
+    @pytest.mark.parametrize(
+        "a, b", [(1 - 2**-53, 1.0), (1.6e308, 1.7e308), (-1.7e308, -1.6e308)]
+    )
+    def test_threshold_whose_midpoint_is_not_below_b_is_a(self, a, b):
+        # (a + b) / 2 rounds to b, overflows to inf or overflows to -inf.
+        routing = np.repeat([a, b], 3)[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert best_split(routing, np.repeat([0.0, 1.0], 3), 1)[1:] == (0, a)
+
 
 class TestBuildTree:
     def test_constant_targets_single_leaf(self):
@@ -214,6 +224,23 @@ class TestBuildTree:
                 build_tree(x, x, y * 1e200)
             # Squares of 9e150 and their sum still fit a float: the step is found.
             assert build_tree(x, x, y * 1e150).leaf_count() == 2
+
+    @pytest.mark.parametrize("a, b", [(1 - 2**-53, 1.0), (1.6e308, 1.7e308)])
+    def test_cut_whose_midpoint_is_not_below_b_parts_the_rows(self, monkeypatch, a, b):
+        # A threshold of b (or inf) would send all twelve rows left, and the
+        # same split would recur under the left child at every level.
+        levels = []
+
+        def counted(*args):
+            levels.append(args)
+            assert len(levels) < 10, "build_tree keeps growing"
+            return _best_splits(*args)
+
+        monkeypatch.setattr(mtree, "_best_splits", counted)
+        routing = np.repeat([a, b], 6)[:, None]
+        tree = build_tree(routing, np.zeros((12, 0)), np.arange(12.0), TreeConfig(min_instances=2))
+        assert tree.threshold[0] == a
+        assert tree.count.tolist() == [12, 6, 6]
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
@@ -870,12 +897,9 @@ stage_docs = st.recursive(
 )
 
 
-def preorder(node):
-    """The nodes of a nested tree doc in preorder."""
-    yield node
-    if "feature" in node:
-        yield from preorder(node["left"])
-        yield from preorder(node["right"])
+def doc_depth(node):
+    """The depth of a nested tree doc's deepest leaf."""
+    return 1 + max(doc_depth(node["left"]), doc_depth(node["right"])) if "feature" in node else 0
 
 
 class TestCodecProperties:
@@ -899,31 +923,32 @@ class TestCodecProperties:
         got = treeboost_to_json(model)
         assert json.dumps(got, sort_keys=True) == json.dumps(doc, sort_keys=True)
         x = np.random.default_rng(seed).integers(-12, 13, size=(16, 3)) / 2.0
-        nodes = model.nodes
-        for root, stage_doc in zip(model.trees, trees):
-            got = nodes.value[nodes.apply(x, np.full(len(x), root))]
+        values = model.value.ravel()[_leaves(x, model.feature, model.threshold)]
+        for got, stage_doc in zip(values, trees):
             assert got.tolist() == [route(stage_doc, row)[-1]["value"] for row in x]
 
     @settings(max_examples=80, deadline=None)
-    @given(st.lists(stage_docs, max_size=4))
-    def test_stages_fill_one_node_table_back_to_back_in_preorder(self, trees):
+    @given(stage_docs, st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_a_shallow_leaf_in_a_deeper_model_routes_every_row_to_its_value(
+        self, stage_doc, extra, seed
+    ):
+        # A second stage, a chain, makes the model deeper than stage_doc.
+        depth = doc_depth(stage_doc) + extra
+        deep = {"value": 0.0}
+        for _ in range(depth):
+            deep = {"feature": 1, "threshold": 0.0, "left": deep, "right": {"value": 1.0}}
         model = treeboost_from_json(
-            {"kind": "treeboost", "f0": 1.0, "shrinkage": 0.5, "trees": trees}
+            {"kind": "treeboost", "f0": 1.0, "shrinkage": 0.5, "trees": [stage_doc, deep]}
         )
-        nodes, roots = model.nodes, model.trees.tolist()
-        assert len(roots) == len(trees) and roots == sorted(roots)
-        assert not trees or roots[0] == 0
-        ends = roots[1:] + [len(nodes.feature)]
-        for start, end, stage_doc in zip(roots, ends, trees):
-            stage = list(preorder(stage_doc))
-            assert end - start == len(stage)
-            for i, node in enumerate(stage, start):
-                if "feature" not in node:
-                    assert (nodes.feature[i], nodes.left[i], nodes.right[i]) == (-1, -1, -1)
-                    continue
-                # The left child follows its parent, the right one the left subtree.
-                right = i + 1 + len(list(preorder(node["left"])))
-                assert (nodes.feature[i], nodes.left[i], nodes.right[i]) == (
-                    node["feature"], i + 1, right
-                )
-                assert start < right < end
+        assert model.value.shape == (2, 2**depth)
+        x = np.random.default_rng(seed).integers(-12, 13, size=(64, 3)) / 2.0
+        leaves = _leaves(x, model.feature[:1], model.threshold[:1])[0]
+        for row, leaf in zip(x, leaves.tolist()):
+            node, slot = stage_doc, 0
+            while "feature" in node:
+                right = bool(row[node["feature"]] > node["threshold"])
+                node, slot = node["right" if right else "left"], 2 * slot + 1 + right
+            assert model.value[0, leaf] == node["value"]
+            # The row ends at the leftmost leaf under its doc leaf's slot.
+            below = depth - ((slot + 1).bit_length() - 1)
+            assert leaf == ((slot + 1) << below) - 2**depth
