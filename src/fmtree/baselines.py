@@ -23,7 +23,7 @@ from .data import (
     model_fields,
 )
 from .evaluation import median_of_sorted
-from .mtree import TARGET_SQUARES_OVERFLOW, check_target_squares, nodes_from_json
+from .mtree import TARGET_SQUARES_OVERFLOW, _mean, check_target_squares, nodes_from_json
 
 MLR_PREDICTORS = ("ln_size", "productivity", "complexity")
 # The names of MlrModel.coefficients, in the order of the design matrix's columns.
@@ -139,17 +139,12 @@ def _leaves(x: np.ndarray, feature: np.ndarray, threshold: np.ndarray) -> np.nda
     return stage * (width + 1) + slot - width
 
 
-def huber_loss(targets: np.ndarray, predictions: np.ndarray, delta: float) -> float:
-    """Mean Huber loss: quadratic within delta of zero, linear beyond."""
-    return _mean_huber(np.abs(np.asarray(targets, float) - np.asarray(predictions, float)), delta)
-
-
 def _mean_huber(residuals: np.ndarray, delta: float) -> float:
-    """huber_loss of absolute residuals; np.add.reduce over the count is np.mean's sum."""
+    """Mean Huber loss of absolute residuals: quadratic within delta of zero, linear beyond."""
     if delta > 0:
         quad = residuals <= delta
         residuals = np.where(quad, 0.5 * residuals**2, delta * (residuals - 0.5 * delta))
-    return float(np.add.reduce(residuals) / len(residuals))
+    return _mean(residuals)
 
 
 def _quantile(values: np.ndarray, q: float) -> float:
@@ -172,15 +167,13 @@ def _stage_leaf_value(diff: np.ndarray, delta: float) -> float:
     """Huber location step: median plus a clipped mean offset around it.
 
     The offset is summed in the order of `diff`, so only a copy is sorted.
-    Clipping to [-delta, delta] gives the values of sign * min(|centered|,
-    delta), and np.add.reduce over the count equals np.mean bit for bit, which
-    costs several times more on the few rows of a leaf.
+    Clipping to [-delta, delta] gives the values of sign * min(|centered|, delta).
     """
     ordered = diff.copy()
     ordered.sort()
     med = median_of_sorted(ordered)
     clipped = np.minimum(np.maximum(diff - med, -delta), delta)
-    return med + float(np.add.reduce(clipped) / len(clipped))
+    return med + _mean(clipped)
 
 
 def _best_split(
@@ -214,10 +207,8 @@ def _best_split(
         rs = sorted_residuals[in_node].reshape(-1, n)
     if np.maximum.reduce(node_residuals) == np.minimum.reduce(node_residuals):
         return None
-    # np.add.reduce sums in np.sum's order, so these equal np.sum and np.mean.
-    parent_sse = float(np.add.reduce(node_residuals**2)) - n * float(
-        np.add.reduce(node_residuals) / n
-    ) ** 2
+    # np.add.reduce sums in np.sum's order, so this equals np.sum.
+    parent_sse = float(np.add.reduce(node_residuals**2)) - n * _mean(node_residuals) ** 2
     cum = rs.cumsum(axis=1)
     cum2 = (rs * rs).cumsum(axis=1)
     total, total2 = cum[:, -1:], cum2[:, -1:]

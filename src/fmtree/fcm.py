@@ -66,16 +66,23 @@ class Standardization:
     def fit(cls, features: np.ndarray, names: Sequence[str] = ()) -> "Standardization":
         """Column means and population sds, 1 for a constant column.
 
-        ValueError if a column's sd is not finite, naming it by `names`, if
+        ValueError if a column's sd is not finite, or is 0 although its values
+        differ (their squared deviations underflow), naming it by `names`, if
         given, or else by its index.
         """
         x = np.asarray(features, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):  # reported below, as a ValueError
             sd = x.std(axis=0)
         finite = np.isfinite(sd)
-        if not finite.all():
-            j = int(np.argmin(finite))
+        underflow = (sd == 0.0) & (x != x[:1]).any(axis=0)
+        if not finite.all() or underflow.any():
+            j = int(np.argmax(~finite | underflow))
             name = names[j] if names else f"feature {j}"
+            if finite[j]:
+                raise ValueError(
+                    f"cannot standardize {name}: its standard deviation is 0 although its "
+                    "values differ; its values are too small in magnitude"
+                )
             raise ValueError(
                 f"cannot standardize {name}: its standard deviation is not finite ({sd[j]}); "
                 "its values are too large in magnitude"

@@ -3,7 +3,7 @@
 Splits are chosen on the routing matrix by standard-deviation reduction while
 every node also carries a linear model over the regression features; this lets
 the tree route on derived columns (e.g. fuzzy memberships) yet keep leaves
-expressed in the original units.  Its nodes are a `FlatTree` of parallel
+expressed in the original units.  A `ModelTree` holds its nodes as parallel
 arrays, written as nested JSON; the boosting stages share its JSON decoder.
 """
 
@@ -48,26 +48,35 @@ class TreeConfig:
 
 
 @dataclass(eq=False)
-class FlatTree:
-    """Binary tree nodes as parallel arrays, the layout of scikit-learn's Tree.
+class ModelTree:
+    """An M5 model tree as parallel node arrays, the layout of scikit-learn's Tree.
 
     Node 0 is the root.  An internal node i sends a row to left[i] when
     row[feature[i]] <= threshold[i] and to right[i] otherwise.  A leaf has
-    feature == left == right == -1.  Pruned trees and trees read from JSON
-    number their nodes in preorder; build_tree numbers them in the
-    breadth-first order of growth.  Nothing reads more into the numbering
-    than where the root is.
+    feature == left == right == -1.  Every node has a training row count, a
+    mean absolute error and an affine model: beta[i, 0] + beta[i, 1:] .
+    regression_row.  Pruned trees and trees read from JSON number their nodes
+    in preorder; build_tree numbers them in the breadth-first order of growth.
+    Nothing reads more into the numbering than where the root is.
+
+    It holds no rows: prune takes the rows it was grown on, as predict_tree
+    takes the rows it predicts.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
+    count: np.ndarray
+    mae: np.ndarray
+    beta: np.ndarray
+    routing_dim: int
+    regression_dim: int
 
     @classmethod
-    def from_rows(cls, rows: list[list], *args):
+    def from_rows(cls, rows: list[list], *args) -> ModelTree:
         """A tree from node rows [feature, threshold, left, right, *payload], row i
-        being node i; `args` fill the fields that follow the payload arrays."""
+        being node i; `args` fill the fields that follow the row arrays."""
         return cls(*map(np.array, zip(*rows)), *args)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -84,22 +93,6 @@ class FlatTree:
 
     def leaf_count(self) -> int:
         return int(np.count_nonzero(self.feature < 0))
-
-
-@dataclass(eq=False)
-class ModelTree(FlatTree):
-    """A FlatTree whose every node has a training row count, a mean absolute
-    error and an affine model: beta[i, 0] + beta[i, 1:] . regression_row.
-
-    It holds no rows: prune takes the rows it was grown on, as predict_tree
-    takes the rows it predicts.
-    """
-
-    count: np.ndarray
-    mae: np.ndarray
-    beta: np.ndarray
-    routing_dim: int
-    regression_dim: int
 
     def node_values(self, node: np.ndarray | int, g: np.ndarray) -> np.ndarray:
         """Evaluate node[i]'s model on row i of g (or one node's on every row).

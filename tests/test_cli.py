@@ -26,6 +26,7 @@ from fmtree.cli import KINDS, _log_level, _parse_model, _parse_predictions, buil
 from fmtree.data import (
     CSV_COLUMNS,
     PREDICTION_COLUMNS,
+    Dataset,
     parse_dataset,
     render_dataset,
     split_holdout,
@@ -116,6 +117,19 @@ class TestSynth:
         main(["synth", "edu", "30", "--seed", "9", "--out", str(first)])
         main(["synth", "edu", "30", "--seed", "9", "--out", str(second)])
         assert first.read_bytes() == second.read_bytes()
+
+    def test_running_out_of_memory_exits_2_with_a_message(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        # Stands in for the allocation, which is never made.
+        monkeypatch.setattr(fmtree.cli, "generate_synthetic", exhausted)
+        out = tmp_path / "s.csv"
+        assert main(["synth", "edu", "100000000000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 745. GiB for an array\n"
+        )
+        assert not out.exists()
 
     def test_unknown_profile_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -493,6 +507,25 @@ class TestTrainPredictEvaluate:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {path}: ")
         assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("others_vary", [True, False])
+    def test_sizes_whose_spread_underflows_are_named(self, tmp_path, capsys, others_vary):
+        """Thirty sizes (i + 1) * 1e-300 differ, but their squared deviations underflow:
+        taken as constant, size would be left out of the routing where the other features
+        vary, and where they are constant every membership would underflow."""
+        i = np.arange(30.0)
+        features = np.column_stack([(i + 1) * 1e-300, 10 + i % 7 * others_vary,
+                                    1 + i % 3 * others_vary])
+        data = tmp_path / "tiny.csv"
+        data.write_text(render_dataset(Dataset(tuple(f"p{k:02d}" for k in range(30)), features,
+                                               100 + 10 * i)), encoding="utf-8")
+        out = tmp_path / "model.json"
+        assert main(["train", "--model", "fmt", "--data", str(data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot standardize size_ucp: its standard deviation is 0 although its "
+            "values differ; its values are too small in magnitude\n"
+        )
         assert not out.exists()
 
 

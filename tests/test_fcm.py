@@ -199,6 +199,19 @@ def test_standardization_constant_feature_scale_one():
     assert_allclose(std.apply(x)[:, 1], 0.0)
 
 
+def test_standardization_refuses_a_spread_that_underflows():
+    """Sizes (i + 1) * 1e-300 differ, but their squared deviations underflow to an sd
+    of 0; a constant column, however small its values, still gets scale 1."""
+    x = np.column_stack([np.arange(1, 31) * 1e-300, np.arange(30.0), np.full(30, 1e-300)])
+    with pytest.raises(ValueError, match=r"^cannot standardize size_ucp: its standard "
+                       r"deviation is 0 although its values differ; its values are too small "
+                       r"in magnitude$"):
+        Standardization.fit(x, ("size_ucp", "productivity", "complexity"))
+    with pytest.raises(ValueError, match="^cannot standardize feature 0: "):
+        Standardization.fit(x)
+    assert Standardization.fit(x[:, 1:]).scale[1] == 1.0
+
+
 def test_model_json_round_trip():
     rng = np.random.default_rng(10)
     x = rng.uniform(0, 10, size=(30, 3))

@@ -101,23 +101,46 @@ def defined_names(statement: ast.stmt) -> set[str]:
             if isinstance(node, ast.Name)}
 
 
+def names_read(statement: ast.stmt) -> set[str]:
+    """The names and attribute names that a module-level statement reads, less those it
+    defines: a definition that reads only itself, as a recursive function does, is unused."""
+    reads = {node.id for node in ast.walk(statement)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    reads.update(node.attr for node in ast.walk(statement) if isinstance(node, ast.Attribute))
+    return reads - defined_names(statement)
+
+
 def test_every_private_name_is_used_in_the_package():
     """Every module-level `_name` that the package defines is read somewhere in the
     package outside its own definition: a name that only the tests read is dead code."""
     defined, used = {}, set()
     for module, tree in module_trees():
         for statement in tree.body:
-            names = defined_names(statement)
-            defined.update((name, module) for name in names
+            defined.update((name, module) for name in defined_names(statement)
                            if name.startswith("_") and not name.startswith("__"))
-            reads = {node.id for node in ast.walk(statement)
-                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-            reads.update(node.attr for node in ast.walk(statement)
-                         if isinstance(node, ast.Attribute))
-            # A definition that reads only itself, as a recursive function does, is unused.
-            used |= reads - names
+            used |= names_read(statement)
     unused = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
     assert not unused, f"private names nothing in the package reads: {unused}"
+
+
+def test_every_public_function_and_class_is_used_in_the_package():
+    """Every public module-level function and class is read somewhere in the package
+    outside its own definition, exported by fmtree's _MODULES or named in a string of
+    cli.KINDS, which looks its functions up by name: one that only the tests read is
+    dead code."""
+    defined, used = {}, {name for names in fmtree._MODULES.values() for name in names.split()}
+    for module, tree in module_trees():
+        for statement in tree.body:
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                if not statement.name.startswith("_"):
+                    defined[statement.name] = module
+            elif module == "cli.py" and "KINDS" in defined_names(statement):
+                used.update(word for node in ast.walk(statement)
+                            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                            for word in node.value.split())
+            used |= names_read(statement)
+    unused = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
+    assert not unused, f"public functions and classes nothing in the package reads: {unused}"
 
 
 def test_every_import_is_the_standard_library_numpy_or_fmtree():
