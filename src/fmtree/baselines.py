@@ -255,8 +255,7 @@ def _grow_stage_tree(
         """Grow the node of subsample positions `rows` at `slot`."""
         split = slot < len(feature) and _best_split(order, sorted_x, sorted_pseudo, ps, rows, cuts)
         if not split:
-            if len(rows):
-                value[_leftmost_leaf(slot, depth)] = _stage_leaf_value(ds[rows], delta)
+            value[_leftmost_leaf(slot, depth)] = _stage_leaf_value(ds[rows], delta)
             return
         feature[slot], threshold[slot] = split
         # One column's rows index faster than xs[rows, feature].

@@ -80,16 +80,15 @@ class ModelTree:
         return cls(*map(np.array, zip(*rows)), *args)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Each row of x's leaf, walked from the root."""
-        rows = np.arange(len(x))
+        """Each row of x's leaf, walked from the root; a step moves only rows at inner nodes."""
         node = np.zeros(len(x), dtype=np.intp)
-        while True:
-            feature = self.feature[node]
-            inner = feature >= 0
-            if not inner.any():
-                return node
-            go_left = x[rows, np.where(inner, feature, 0)] <= self.threshold[node]
-            node = np.where(inner, np.where(go_left, self.left[node], self.right[node]), node)
+        rows = np.flatnonzero(self.feature[node] >= 0)
+        while rows.size:
+            at = node[rows]
+            go_left = x[rows, self.feature[at]] <= self.threshold[at]
+            node[rows] = np.where(go_left, self.left[at], self.right[at])
+            rows = rows[self.feature[node[rows]] >= 0]
+        return node
 
     def leaf_count(self) -> int:
         return int(np.count_nonzero(self.feature < 0))
@@ -230,11 +229,9 @@ def _best_splits(
     d = routing.shape[1]
     widths = [order.shape[1] for order, _ in nodes]
     # Lane i is column i % d of node i // d.
-    columns, sizes = np.empty((2, len(nodes), d), dtype=np.intp)
-    sds = np.empty((len(nodes), d))
-    columns[:] = range(d)
-    sizes.T[:], sds.T[:] = widths, [sd for _, sd in nodes]
-    columns, sizes, sds = columns.ravel(), sizes.ravel(), sds.ravel()
+    columns = np.tile(np.arange(d), len(nodes))
+    sizes = np.repeat(widths, d)
+    sds = np.repeat([sd for _, sd in nodes], d)
     count = len(columns)
     gain, threshold = np.empty(count), np.empty(count)
     start = 0

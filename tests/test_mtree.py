@@ -531,6 +531,66 @@ class TestBatchPaths:
         assert predict_tree(tree, np.empty((0, 1)), np.empty((0, 1))).shape == (0,)
 
 
+def walk_to_leaf(tree, routing_row):
+    """The leaf a ModelTree sends one row to, one node at a time from the root; <= goes left."""
+    node = 0
+    while tree.feature[node] >= 0:
+        goes_left = routing_row[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if goes_left else tree.right[node]
+    return int(node)
+
+
+def node_row(feature, threshold, left, right):
+    """A from_rows node row with a constant model; a leaf's feature and links are -1."""
+    return [feature, threshold, left, right, 1, 0.0, [0.0, 0.0]]
+
+
+LEAF_ROW = node_row(-1, 0.0, -1, -1)
+
+
+class TestApply:
+    @settings(max_examples=40, deadline=None)
+    @given(tree_data, st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_matches_a_per_row_walk(self, data, min_instances, seed):
+        r, g, y = random_tree_data(*data)
+        tree = build_tree(r, g, y, TreeConfig(min_instances=min_instances))
+        # Fresh rows besides the training ones, about half their cells on a threshold.
+        rng = np.random.default_rng(seed)
+        fresh = rng.uniform(0.0, 10.0, size=r.shape)
+        thresholds = tree.threshold[tree.feature >= 0]
+        if len(thresholds):
+            on = rng.random(r.shape) < 0.5
+            fresh[on] = rng.choice(thresholds, size=np.count_nonzero(on))
+        x = np.vstack([r, fresh])
+        got = tree.apply(x)
+        assert got.dtype == np.intp
+        assert got.tolist() == [walk_to_leaf(tree, row) for row in x]
+
+    def test_single_leaf_sends_every_row_to_the_root(self):
+        tree = ModelTree.from_rows([LEAF_ROW], 2, 1)
+        x = np.random.default_rng(0).uniform(size=(5, 2))
+        assert tree.apply(x).tolist() == [0] * 5
+
+    def test_unbalanced_chain(self):
+        # Each split's left child is a leaf and its right child the next split.
+        rows = [
+            node_row(0, 1.0, 1, 2), LEAF_ROW, node_row(1, 2.0, 3, 4), LEAF_ROW,
+            node_row(0, 3.0, 5, 6), LEAF_ROW, LEAF_ROW,
+        ]
+        tree = ModelTree.from_rows(rows, 2, 1)
+        x = np.array([[0.5, 9.0], [1.5, 1.5], [2.5, 2.5], [3.5, 2.5], [0.5, 0.5]])
+        assert tree.apply(x).tolist() == [1, 3, 5, 6, 1]
+        with pytest.raises(IndexError):
+            tree.apply(np.full((2, 1), 5.0))
+
+    def test_rows_on_a_threshold_go_left(self):
+        tree = ModelTree.from_rows(
+            [node_row(1, 0.5, 1, 2), node_row(0, -2.0, 3, 4), LEAF_ROW, LEAF_ROW, LEAF_ROW], 2, 1
+        )
+        x = np.array([[-2.0, 0.5], [-2.0, 0.6], [np.nextafter(-2.0, 0.0), 0.5], [9.0, -1.0]])
+        assert tree.apply(x).tolist() == [3, 2, 4, 4]
+
+
 def reference_fit_linear(g, y, jittered):
     """The per-node fit that preceded the batched one, kept as the oracle.
 
