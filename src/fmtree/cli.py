@@ -11,7 +11,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple, NoReturn
 
 # Before numpy loads: every matrix product fmtree makes is at most n x 4, too
 # narrow to gain from OpenBLAS's worker threads, whose start-up each process
@@ -387,5 +387,25 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """The program entry: main() on sys.argv, then end the process with its status.
+
+    Once logging is shut down (the one atexit hook a run registers) and both streams
+    are flushed, os._exit skips the interpreter's teardown, which costs a cold process
+    about 25 ms after its output is written; no other atexit hook runs.  A flush that
+    fails leaves through sys.exit, so Python reports it as it always has (exit 120).
+    main's SystemExit (--help, usage errors) and uncaught exceptions pass through.
+    """
+    status = main()
+    logging.shutdown()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):
+        sys.exit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1159,6 +1159,63 @@ def test_main_leaves_an_imported_openssl_as_it_is(tmp_path, capsys):
     assert sys.modules["_hashlib"] is openssl
 
 
+# main() in a process that Python ends as it ends any other, with its full teardown:
+# what `python -m fmtree.cli`, which ends through cli.run's os._exit, must match.
+PLAIN_EXIT = ("-c", "import sys; from fmtree.cli import main; sys.exit(main())")
+
+
+def run_cli(argv, launcher=("-m", "fmtree.cli"), stdout=subprocess.PIPE, unset=()):
+    """`python -m fmtree.cli argv` (or the launcher given) in a fresh interpreter, with
+    FMT_LOG and the variables in `unset` removed from its environment."""
+    src = str(Path(fmtree.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key not in ("FMT_LOG", *unset)}
+    return subprocess.run([sys.executable, *launcher, *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env={**env, "PYTHONPATH": src})
+
+
+def test_the_cli_process_prints_and_writes_what_main_does(tmp_path, dataset_csv, capsys):
+    """A `compare` process exits 0 with the stdout text and the five report files of an
+    in-process main run, and its stderr holds the warning of FCM's iteration cap."""
+    argv = ["compare", "--data", str(dataset_csv), "--seed", "11", "--trees", "5", "--out-dir"]
+    expected, reports = tmp_path / "in-process", tmp_path / "process"
+    assert main([*argv, str(expected)]) == 0
+    printed = capsys.readouterr().out
+    result = run_cli([*argv, str(reports)])
+    assert result.returncode == 0
+    assert result.stdout.replace(str(reports), str(expected)) == printed
+    assert "WARNING FCM stopped at max_iterations=300 without converging" in result.stderr
+    names = sorted(path.name for path in expected.iterdir())
+    assert len(names) == 5
+    assert sorted(path.name for path in reports.iterdir()) == names
+    for name in names:
+        assert (reports / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+def test_the_cli_process_exits_2_on_a_missing_data_file(tmp_path):
+    result = run_cli(["compare", "--data", str(tmp_path / "missing.csv"),
+                      "--out-dir", str(tmp_path / "reports")])
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:")
+    assert not (tmp_path / "reports").exists()
+
+
+def test_a_failed_stdout_flush_ends_the_process_as_python_does(tmp_path):
+    """On a read-only stdout the buffered output cannot be written, so run() leaves
+    through sys.exit: Python reports the failed flush and exits 120, as after
+    `sys.exit(main())`.  Unbuffered, print itself would fail inside main."""
+    use_cases = tmp_path / "usecases.json"
+    use_cases.write_text(json.dumps(UCP_MODEL), encoding="utf-8")
+    results = []
+    for launcher in (("-m", "fmtree.cli"), PLAIN_EXIT):
+        with use_cases.open("rb") as read_only:
+            results.append(run_cli(["ucp", str(use_cases)], launcher, read_only,
+                                   unset=("PYTHONUNBUFFERED",)))
+    for result in results:
+        assert result.returncode == 120
+        assert "Exception ignored in: <_io.TextIOWrapper name='<stdout>'" in result.stderr
+    assert results[0].stderr == results[1].stderr
+
+
 class TestCompare:
     def run_compare(self, tmp_path, dataset_csv, name):
         out_dir = tmp_path / name

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -183,3 +184,16 @@ def test_cli_keeps_a_blas_thread_count_the_user_set():
     if not threads:
         pytest.skip("no OpenBLAS getter and no /proc/self/task to count threads")
     assert int(threads) == 2
+
+
+def test_console_script_and_module_run_the_same_entry():
+    """The `fmtree` console script and `python -m fmtree.cli` call one function."""
+    root = Path(__file__).resolve().parents[1]
+    scripts = re.search(r"^\[project\.scripts\]\n(?:[^\[].*\n)*?fmtree = \"fmtree\.cli:(\w+)\"$",
+                        (root / "pyproject.toml").read_text(encoding="utf-8"), re.MULTILINE)
+    assert scripts, "pyproject.toml names no fmtree console script in fmtree.cli"
+    tree = ast.parse(Path(fmtree.__file__).with_name("cli.py").read_text(encoding="utf-8"))
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    [statement] = block.body
+    assert ast.unparse(statement) == f"{scripts[1]}()"
