@@ -467,15 +467,15 @@ def t_two_sided_p(t: float, dof: int) -> float:
     return _incomplete_beta(dof / 2.0, 0.5, 1.0 / (1.0 + t2 / dof), 1.0 / (1.0 + dof / t2))
 
 
-def _ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Return (beta, R^2); raises on rank deficiency."""
+def _ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """Return (beta, R^2, residuals); raises on rank deficiency."""
     beta, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
     if rank < x.shape[1]:
         raise ValueError("collinear design: predictors are linearly dependent")
     residuals = y - x @ beta
     tss = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if tss == 0.0 else 1.0 - float(np.sum(residuals**2)) / tss
-    return beta, r2
+    return beta, r2, residuals
 
 
 def fit_mlr(train: Dataset, config: None = None) -> MlrModel:
@@ -485,11 +485,10 @@ def fit_mlr(train: Dataset, config: None = None) -> MlrModel:
     y = np.log(train.efforts)
     n = len(y)
     x = np.column_stack([np.ones(n), np.log(train.features[:, 0]), train.features[:, 1:]])
-    beta, r2 = _ols(x, y)
+    beta, r2, residuals = _ols(x, y)
     p = x.shape[1] - 1
     adjusted_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - p - 1)
 
-    residuals = y - x @ beta
     dof = n - x.shape[1]
     sigma2 = float(np.sum(residuals**2)) / dof
     covariance = sigma2 * np.linalg.inv(x.T @ x)
@@ -502,8 +501,7 @@ def fit_mlr(train: Dataset, config: None = None) -> MlrModel:
     vif: dict[str, float] = {}
     for i, name in enumerate(MLR_PREDICTORS, start=1):
         others = [j for j in range(1, x.shape[1]) if j != i]
-        aux = np.column_stack([np.ones(n)] + [x[:, j] for j in others])
-        _, aux_r2 = _ols(aux, x[:, i])
+        _, aux_r2, _ = _ols(x[:, [0, *others]], x[:, i])
         vif[name] = float("inf") if aux_r2 >= 1.0 else 1.0 / (1.0 - aux_r2)
 
     return MlrModel(coefficients, float(adjusted_r2), vif, t_stats, p_values)

@@ -231,9 +231,8 @@ def _memberships_t(d2t: np.ndarray, fuzzifier_m: float, out: np.ndarray) -> np.n
         w = np.divide(d2t, nearest, out=out)
         _power(w, -1.0 / (fuzzifier_m - 1.0), out=w)
     on_center = np.flatnonzero(nearest == 0.0)
-    if on_center.size:
-        w[:, on_center] = 0.0
-        w[np.argmax(d2t[:, on_center] == 0.0, axis=0), on_center] = 1.0
+    w[:, on_center] = 0.0
+    w[np.argmax(d2t[:, on_center] == 0.0, axis=0), on_center] = 1.0
     if len(w) < 8:
         total = nearest  # no longer needed; its memory takes the sum
         total[:] = w[0]
@@ -252,7 +251,9 @@ def fcm_cluster(features: np.ndarray, config: FcmConfig = FcmConfig()) -> FuzzyP
     then centers and memberships alternate until the largest membership change
     drops below `config.tolerance` or `config.max_iterations` is hit.  The
     recorded objective J_m = sum_i sum_c u_ic^m ||x_i - v_c||^2 is
-    non-increasing across iterations.
+    non-increasing across iterations.  A cluster whose memberships raised to m
+    all underflow to 0 has no weight: it keeps its last center (at first the
+    origin).
     """
     x = _as_feature_matrix(features)
     n, d = x.shape
@@ -276,11 +277,7 @@ def fcm_cluster(features: np.ndarray, config: FcmConfig = FcmConfig()) -> FuzzyP
     trace: list[float] = []
     for _ in range(config.max_iterations):
         weights = np.add.accumulate(umt, axis=1, out=work)[:, -1]
-        fresh = weights > 0
-        if fresh.all():  # skips umt[fresh], a copy of all of umt
-            np.divide(umt @ x, weights[:, None], out=centers)
-        else:
-            centers[fresh] = (umt[fresh] @ x) / weights[fresh, None]
+        np.divide(umt @ x, weights[:, None], out=centers, where=weights[:, None] > 0)
         _squared_distances_t(xt, centers, out=d2t)
         _memberships_t(d2t, m, out=ut_next)
         _power(ut_next, m, out=umt)
@@ -292,7 +289,7 @@ def fcm_cluster(features: np.ndarray, config: FcmConfig = FcmConfig()) -> FuzzyP
         if shift < config.tolerance:
             break
     converged = shift < config.tolerance
-    return FuzzyPartition(centers.copy(), _row_major(ut), trace, m, converged, shift)
+    return FuzzyPartition(centers, _row_major(ut), trace, m, converged, shift)
 
 
 def build_fuzzy_model(

@@ -1,9 +1,17 @@
-"""Shared test fixtures: deterministic synthetic benchmarks."""
+"""Shared test fixtures: deterministic synthetic benchmarks, and a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fmtree
 from fmtree.data import Dataset
+
+SRC = str(Path(fmtree.__file__).resolve().parents[1])
 
 BENCHMARK_SEED = 2014
 BENCHMARK_SIZE = 84
@@ -47,3 +55,13 @@ def linear_dataset(n: int = 80, seed: int = 11) -> Dataset:
 @pytest.fixture
 def benchmark() -> Dataset:
     return piecewise_dataset()
+
+
+def python_child(*args: str, drop=(), stdout=subprocess.PIPE, check=False, cwd=None,
+                 **env: str) -> subprocess.CompletedProcess:
+    """`python *args` in a fresh interpreter that imports this fmtree, with this
+    process's environment less the variables in `drop`, plus `env`.  Its stderr, and
+    its stdout unless `stdout` says otherwise, are captured as text."""
+    kept = {key: value for key, value in os.environ.items() if key not in drop}
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, check=check, cwd=cwd, env={**kept, "PYTHONPATH": SRC, **env})

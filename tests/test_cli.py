@@ -7,7 +7,6 @@ import logging
 import math
 import os
 import re
-import subprocess
 import sys
 import tempfile
 import warnings
@@ -21,7 +20,7 @@ from hypothesis import strategies as st
 import fmtree
 import fmtree.cli
 import fmtree.data
-from conftest import piecewise_dataset
+from conftest import piecewise_dataset, python_child
 from fmtree.cli import KINDS, _log_level, _parse_model, _parse_predictions, build_parser, main
 from fmtree.data import (
     CSV_COLUMNS,
@@ -1074,11 +1073,7 @@ def test_each_command_loads_only_the_modules_it_uses(tmp_path, dataset_csv, comm
         "compare": ["compare", "--data", str(dataset_csv), "--trees", "5",
                     "--out-dir", str(tmp_path / "reports")],
     }[command]
-    src = str(Path(fmtree.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT_PROBE, *argv], capture_output=True, text=True,
-        check=True, env={**os.environ, "PYTHONPATH": src},
-    )
+    result = python_child("-c", FOOTPRINT_PROBE, *argv, check=True)
     loaded = set(json.loads(result.stdout.splitlines()[-1]))
     if not BUILTIN_HASHES:
         loaded.discard("_hashlib")
@@ -1111,16 +1106,6 @@ SHA256_ABC = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 HMAC_SHA256_K_M = "b60090e3052297aeb5a080889ce2fc4bca957e756faeb4df7d31800ca1e771ec"
 
 
-def run_openssl_probe(scene, argv):
-    src = str(Path(fmtree.__file__).resolve().parents[1])
-    env = {key: value for key, value in os.environ.items() if key != "FMT_LOG"}
-    result = subprocess.run(
-        [sys.executable, "-c", OPENSSL_PROBE, scene, *argv], capture_output=True, text=True,
-        check=True, env={**env, "PYTHONPATH": src},
-    )
-    return json.loads(result.stdout.splitlines()[-1]), result.stderr
-
-
 @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
 @pytest.mark.skipif(not BUILTIN_HASHES, reason="this Python lacks a built-in hash module")
 def test_compare_maps_no_openssl_and_hashes_alike(tmp_path, dataset_csv):
@@ -1129,9 +1114,10 @@ def test_compare_maps_no_openssl_and_hashes_alike(tmp_path, dataset_csv):
     in a process that loaded OpenSSL's _hashlib first."""
     runs = {}
     for scene in ("plain", "openssl-first"):
-        runs[scene] = run_openssl_probe(scene, [
-            "compare", "--data", str(dataset_csv), "--trees", "5",
-            "--out-dir", str(tmp_path / scene)])
+        result = python_child("-c", OPENSSL_PROBE, scene, "compare", "--data", str(dataset_csv),
+                              "--trees", "5", "--out-dir", str(tmp_path / scene),
+                              drop=("FMT_LOG",), check=True)
+        runs[scene] = json.loads(result.stdout.splitlines()[-1]), result.stderr
     (libcrypto, openssl, sha256, mac), stderr = runs["plain"]
     assert not libcrypto and not openssl
     assert (sha256, mac) == (SHA256_ABC, HMAC_SHA256_K_M)
@@ -1145,11 +1131,12 @@ def test_compare_maps_no_openssl_and_hashes_alike(tmp_path, dataset_csv):
 def test_without_a_built_in_hash_main_leaves_openssl_importable(tmp_path):
     """Where a built-in hash module is missing, hashlib needs OpenSSL, so main leaves
     `_hashlib` importable and nothing is logged."""
-    (libcrypto, openssl, sha256, mac), stderr = run_openssl_probe(
-        "no-sha3", ["synth", "ind2", "20", "--out", str(tmp_path / "synth.csv")])
+    result = python_child("-c", OPENSSL_PROBE, "no-sha3", "synth", "ind2", "20",
+                          "--out", str(tmp_path / "synth.csv"), drop=("FMT_LOG",), check=True)
+    libcrypto, openssl, sha256, mac = json.loads(result.stdout.splitlines()[-1])
     assert openssl
     assert (sha256, mac) == (SHA256_ABC, HMAC_SHA256_K_M)
-    assert stderr == ""
+    assert result.stderr == ""
 
 
 def test_main_leaves_an_imported_openssl_as_it_is(tmp_path, capsys):
@@ -1164,15 +1151,6 @@ def test_main_leaves_an_imported_openssl_as_it_is(tmp_path, capsys):
 PLAIN_EXIT = ("-c", "import sys; from fmtree.cli import main; sys.exit(main())")
 
 
-def run_cli(argv, launcher=("-m", "fmtree.cli"), stdout=subprocess.PIPE, unset=()):
-    """`python -m fmtree.cli argv` (or the launcher given) in a fresh interpreter, with
-    FMT_LOG and the variables in `unset` removed from its environment."""
-    src = str(Path(fmtree.__file__).resolve().parents[1])
-    env = {key: value for key, value in os.environ.items() if key not in ("FMT_LOG", *unset)}
-    return subprocess.run([sys.executable, *launcher, *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, text=True, env={**env, "PYTHONPATH": src})
-
-
 def test_the_cli_process_prints_and_writes_what_main_does(tmp_path, dataset_csv, capsys):
     """A `compare` process exits 0 with the stdout text and the five report files of an
     in-process main run, and its stderr holds the warning of FCM's iteration cap."""
@@ -1180,7 +1158,7 @@ def test_the_cli_process_prints_and_writes_what_main_does(tmp_path, dataset_csv,
     expected, reports = tmp_path / "in-process", tmp_path / "process"
     assert main([*argv, str(expected)]) == 0
     printed = capsys.readouterr().out
-    result = run_cli([*argv, str(reports)])
+    result = python_child("-m", "fmtree.cli", *argv, str(reports), drop=("FMT_LOG",))
     assert result.returncode == 0
     assert result.stdout.replace(str(reports), str(expected)) == printed
     assert "WARNING FCM stopped at max_iterations=300 without converging" in result.stderr
@@ -1192,8 +1170,8 @@ def test_the_cli_process_prints_and_writes_what_main_does(tmp_path, dataset_csv,
 
 
 def test_the_cli_process_exits_2_on_a_missing_data_file(tmp_path):
-    result = run_cli(["compare", "--data", str(tmp_path / "missing.csv"),
-                      "--out-dir", str(tmp_path / "reports")])
+    result = python_child("-m", "fmtree.cli", "compare", "--data", str(tmp_path / "missing.csv"),
+                          "--out-dir", str(tmp_path / "reports"), drop=("FMT_LOG",))
     assert result.returncode == 2
     assert result.stderr.startswith("error:")
     assert not (tmp_path / "reports").exists()
@@ -1208,8 +1186,8 @@ def test_a_failed_stdout_flush_ends_the_process_as_python_does(tmp_path):
     results = []
     for launcher in (("-m", "fmtree.cli"), PLAIN_EXIT):
         with use_cases.open("rb") as read_only:
-            results.append(run_cli(["ucp", str(use_cases)], launcher, read_only,
-                                   unset=("PYTHONUNBUFFERED",)))
+            results.append(python_child(*launcher, "ucp", str(use_cases), stdout=read_only,
+                                        drop=("FMT_LOG", "PYTHONUNBUFFERED")))
     for result in results:
         assert result.returncode == 120
         assert "Exception ignored in: <_io.TextIOWrapper name='<stdout>'" in result.stderr

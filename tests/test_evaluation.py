@@ -31,6 +31,7 @@ from fmtree.evaluation import (
     pred,
     render_metrics_table,
     render_wtl_table,
+    WilcoxonResult,
     scores,
     wilcoxon_signed_rank,
     win_tie_loss,
@@ -183,6 +184,13 @@ class TestWilcoxon:
         assert result.same
         assert result.p_value == 1.0
         assert result.w_statistic == 0.0
+
+    def test_normal_approximation_at_the_null_mean_gives_p_1(self):
+        # 14 differences of magnitude 1 share rank 7.5, and the 7 positive ones give
+        # W+ = 52.5 = n(n+1)/4: no shift at all, which the continuity correction
+        # would turn into a z below 0.
+        result = wilcoxon_signed_rank(np.zeros(14), [1.0, -1.0] * 7)
+        assert result == WilcoxonResult(True, 1.0, 52.5)
 
     def test_common_shift_changes_nothing(self):
         rng = np.random.default_rng(0)

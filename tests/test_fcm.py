@@ -310,15 +310,16 @@ def test_fcm_matches_reference_bit_for_bit(data):
     assert_same_partition(x, config)
 
 
-def test_cluster_whose_weight_underflows_keeps_its_center():
-    # At m = 700 the third cluster's memberships raised to m all underflow to
-    # 0 after two iterations, so the third iteration updates the other two
-    # centers only.
+@pytest.mark.parametrize("k, underflowing", [(3, 1), (5, 3), (9, 7)])
+def test_cluster_whose_weight_underflows_keeps_its_center(k, underflowing):
+    # At m = 700 the memberships raised to m of `underflowing` clusters all
+    # underflow to 0 within two iterations, so later iterations update the
+    # other centers only.  At k = 9 the clusters of a point are summed pairwise.
     _, points = planted_points()
-    _, u, _ = reference_fcm(points, FcmConfig(k=3, fuzzifier_m=700.0, max_iterations=2))
+    _, u, _ = reference_fcm(points, FcmConfig(k=k, fuzzifier_m=700.0, max_iterations=2))
     weights = (u**700.0).sum(axis=0)
-    assert (weights == 0.0).any() and (weights > 0.0).any()
-    assert_same_partition(points, FcmConfig(k=3, fuzzifier_m=700.0))
+    assert int((weights == 0.0).sum()) == underflowing
+    assert_same_partition(points, FcmConfig(k=k, fuzzifier_m=700.0))
 
 
 @settings(max_examples=200, deadline=None)

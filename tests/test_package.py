@@ -4,15 +4,17 @@ import ast
 import importlib
 import os
 import re
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import fmtree
+from conftest import python_child
 
-SRC = str(Path(fmtree.__file__).resolve().parents[1])
+ROOT = Path(__file__).resolve().parents[1]
+# The BLAS variable that fmtree.cli sets when it is unset, removed from each child.
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS",)
 
 # Prints the thread count of the OpenBLAS bundled with numpy, read through its
 # getter, else the process's thread count, else nothing.
@@ -32,20 +34,11 @@ else:
 """
 
 
-def run_python(code: str, **env: str) -> str:
-    """Standard output of `python -c code` in a fresh interpreter, BLAS variables as given."""
-    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**base, "PYTHONPATH": SRC, **env},
-    )
-    return result.stdout.strip()
-
-
 def test_import_loads_no_numpy_and_leaves_the_environment():
     probe = ("import os, sys, fmtree; "
              "print('numpy' in sys.modules, 'OPENBLAS_NUM_THREADS' in os.environ)")
-    assert run_python(probe) == "False False"
+    result = python_child("-c", probe, drop=BLAS_THREADS, check=True)
+    assert result.stdout.strip() == "False False"
 
 
 def test_every_name_is_its_modules_object():
@@ -69,7 +62,8 @@ def test_submodules_resolve_as_attributes():
     assert {"fcm", "svgplot", "ucp"} <= set(names)
     for name in names:
         probe = f"import sys, fmtree; print(fmtree.{name} is sys.modules['fmtree.{name}'])"
-        assert run_python(probe) == "True", name
+        result = python_child("-c", probe, drop=BLAS_THREADS, check=True)
+        assert result.stdout.strip() == "True", name
 
 
 def module_trees():
@@ -171,7 +165,7 @@ def test_dir_lists_every_name():
 
 
 def test_cli_defaults_blas_to_one_thread():
-    threads = run_python(BLAS_PROBE)
+    threads = python_child("-c", BLAS_PROBE, drop=BLAS_THREADS, check=True).stdout.strip()
     if not threads:
         pytest.skip("no OpenBLAS getter and no /proc/self/task to count threads")
     assert int(threads) == 1
@@ -180,7 +174,8 @@ def test_cli_defaults_blas_to_one_thread():
 def test_cli_keeps_a_blas_thread_count_the_user_set():
     if (os.cpu_count() or 1) < 2:
         pytest.skip("OpenBLAS caps its threads at the CPU count")
-    threads = run_python(BLAS_PROBE, OPENBLAS_NUM_THREADS="2")
+    threads = python_child("-c", BLAS_PROBE, drop=BLAS_THREADS, check=True,
+                           OPENBLAS_NUM_THREADS="2").stdout.strip()
     if not threads:
         pytest.skip("no OpenBLAS getter and no /proc/self/task to count threads")
     assert int(threads) == 2
@@ -188,12 +183,31 @@ def test_cli_keeps_a_blas_thread_count_the_user_set():
 
 def test_console_script_and_module_run_the_same_entry():
     """The `fmtree` console script and `python -m fmtree.cli` call one function."""
-    root = Path(__file__).resolve().parents[1]
     scripts = re.search(r"^\[project\.scripts\]\n(?:[^\[].*\n)*?fmtree = \"fmtree\.cli:(\w+)\"$",
-                        (root / "pyproject.toml").read_text(encoding="utf-8"), re.MULTILINE)
+                        (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.MULTILINE)
     assert scripts, "pyproject.toml names no fmtree console script in fmtree.cli"
     tree = ast.parse(Path(fmtree.__file__).with_name("cli.py").read_text(encoding="utf-8"))
     [block] = [node for node in tree.body if isinstance(node, ast.If)
                and ast.unparse(node.test) == "__name__ == '__main__'"]
     [statement] = block.body
     assert ast.unparse(statement) == f"{scripts[1]}()"
+
+
+FALSIFIED = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_below_ten(value):
+    assert value < 10
+"""
+
+
+def test_a_falsified_hypothesis_test_is_reported(tmp_path):
+    """Under this repository's pytest configuration, where warnings are errors, a failing
+    property test fails with its falsifying example instead of an internal error."""
+    (tmp_path / "test_falsified.py").write_text(FALSIFIED, encoding="utf-8")
+    result = python_child("-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+                          "-p", "no:cacheprovider", "test_falsified.py", cwd=tmp_path)
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "Falsifying example: test_below_ten(" in result.stdout
