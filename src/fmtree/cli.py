@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib.util
 import json
 import logging
@@ -56,16 +55,8 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _dataclass_fields(obj) -> dict:
-    """json.dumps' `default`: a dataclass instance is written as the dict of its fields.
-
-    Unlike dataclasses.asdict this copies no field value; json encodes each in turn.
-    """
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-
-
 def _write_json(path: Path, doc) -> None:
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True, default=_dataclass_fields) + "\n")
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True, default=vars) + "\n")
 
 
 def _load(path: str, parse: Callable[[str], Any]) -> Any:
@@ -275,7 +266,7 @@ def cmd_ucp(args: argparse.Namespace) -> int:
     model = _load(args.model_json, lambda text: ucp.use_case_model_from_json(json.loads(text)))
     breakdown = ucp.compute_ucp(model)
     effort = ucp.classical_effort(breakdown.ucp, ratio)
-    for key, value in _dataclass_fields(breakdown).items():
+    for key, value in vars(breakdown).items():
         print(f"{key:>6}: {value:.4f}")
     print(f"effort: {effort:.2f} PH (at {ratio:g} PH/UCP)")
     return 0

@@ -17,7 +17,6 @@ from fmtree.baselines import (
     predict_mlr_dataset,
     predict_treeboost_dataset,
 )
-from fmtree.cli import _dataclass_fields
 from fmtree.data import split_holdout
 from fmtree.evaluation import (
     average_ranks,
@@ -38,7 +37,7 @@ from fmtree.evaluation import (
 )
 from fmtree.fcm import FcmConfig
 from fmtree.fmt import predict_fmt_dataset, train_fmt
-from fmtree.ucp import classical_effort
+from fmtree.ucp import UseCaseModel, classical_effort, compute_ucp
 
 SAMPLE_ERRORS = [0.1, 0.2, 0.3, 0.6]
 BOXPLOT_KEYS = {
@@ -48,7 +47,7 @@ BOXPLOT_KEYS = {
 
 def encoded(obj):
     """obj as the CLI writes it to a JSON file, read back."""
-    return json.loads(json.dumps(obj, default=_dataclass_fields))
+    return json.loads(json.dumps(obj, default=vars))
 
 
 class TestPointMetrics:
@@ -298,11 +297,22 @@ class TestEvaluate:
     def test_json_round_trip_fields(self):
         report = evaluate([100.0, 200.0], [110.0, 150.0])
         doc = encoded(report)
-        assert doc == encoded(dataclasses.asdict(report))
         assert set(doc) == {"mmre", "mdmre", "pred25", "pred50", "abs_residuals", "boxplot"}
         assert doc["abs_residuals"] == [10.0, 50.0]
         assert set(doc["boxplot"]) == BOXPLOT_KEYS
         assert doc["boxplot"]["outliers"] == []
+
+    @pytest.mark.parametrize("make", [
+        lambda: evaluate([100.0, 200.0, 400.0, 90.0], [110.0, 150.0, 400.0, 300.0]),
+        lambda: evaluate([100.0, 200.0, 400.0, 90.0], [110.0, 150.0, 400.0, 300.0]).boxplot,
+        lambda: win_tie_loss({"a": [0.1] * 6, "b": [0.5] * 6})["a"],
+        lambda: compute_ucp(UseCaseModel(("average",), ("complex",), (3,) * 13, (3,) * 8)),
+    ], ids=["EvalReport", "BoxplotSummary", "MethodRecord", "UcpBreakdown"])
+    def test_the_cli_writes_each_result_as_its_fields(self, make):
+        """vars(obj) is the CLI's encoding: exactly the fields, in field order, as asdict gives."""
+        obj = make()
+        assert list(vars(obj)) == [f.name for f in dataclasses.fields(obj)]
+        assert encoded(obj) == encoded(dataclasses.asdict(obj))
 
     def test_length_mismatch_is_reported_before_residuals(self):
         with pytest.raises(ValueError, match="length mismatch: 3 actuals vs 2 predictions"):
